@@ -14,18 +14,18 @@ Three workloads, each with a predictable asymptotic gap:
   the hub g times and re-scans g candidates per spoke.
 - **core**: the core of the chase of a star source under the introduction's
   nested tgd -- n isomorphic f-blocks of n facts each that must fold into
-  one.  The block-memoizing worklist engine
+  one.  The single-pass worklist engine
   (:func:`repro.engine.core_instance.core`) against the seed loop preserved
   as :func:`repro.engine.naive.core_naive` (restricted immutable instance
   per candidate null, restart per elimination).
 
-Two further axes compare the columnar/SQL backends of this PR's core stack:
+Two further axes compare the columnar/SQL backends of the core stack:
 
 - **columnar kernel** (``columnar_*`` keys): the id-space kernel
   (:mod:`repro.engine.hom_kernel_columnar`) against the generic kernel
   decoding the *same* :class:`ColumnarInstance` target through the
   ``FactIndex`` protocol, on every hom workload above.
-- **core backends** (``core_backends`` key): cold-cache
+- **core backends** (``core_backends`` key):
   ``core(backend="tuple"/"columnar"/"sql")`` wall times on the star chase.
 
 Run as a script to record the comparison in ``BENCH_hom.json``::
@@ -44,7 +44,7 @@ import pytest
 
 from repro.engine.chase import chase
 from repro.engine.columnar import ColumnarInstance
-from repro.engine.core_instance import clear_fold_cache, core
+from repro.engine.core_instance import core
 from repro.engine.hom_kernel import (
     block_homomorphism_generic,
     find_homomorphism_indexed,
@@ -157,17 +157,12 @@ def compare_hom_columnar(workload: str, n: int) -> dict:
 
 
 def compare_core_backends(n: int) -> dict:
-    """Cold-cache core wall times across the three backends on the star chase."""
+    """Core wall times across the three backends on the star chase."""
     chased = star_chase(n)
-
-    def cold(backend: str) -> Instance:
-        clear_fold_cache()
-        return core(chased, backend=backend)
-
     times: dict[str, float] = {}
     results: dict[str, Instance] = {}
     for backend in ("tuple", "columnar", "sql"):
-        times[backend], results[backend] = _best_of(cold, backend)
+        times[backend], results[backend] = _best_of(core, chased, backend=backend)
     for backend in ("columnar", "sql"):
         assert len(results[backend]) == len(results["tuple"]) == n
         assert results[backend].isomorphic(results["tuple"])
@@ -175,16 +170,10 @@ def compare_core_backends(n: int) -> dict:
             "columnar_s": times["columnar"], "sql_s": times["sql"]}
 
 
-def _cold_core(instance: Instance) -> Instance:
-    """Run the new core engine with an emptied fold cache (cold-start timing)."""
-    clear_fold_cache()
-    return core(instance)
-
-
 def compare_core(n: int) -> dict:
-    """Time the block-memoizing core engine against the seed elimination loop."""
+    """Time the worklist core engine against the seed elimination loop."""
     chased = star_chase(n)
-    kernel_s, folded = _best_of(_cold_core, chased)
+    kernel_s, folded = _best_of(core, chased)
     naive_s, folded_naive = _best_of(core_naive, chased)
     assert len(folded) == len(folded_naive) == n  # one block of n facts survives
     assert find_homomorphism(folded, folded_naive) is not None
@@ -210,7 +199,7 @@ def test_scale_hom_hub(benchmark, g):
 @pytest.mark.parametrize("n", CORE_SIZES)
 def test_scale_core_star(benchmark, n):
     chased = star_chase(n)
-    folded = benchmark(_cold_core, chased)
+    folded = benchmark(core, chased)
     assert len(folded) == n
 
 
@@ -232,11 +221,7 @@ def test_columnar_kernel_hub_gate():
 def test_scale_core_backends(benchmark, backend):
     chased = star_chase(SMOKE_CORE_SIZES[-1])
 
-    def cold():
-        clear_fold_cache()
-        return core(chased, backend=backend)
-
-    folded = benchmark(cold)
+    folded = benchmark(core, chased, backend=backend)
     assert len(folded) == SMOKE_CORE_SIZES[-1]
 
 

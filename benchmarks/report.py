@@ -315,35 +315,27 @@ def engine_counters() -> None:
         f"decoded rows = {stats.get('backend.columnar.decoded_rows')}"
     )
 
-    # The chase of the star has n isomorphic blocks: the core engine folds
+    # The chase of the star has n isomorphic blocks: the core engine keeps
     # one and drops the other n - 1 by canonical-form deduplication.
-    from repro.engine.core_instance import clear_fold_cache
-
     chased_star = chase(star, INTRO)
-    clear_fold_cache()
     with perf.measuring() as stats:
         folded = core(chased_star)
     print(
         f"core engine (star n=30): blocks = {stats.get('core.blocks')}, "
         f"iso folds = {stats.get('core.iso_folds')}, "
-        f"memo hits/misses = {stats.get('core.memo_hits')}"
-        f"/{stats.get('core.memo_misses')}, "
         f"eliminations = {stats.get('core.eliminations')}, "
         f"rigid blocks = {stats.get('core.rigid_blocks')} "
         f"(core size {len(folded)})"
     )
 
-    # The same core in id-space: fingerprints are byte-identical to the
-    # tuple engine's, so the two share one persistent fold tier.
-    clear_fold_cache()
+    # The same core in id-space: canonical-block fingerprints are
+    # byte-identical to the tuple engine's.
     with perf.measuring() as stats:
         folded = core(chased_star, backend="columnar")
     print(
         f"columnar core (same star): "
         f"blocks = {stats.get('core.columnar.blocks')}, "
         f"iso folds = {stats.get('core.columnar.iso_folds')}, "
-        f"memo hits/misses = {stats.get('core.columnar.memo_hits')}"
-        f"/{stats.get('core.columnar.memo_misses')}, "
         f"eliminations = {stats.get('core.columnar.eliminations')}, "
         f"probe memo hits = {stats.get('backend.columnar.probe_hits')} "
         f"(core size {len(folded)})"

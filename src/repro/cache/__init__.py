@@ -1,7 +1,7 @@
 """repro.cache -- the persistence layer behind the in-memory cache tiers.
 
 Warm-start performance used to die with the process: the IMPLIES chase
-cache, the core fold memo, and the interned term universe were all
+cache, the verdict caches, and the interned term universe were all
 process-local, and fork-pool workers re-pickled their inputs per task.
 This package makes the warm state survive restarts and fork boundaries:
 
@@ -10,8 +10,8 @@ This package makes the warm state survive restarts and fork boundaries:
 - :mod:`repro.cache.store` -- a schema-versioned, LRU-evicted,
   corruption-tolerant SQLite store, enabled by ``REPRO_CACHE_DIR`` or
   :func:`configure`; disabled by default, leaving hot paths untouched.
-- :mod:`repro.cache.shm` -- one-shot shared-memory publication of sweep /
-  prefold specs to fork workers, replacing per-task pickling.
+- :mod:`repro.cache.shm` -- one-shot shared-memory publication of
+  pattern-sweep specs to fork workers, replacing per-task pickling.
 
 This module is the facade: pickle-level :func:`disk_get` / :func:`disk_put`
 used by the engine hook points, :func:`clear_all_caches` resetting every
@@ -32,7 +32,6 @@ from repro.cache.store import (
 
 #: The persistent cache spaces (see ``store.SPACE_LIMITS`` for caps).
 SPACE_CHASE = "chase"
-SPACE_FOLD = "fold"
 SPACE_IMPLIES = "implies"
 SPACE_CONTAIN = "contain"
 
@@ -71,21 +70,18 @@ def disk_put(space: str, key: str, value: object) -> None:
 
 
 def clear_all_caches(*, disk: bool = True) -> None:
-    """Reset every cache tier together: chase LRU, fold memo, intern stats,
-    and (with ``disk=True``) the persistent store.
+    """Reset every cache tier together: chase LRU, intern stats, and (with
+    ``disk=True``) the persistent store.
 
-    This closes the historic reset asymmetry where ``clear_chase_cache()``
-    left the fold memo warm (and vice versa), which made "cold" measurements
-    and test isolation subtly wrong.  ``disk=False`` drops only the
+    One call keeps "cold" measurements and test isolation honest: no
+    in-memory tier is left warm by accident.  ``disk=False`` drops only the
     in-memory tiers -- exactly what a warm-restart benchmark needs to model
     a fresh process over a populated store.
     """
     from repro.core.implication import clear_chase_cache
-    from repro.engine.core_instance import clear_fold_cache
     from repro.logic import intern
 
     clear_chase_cache()
-    clear_fold_cache()
     intern.reset_stats()
     if disk:
         store = get_store()
@@ -106,7 +102,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "SPACE_CHASE",
     "SPACE_CONTAIN",
-    "SPACE_FOLD",
     "SPACE_IMPLIES",
     "configure",
     "get_store",

@@ -1,6 +1,6 @@
 """Canonical content-derived fingerprints for cross-process cache keys.
 
-The in-memory chase cache and fold memo key by interned objects -- pointer
+The in-memory chase cache keys by interned objects -- pointer
 identity, valid only within one process.  The on-disk tiers of
 :mod:`repro.cache.store` need keys that are identical across processes and
 across Python hash seeds, so fingerprints here are built purely from
@@ -72,7 +72,7 @@ def encode_atom(atom: Atom) -> bytes:
 
 
 def encode_canonical_null(index: int) -> bytes:
-    """The encoding of the canonical fold-memo null ``Null(("#", index))``.
+    """The encoding of the canonical core-block null ``Null(("#", index))``.
 
     Lets the columnar core engine render a canonical block fingerprint from
     integer id tuples without constructing the interned ``Null`` object:
@@ -113,7 +113,7 @@ def fingerprint_facts(facts: Iterable[Atom]) -> str:
 
 
 def fingerprint_fact_sequence(facts: Iterable[Atom]) -> str:
-    """Fingerprint an *ordered* fact tuple (canonical fold-memo blocks)."""
+    """Fingerprint an *ordered* fact tuple (canonical core blocks)."""
     return _digest(_prefixed(encode_atom(fact)) for fact in facts)
 
 
@@ -122,8 +122,8 @@ def fingerprint_encoded_sequence(encodings: Iterable[bytes]) -> str:
 
     Equals ``fingerprint_fact_sequence`` of the corresponding atoms when each
     element was built with :func:`encode_atom_parts`, so the columnar core
-    engine's id-space fingerprints hit the same on-disk fold entries as the
-    tuple engine's.
+    engine's id-space fingerprints of canonical blocks equal the tuple
+    engine's.
     """
     return _digest(_prefixed(encoding) for encoding in encodings)
 

@@ -1,9 +1,8 @@
 """Shared-memory publication of interned universes for fork-pool workers.
 
-The parallel pattern sweep and parallel core prefolding fan work out to a
-fork pool.  Before this module, the from-scratch sweep pickled every
-pattern through the task queue and the prefolder pickled every canonical
-block -- per task, per worker.  Here the parent serializes the whole spec
+The parallel pattern sweep fans work out to a fork pool.  Before this
+module, the from-scratch sweep pickled every pattern through the task
+queue -- per task, per worker.  Here the parent serializes the whole spec
 *once* into a ``multiprocessing.shared_memory`` segment; workers attach,
 deserialize once (re-interning into their inherited tables, so every object
 lands on its canonical identity), memoize the result, and from then on

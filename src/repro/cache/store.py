@@ -34,7 +34,8 @@ from pathlib import Path
 
 from repro import perf
 
-SCHEMA_VERSION = 1
+#: Version 2 dropped the ``fold`` space: a version-1 store opens empty.
+SCHEMA_VERSION = 2
 STORE_FILENAME = "repro-cache.sqlite"
 
 #: Environment variable naming the cache directory (unset => disabled).
@@ -44,7 +45,7 @@ ENV_CACHE_SPACES = "REPRO_CACHE_SPACES"
 
 #: Per-space entry caps (LRU-evicted beyond these).
 SPACE_LIMITS: dict[str, int] = {
-    "chase": 8192, "contain": 2048, "fold": 16384, "implies": 4096,
+    "chase": 8192, "contain": 2048, "implies": 4096,
 }
 DEFAULT_SPACES = frozenset(SPACE_LIMITS)
 _FALLBACK_LIMIT = 4096

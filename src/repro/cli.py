@@ -151,7 +151,7 @@ def cmd_core(args) -> int:
 
     The report carries the backend actually used (with the dispatch reason
     when ``--backend auto`` decided), input/core sizes, and the engine's
-    block/fold counters.  Core *size* is deterministic across backends (the
+    block counters.  Core *size* is deterministic across backends (the
     core is unique up to isomorphism); the fact listing is only printed under
     ``--facts`` because different engines may keep different-but-isomorphic
     representatives.
@@ -192,8 +192,6 @@ def cmd_core(args) -> int:
         "blocks": stats.get(prefix + "blocks"),
         "eliminations": stats.get(prefix + "eliminations"),
         "rigid_blocks": stats.get(prefix + "rigid_blocks"),
-        "fold_memo_hits": stats.get(prefix + "memo_hits"),
-        "fold_disk_hits": stats.get("cache.disk.hits"),
         "sql_queries": stats.get("core.sql.queries"),
     }
     if args.facts:

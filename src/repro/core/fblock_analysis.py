@@ -71,21 +71,17 @@ def _self_bound(tgd: NestedTgd) -> int:
 
 
 def _core_fblock_size(
-    source: Instance,
-    dependencies: Sequence,
-    parallel: int | None = None,
-    backend: str = "tuple",
+    source: Instance, dependencies: Sequence, backend: str = "tuple"
 ) -> int:
     """``fact_block_size(core(chase(source, M)))`` -- the growth-test probe.
 
     The chase goes through the IMPLIES chase cache (clone rounds re-derive
-    the same canonical sources constantly) and the core computation can fan
-    block folding out over *parallel* worker processes or run on another
-    *backend* (the f-block size multiset is isomorphism-invariant, so the
-    probe is backend-independent).
+    the same canonical sources constantly) and the core computation can run
+    on another *backend* (the f-block size multiset is isomorphism-invariant,
+    so the probe is backend-independent).
     """
     chased = cached_chase(source, list(dependencies))
-    return fact_block_size(core(chased, parallel=parallel, backend=backend))
+    return fact_block_size(core(chased, backend=backend))
 
 
 def _paths_of(pattern: Pattern) -> Iterator[tuple[int, ...]]:
@@ -121,7 +117,6 @@ def decide_bounded_fblock_size(
     source_egds: Sequence[Egd] = (),
     clone_limit: int | None = None,
     max_patterns: int | None = 100_000,
-    parallel: int | None = None,
     backend: str = "tuple",
 ) -> FBlockVerdict:
     """Decide whether a nested GLAV mapping has bounded f-block size.
@@ -134,9 +129,8 @@ def decide_bounded_fblock_size(
     whole range witnesses unboundedness (the extension argument of Theorem
     4.4); otherwise the maximum observed size is an effective bound.
 
-    ``parallel=N`` fans the core computation's block folding out over N
-    worker processes; ``backend=`` selects the core engine.  The verdict is
-    identical in every configuration.
+    ``backend=`` selects the core engine; the verdict is identical on every
+    backend.
 
         >>> from repro.logic.parser import parse_nested_tgd, parse_tgd
         >>> decide_bounded_fblock_size([parse_tgd("S(x,y) -> R(x,z)")]).bounded
@@ -158,8 +152,7 @@ def decide_bounded_fblock_size(
         limit = clone_limit if clone_limit is not None else _self_bound(tgd) + 1
         for pattern in one_patterns(tgd, max_patterns=max_patterns):
             base_size = _core_fblock_size(
-                _canonical_source(pattern, tgd, source_egds), all_deps, parallel,
-                backend,
+                _canonical_source(pattern, tgd, source_egds), all_deps, backend
             )
             best_bound = max(best_bound, base_size)
             tried_subtrees: set[tuple] = set()
@@ -175,7 +168,7 @@ def decide_bounded_fblock_size(
                     cloned = pattern.with_clones(path, copies)
                     size = _core_fblock_size(
                         _canonical_source(cloned, tgd, source_egds), all_deps,
-                        parallel, backend,
+                        backend,
                     )
                     sizes.append(size)
                     best_bound = max(best_bound, size)

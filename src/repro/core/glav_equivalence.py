@@ -33,16 +33,12 @@ from repro.core.patterns import patterns_up_to_size
 
 
 def is_equivalent_to_glav(
-    dependencies,
-    source_egds: Sequence[Egd] = (),
-    parallel: int | None = None,
-    backend: str = "tuple",
+    dependencies, source_egds: Sequence[Egd] = (), backend: str = "tuple"
 ) -> bool:
     """Decide whether a nested GLAV mapping is logically equivalent to a GLAV mapping.
 
-    ``parallel=N`` and ``backend=`` are forwarded to the boundedness analysis
-    (core folding on N worker processes / on another core engine; same
-    verdict in every configuration).
+    ``backend=`` is forwarded to the boundedness analysis's core engine (same
+    verdict on every backend).
 
         >>> from repro.logic.parser import parse_nested_tgd
         >>> sigma = parse_nested_tgd(
@@ -51,7 +47,7 @@ def is_equivalent_to_glav(
         False
     """
     verdict = decide_bounded_fblock_size(
-        dependencies, source_egds=source_egds, parallel=parallel, backend=backend
+        dependencies, source_egds=source_egds, backend=backend
     )
     return verdict.bounded
 
@@ -102,10 +98,9 @@ def to_glav(
     Raises :class:`UndecidedError` when the mapping has unbounded f-block size
     (no equivalent GLAV mapping exists, Theorem 4.1) or when the search bound
     *max_pattern_nodes* is exhausted before the implication closes.
-    ``parallel=N`` is forwarded to both the boundedness analysis (parallel
-    core folding) and the closing IMPLIES sweep (parallel pattern checks);
-    ``backend=`` to the boundedness analysis's core engine.  The construction
-    is unchanged in every configuration.
+    ``parallel=N`` is forwarded to the closing IMPLIES sweep (parallel
+    pattern checks), ``backend=`` to the boundedness analysis's core engine.
+    The construction is unchanged in every configuration.
 
         >>> from repro.logic.parser import parse_nested_tgd
         >>> sigma = parse_nested_tgd("S1(x1) -> (S2(x2) -> T(x1, x2))")
@@ -115,7 +110,7 @@ def to_glav(
     """
     nested = nested_tgds_from(dependencies)
     verdict: FBlockVerdict = decide_bounded_fblock_size(
-        nested, source_egds=source_egds, parallel=parallel, backend=backend
+        nested, source_egds=source_egds, backend=backend
     )
     if not verdict.bounded:
         raise UndecidedError(

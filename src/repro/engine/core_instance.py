@@ -31,39 +31,25 @@ restart per elimination -- is preserved as
   instance, and "J minus the facts containing x" is expressed as a
   ``forbidden`` fact set (from the per-value reverse index) passed to the
   homomorphism kernel, never materialized.
-- **Block worklist.**  Blocks are processed independently.  An elimination
-  only removes facts of the processed block (every image fact already exists
-  in J), so other blocks are unaffected; the surviving facts are split into
+- **Single pass over a block worklist.**  Every f-block with a null goes
+  straight onto one global worklist and is searched against the whole
+  instance.  A separate block-local fold would add nothing: a homomorphism
+  from block B into ``B minus facts(x)`` is in particular one into
+  ``J minus facts(x)``, so every local fold is a global elimination, and
+  searching B locally first only searches it twice.  An elimination only
+  removes facts of the processed block (every image fact already exists in
+  J), so other blocks are unaffected; the surviving facts are split into
   connected components and re-enqueued.  A block with no eliminable null is
   *rigid* and never revisited: eliminating homomorphisms only lose candidate
   facts as J shrinks, so rigidity is monotone under eliminations.
-- **Block-local folding is context-free and memoized.**  A homomorphism from
-  block B into ``B minus facts(x)`` is in particular one into
-  ``J minus facts(x)``, so a local fold is a valid elimination in any
-  enclosing instance.  Folds are memoized process-wide in an LRU keyed by a
-  *canonical labeling* of the block (nulls renamed along degree-profile
-  groups), so the isomorphic blocks that chase outputs are full of fold
-  once -- across blocks and across core calls.  Overly symmetric blocks
-  (too many tie-break permutations) skip the cache and fold directly.
 - **Isomorphic duplicate blocks drop wholesale.**  If B2 is isomorphic to a
   disjoint block B1 of the same instance, the isomorphism maps B2 into
   ``J minus facts(x)`` for every null x of B2 (distinct blocks share no
   nulls), so all of B2 is eliminated by one retraction.  Duplicates are
-  detected by equal canonical forms.
-- **Parallel local folding** (``core(instance, parallel=N)``): uncached
-  block folds are dispatched to a fork-based process pool (mirroring the
-  IMPLIES pattern sweep); results land in the shared LRU.  The canonical
-  blocks are published to the workers once through a
-  :mod:`repro.cache.shm` shared-memory segment (workers receive integer
-  indexes, not pickled fact tuples), with the pre-shm pickling path kept
-  as a fallback.  A fold is a deterministic function of the canonical
-  form, so parallel and serial runs return identical cores.
-- **Persistent fold tier** (:mod:`repro.cache`, enabled by
-  ``REPRO_CACHE_DIR`` / ``repro.cache.configure``): canonical blocks are
-  already process-independent (nulls renamed to ``Null(("#", i))``), so a
-  memo miss consults an on-disk store keyed by the block's content
-  fingerprint before folding, and computed folds are written through.
-  Disabled by default; the in-memory LRU stays the only tier on hot paths.
+  detected by equal content fingerprints of a *canonical labeling* of each
+  block (nulls renamed to ``Null(("#", i))`` along degree-profile groups);
+  overly symmetric blocks (too many tie-break permutations) are never
+  treated as duplicates and simply stay on the worklist.
 
 **Backends** (``core(instance, backend=...)``): besides the tuple engine
 above, :class:`_ColumnarCore` runs the same worklist in *id-space* over a
@@ -75,27 +61,23 @@ solve_encoded` with per-group forbidden row sets, and eliminations are
 tombstone row discards.  Canonical-block fingerprints are computed from the
 id tuples via :func:`~repro.cache.fingerprint.encode_atom_parts` /
 :func:`~repro.cache.fingerprint.fingerprint_encoded_sequence` -- byte-equal
-to the tuple path's ``fingerprint_fact_sequence``, so both engines share the
-persistent ``SPACE_FOLD`` tier (payloads stay canonical atom tuples; the
-columnar engine decodes them only on the cold disk path).  ``backend="sql"``
-additionally pushes each candidate elimination down to one SELECT join
+to the tuple path's ``fingerprint_fact_sequence``.  ``backend="sql"``
+pushes each candidate elimination down to one SELECT join
 (:func:`repro.engine.sql_backend.sql_core`); ``backend="auto"`` resolves
 through :func:`repro.engine.dispatch.choose_core_backend`.  All backends
 return the same core up to isomorphism (exactly: same fact count, same
-constants, isomorphic null structure); the fold each engine picks for a
-symmetric block may differ, which is why cross-engine agreement is stated
+constants, isomorphic null structure); the retraction each engine picks for
+a symmetric block may differ, which is why cross-engine agreement is stated
 up to isomorphism.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict, deque
+from collections import deque
 from typing import Iterable, Sequence
 
 from repro import perf
-from repro.cache import SPACE_FOLD, disk_get, disk_put, get_store
-from repro.cache import shm as cache_shm
 from repro.cache.fingerprint import (
     encode_atom_parts,
     encode_canonical_null,
@@ -121,44 +103,27 @@ from repro.logic.values import Null, is_null
 _Row = tuple[_RelGroup, int]
 
 #: Maximum number of tie-break permutations tried when canonically labeling
-#: the nulls of a block; blocks more symmetric than this skip the fold cache.
+#: the nulls of a block; more symmetric blocks skip iso-duplicate detection.
 _CANON_PERMUTATION_LIMIT = 120
-
-#: Process-wide LRU of block-local folds: canonical fact tuple -> folded
-#: canonical fact tuple.  Sound because a fold is context-free (see module
-#: docstring) and deterministic given the canonical form.
-_FOLD_CACHE: OrderedDict[tuple[Atom, ...], tuple[Atom, ...]] = OrderedDict()
-_FOLD_CACHE_MAX = 1024
-
-#: The columnar twin of ``_FOLD_CACHE``: content fingerprint of the
-#: canonical block -> indexes (into the canonical row order) of the facts
-#: that survive the local fold.  Keyed by fingerprint rather than repr
-#: strings so adversarial names that render alike cannot alias entries.
-_COLUMNAR_FOLD_CACHE: OrderedDict[str, tuple[int, ...]] = OrderedDict()
-
-
-def clear_fold_cache() -> None:
-    """Empty the process-wide block-fold caches (mainly for tests)."""
-    _FOLD_CACHE.clear()
-    _COLUMNAR_FOLD_CACHE.clear()
-
-
-def _store_columnar_fold(fingerprint: str, surviving: tuple[int, ...]) -> None:
-    _COLUMNAR_FOLD_CACHE[fingerprint] = surviving
-    _COLUMNAR_FOLD_CACHE.move_to_end(fingerprint)
-    while len(_COLUMNAR_FOLD_CACHE) > _FOLD_CACHE_MAX:
-        _COLUMNAR_FOLD_CACHE.popitem(last=False)
-
-
-def _store_fold(key: tuple[Atom, ...], folded: tuple[Atom, ...]) -> None:
-    _FOLD_CACHE[key] = folded
-    _FOLD_CACHE.move_to_end(key)
-    while len(_FOLD_CACHE) > _FOLD_CACHE_MAX:
-        _FOLD_CACHE.popitem(last=False)
 
 
 def _has_nulls(facts: Iterable[Atom]) -> bool:
     return any(is_null(arg) for fact in facts for arg in fact.args)
+
+
+def _null_blocks(instance: Instance) -> list[list[Atom]]:
+    """The f-blocks of *instance* that contain a null, each repr-sorted.
+
+    Ground facts are singleton blocks that no retraction moves, so they are
+    left out.  Shared by every engine that works on :class:`Instance` blocks
+    (the tuple worklist, :func:`is_core`, and the SQL core).
+    """
+    blocks = []
+    for block in fact_blocks(instance):
+        block_facts = sorted(block, key=repr)
+        if _has_nulls(block_facts):
+            blocks.append(block_facts)
+    return blocks
 
 
 def _block_nulls(facts: Iterable[Atom]) -> list:
@@ -233,19 +198,7 @@ def _process_blocks(builder: InstanceBuilder, pending: deque[list[Atom]]) -> Non
             pending.extend(_null_components(survivors))
 
 
-def _fold_facts(facts: Iterable[Atom]) -> tuple[Atom, ...]:
-    """Fold a block against itself until no null is locally eliminable.
-
-    A pure, deterministic function of the fact set (it is the fold-cache
-    value computation and the parallel worker); returns repr-sorted facts.
-    """
-    builder = InstanceBuilder(facts)
-    pending: deque[list[Atom]] = deque(_null_components(list(builder)))
-    _process_blocks(builder, pending)
-    return tuple(sorted(builder, key=repr))
-
-
-def _canonical_block(facts: Sequence[Atom]) -> tuple[tuple[Atom, ...], dict] | None:
+def _canonical_block(facts: Sequence[Atom]) -> tuple[Atom, ...] | None:
     """Canonically label the nulls of a block, or None if too symmetric.
 
     Nulls are grouped by degree profile (multiset of (relation, position)
@@ -253,9 +206,8 @@ def _canonical_block(facts: Sequence[Atom]) -> tuple[tuple[Atom, ...], dict] | N
     i))``; ties within a profile group are broken by trying every
     within-group permutation and keeping the lexicographically least fact
     tuple, so isomorphic blocks get identical canonical forms.  Returns the
-    canonical fact tuple and the null -> canonical-null labeling, or None
-    when the tie groups would need more than ``_CANON_PERMUTATION_LIMIT``
-    permutations.
+    canonical fact tuple, or None when the tie groups would need more than
+    ``_CANON_PERMUTATION_LIMIT`` permutations.
     """
     profiles: dict = {}
     for fact in facts:
@@ -276,7 +228,6 @@ def _canonical_block(facts: Sequence[Atom]) -> tuple[tuple[Atom, ...], dict] | N
     ordered_groups = [sorted(members, key=repr) for __, members in sorted(groups.items())]
     best: tuple[Atom, ...] | None = None
     best_key: list[str] = []
-    best_labeling: dict = {}
     for orderings in itertools.product(
         *(itertools.permutations(members) for members in ordered_groups)
     ):
@@ -289,96 +240,8 @@ def _canonical_block(facts: Sequence[Atom]) -> tuple[tuple[Atom, ...], dict] | N
         if best is None or relabeled_key < best_key:
             best = relabeled
             best_key = relabeled_key
-            best_labeling = labeling
     assert best is not None
-    return best, best_labeling
-
-
-def _disk_fold_get(key: tuple[Atom, ...]) -> tuple[Atom, ...] | None:
-    """Look a canonical-block fold up in the persistent tier."""
-    if get_store() is None:
-        return None
-    payload = disk_get(SPACE_FOLD, fingerprint_fact_sequence(key))
-    if not isinstance(payload, tuple) or not all(
-        isinstance(fact, Atom) for fact in payload
-    ):
-        return None
-    return payload
-
-
-def _disk_fold_put(key: tuple[Atom, ...], folded: tuple[Atom, ...]) -> None:
-    """Write one computed fold through to the persistent tier."""
-    if get_store() is None:
-        return
-    disk_put(SPACE_FOLD, fingerprint_fact_sequence(key), folded)
-
-
-def _fold_block(
-    block: Sequence[Atom], canon: tuple[tuple[Atom, ...], dict] | None
-) -> tuple[Atom, ...]:
-    """Fold one block locally, through the canonical-form cache when possible."""
-    if canon is None:
-        return _fold_facts(block)
-    key, labeling = canon
-    cached = _FOLD_CACHE.get(key)
-    if cached is not None:
-        _FOLD_CACHE.move_to_end(key)
-        perf.incr("core.memo_hits")
-    else:
-        perf.incr("core.memo_misses")
-        cached = _disk_fold_get(key)
-        if cached is None:
-            cached = _fold_facts(key)
-            _disk_fold_put(key, cached)
-        _store_fold(key, cached)
-    inverse = {label: null for null, label in labeling.items()}
-    return tuple(fact.rename_values(inverse) for fact in cached)
-
-
-#: Canonical blocks published to prefold workers (shared-memory segment, or
-#: this fork-inherited global as the fallback); tasks are plain indexes.
-_PREFOLD_KEYS: tuple[tuple[Atom, ...], ...] | None = None
-_PREFOLD_HANDLE: "cache_shm.ShmHandle | None" = None
-
-
-def _prefold_worker(index: int) -> tuple[Atom, ...]:
-    if _PREFOLD_HANDLE is not None:
-        keys = cache_shm.attach(_PREFOLD_HANDLE)
-        assert isinstance(keys, tuple)
-    else:
-        assert _PREFOLD_KEYS is not None
-        keys = _PREFOLD_KEYS
-    return _fold_facts(keys[index])
-
-
-def _prefold_parallel(keys: list[tuple[Atom, ...]], workers: int) -> None:
-    """Fold uncached canonical blocks across a fork-based process pool."""
-    import concurrent.futures
-    import multiprocessing
-
-    global _PREFOLD_KEYS, _PREFOLD_HANDLE
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:
-        return
-    perf.incr("core.parallel_blocks", len(keys))
-    spec = tuple(keys)
-    handle = cache_shm.publish(spec)
-    if handle is not None:
-        _PREFOLD_HANDLE = handle
-    else:
-        _PREFOLD_KEYS = spec
-    try:
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, mp_context=context
-        ) as pool:
-            for key, folded in zip(keys, pool.map(_prefold_worker, range(len(keys)))):
-                _store_fold(key, folded)
-                _disk_fold_put(key, folded)
-    finally:
-        _PREFOLD_KEYS = None
-        _PREFOLD_HANDLE = None
-        cache_shm.unlink(handle)
+    return best
 
 
 class _ColumnarCore:
@@ -386,10 +249,8 @@ class _ColumnarCore:
 
     Every method works on ``(_RelGroup, row)`` pairs; interned value objects
     are touched only through the three memoized per-id accessors (null
-    classification, repr, fingerprint encoding) and when a cold disk fold is
-    decoded -- no :class:`Atom` is materialized on the worklist path.  The
-    fold helper builds private mini stores over the *same* value table, so
-    one instance of this class serves the outer store and every fold store.
+    classification, repr, fingerprint encoding) -- no :class:`Atom` is
+    materialized on the worklist path.
     """
 
     __slots__ = ("values", "_null_flags", "_reprs", "_encodings")
@@ -470,17 +331,15 @@ class _ColumnarCore:
 
     # -------------------------------------------------------- canonical form
 
-    def canonical_block(
-        self, block: Sequence[_Row]
-    ) -> tuple[list[_Row], dict[int, int]] | None:
-        """Canonically label the null ids of a block, or None if too symmetric.
+    def block_fingerprint(self, block: Sequence[_Row]) -> str | None:
+        """Fingerprint of the block's canonical labeling, or None if too symmetric.
 
         Mirrors :func:`_canonical_block` id-for-object: nulls group by degree
         profile, ties try every within-group permutation, and the winning
         ordering is the lexicographically least repr-string tuple (rendering
-        ``Null(("#", i))`` reprs from the canonical index directly).  Returns
-        the block rows in canonical order plus the null id -> canonical
-        index labeling.
+        ``Null(("#", i))`` reprs from the canonical index directly).  The
+        fingerprint is computed from id tuples and is byte-equal to
+        ``fingerprint_fact_sequence`` of the tuple engine's canonical atoms.
         """
         is_null_vid = self.is_null_vid
         profiles: dict[int, dict[tuple[str, int], int]] = {}
@@ -532,46 +391,19 @@ class _ColumnarCore:
                 best_rows = [entry[1] for entry in entries]
                 best_labeling = labeling
         assert best_key is not None
-        return best_rows, best_labeling
-
-    def block_fingerprint(
-        self, canon_rows: Sequence[_Row], labeling: dict[int, int]
-    ) -> str:
-        """Content fingerprint of the canonical block, from id tuples.
-
-        Byte-equal to ``fingerprint_fact_sequence`` of the decoded canonical
-        atoms, so the persistent fold tier is shared with the tuple engine.
-        """
         vid_encoding = self.vid_encoding
         encodings: list[bytes] = []
-        for group, row in canon_rows:
+        for group, row in best_rows:
             arg_encodings: list[bytes] = []
             for column in group.columns:
                 vid = column[row]
-                canonical = labeling.get(vid)
+                canonical = best_labeling.get(vid)
                 arg_encodings.append(
                     encode_canonical_null(canonical) if canonical is not None
                     else vid_encoding(vid)
                 )
             encodings.append(encode_atom_parts(group.relation, arg_encodings))
         return fingerprint_encoded_sequence(encodings)
-
-    def canonical_atoms(
-        self, canon_rows: Sequence[_Row], labeling: dict[int, int]
-    ) -> tuple[Atom, ...]:
-        """Decode the canonical block (cold path: disk-tier payloads only)."""
-        value = self.values.value
-        out: list[Atom] = []
-        for group, row in canon_rows:
-            args: list[object] = []
-            for column in group.columns:
-                vid = column[row]
-                canonical = labeling.get(vid)
-                args.append(
-                    Null(("#", canonical)) if canonical is not None else value(vid)
-                )
-            out.append(Atom(group.relation, tuple(args)))
-        return tuple(out)
 
     # ------------------------------------------------------------ elimination
 
@@ -659,129 +491,6 @@ class _ColumnarCore:
             if survivors:
                 pending.extend(self.null_components(survivors))
 
-    # ----------------------------------------------------------------- folding
-
-    def fold_canonical(
-        self, canon_rows: Sequence[_Row], labeling: dict[int, int]
-    ) -> tuple[int, ...]:
-        """Fold the canonical block in a private store sharing the value table.
-
-        Returns the canonical indexes of the surviving facts -- a pure,
-        deterministic function of the canonical form (elimination candidates
-        are repr-sorted, and canonical-null reprs are index-determined), so
-        the result is safe to memoize process-wide.
-        """
-        values = self.values
-        mini = ColumnarInstance(values=values)
-        canon_vids: dict[int, int] = {}
-        mini_rows: list[_Row] = []
-        for group, row in canon_rows:
-            ids: list[int] = []
-            for column in group.columns:
-                vid = column[row]
-                canonical = labeling.get(vid)
-                if canonical is None:
-                    ids.append(vid)
-                else:
-                    canon_vid = canon_vids.get(canonical)
-                    if canon_vid is None:
-                        canon_vid = values.intern(Null(("#", canonical)))
-                        canon_vids[canonical] = canon_vid
-                    ids.append(canon_vid)
-            mini_group = mini.group(group.relation, group.arity)
-            mini_row = mini.add_row(mini_group, tuple(ids))
-            assert mini_row is not None  # canonical facts are distinct
-            mini_rows.append((mini_group, mini_row))
-        pending: deque[list[_Row]] = deque(self.null_components(mini_rows))
-        self.process_blocks(mini, pending)
-        return tuple(
-            index
-            for index, (mini_group, mini_row) in enumerate(mini_rows)
-            if mini_row not in mini_group.dead
-        )
-
-    def _disk_fold_indexes(
-        self, fingerprint: str, canon_rows: Sequence[_Row], labeling: dict[int, int]
-    ) -> tuple[int, ...] | None:
-        """Map a tuple-engine disk payload back to canonical indexes, or None.
-
-        Payloads are canonical atom tuples (the cross-engine format); they
-        map back through a repr -> index table over the canonical order.  An
-        ambiguous repr (adversarial names) or an unmatched payload fact means
-        the entry is unusable here -- fold locally instead.
-        """
-        if get_store() is None:
-            return None
-        payload = disk_get(SPACE_FOLD, fingerprint)
-        if not isinstance(payload, tuple) or not all(
-            isinstance(fact, Atom) for fact in payload
-        ):
-            return None
-        vid_repr = self.vid_repr
-        index_of: dict[str, int] = {}
-        for index, (group, row) in enumerate(canon_rows):
-            parts = []
-            for column in group.columns:
-                vid = column[row]
-                canonical = labeling.get(vid)
-                parts.append(
-                    f"_{('#', canonical)}" if canonical is not None
-                    else vid_repr(vid)
-                )
-            text = f"{group.relation}({', '.join(parts)})"
-            if text in index_of:
-                return None
-            index_of[text] = index
-        indexes: list[int] = []
-        for fact in payload:
-            index = index_of.get(repr(fact))
-            if index is None:
-                return None
-            indexes.append(index)
-        return tuple(sorted(indexes))
-
-    def fold_block(
-        self,
-        store: ColumnarInstance,
-        block: list[_Row],
-        canon: tuple[list[_Row], dict[int, int]] | None,
-        fingerprint: str | None,
-    ) -> list[_Row]:
-        """Fold one block in place (memoized via *fingerprint*); survivors back.
-
-        A block too symmetric to canonicalize is returned unchanged: its
-        local fold is subsumed by the global worklist pass that follows,
-        which tries the same eliminations against the whole store.
-        """
-        if canon is None or fingerprint is None:
-            return block
-        canon_rows, labeling = canon
-        surviving = _COLUMNAR_FOLD_CACHE.get(fingerprint)
-        if surviving is not None:
-            _COLUMNAR_FOLD_CACHE.move_to_end(fingerprint)
-            perf.incr("core.columnar.memo_hits")
-        else:
-            perf.incr("core.columnar.memo_misses")
-            surviving = self._disk_fold_indexes(fingerprint, canon_rows, labeling)
-            if surviving is None:
-                surviving = self.fold_canonical(canon_rows, labeling)
-                if get_store() is not None:
-                    atoms = self.canonical_atoms(canon_rows, labeling)
-                    disk_put(
-                        SPACE_FOLD,
-                        fingerprint,
-                        tuple(atoms[index] for index in surviving),
-                    )
-            _store_columnar_fold(fingerprint, surviving)
-        keep = {canon_rows[index] for index in surviving}
-        survivors: list[_Row] = []
-        for group, row in block:
-            if (group, row) in keep:
-                survivors.append((group, row))
-            else:
-                store.discard_row(group, row)
-        return survivors
-
 
 def _core_columnar(instance: "Instance | ColumnarInstance") -> Instance:
     """Compute the core in id-space over a columnar store.
@@ -789,8 +498,7 @@ def _core_columnar(instance: "Instance | ColumnarInstance") -> Instance:
     Accepts either representation; an :class:`Instance` is encoded once, a
     :class:`ColumnarInstance` is *consumed* (eliminations tombstone its rows
     in place).  Same structure as the tuple path in :func:`core`: split into
-    f-blocks, drop isomorphic duplicates, fold each block locally through
-    the memo, then drain the global worklist.
+    f-blocks, drop isomorphic duplicates, then drain the global worklist.
     """
     store = (
         instance
@@ -801,36 +509,23 @@ def _core_columnar(instance: "Instance | ColumnarInstance") -> Instance:
     blocks = engine.null_blocks(store)
     perf.incr("core.columnar.blocks", len(blocks))
 
-    kept: list[tuple[list[_Row], tuple[list[_Row], dict[int, int]] | None, str | None]] = []
+    pending: deque[list[_Row]] = deque()
     seen: set[str] = set()
     for block in blocks:
-        canon = engine.canonical_block(block)
-        fingerprint = None
-        if canon is not None:
-            fingerprint = engine.block_fingerprint(canon[0], canon[1])
+        fingerprint = engine.block_fingerprint(block)
+        if fingerprint is not None:
             if fingerprint in seen:
                 perf.incr("core.columnar.iso_folds")
                 for group, row in block:
                     store.discard_row(group, row)
                 continue
             seen.add(fingerprint)
-        kept.append((block, canon, fingerprint))
-
-    pending: deque[list[_Row]] = deque()
-    for block, canon, fingerprint in kept:
-        survivors = engine.fold_block(store, block, canon, fingerprint)
-        if survivors:
-            pending.extend(engine.null_components(survivors))
+        pending.append(block)
     engine.process_blocks(store, pending)
     return store.to_instance()
 
 
-def core(
-    instance: Instance,
-    parallel: int | None = None,
-    *,
-    backend: str = "tuple",
-) -> Instance:
+def core(instance: Instance, *, backend: str = "tuple") -> Instance:
     """Return the core of *instance*.
 
         >>> from repro.logic.parser import parse_instance
@@ -839,89 +534,68 @@ def core(
 
     The result contains the same constants as the input and a subset of its
     facts; it is homomorphically equivalent to the input and no proper
-    subinstance of it is.  With ``parallel=N``, block-local folding runs on
-    a pool of N worker processes (same result as the serial run).
+    subinstance of it is.
 
     ``backend`` selects the execution engine: ``"tuple"`` (this module's
     object worklist -- the reference), ``"columnar"`` (id-space over a
     :class:`~repro.engine.columnar.ColumnarInstance`), ``"sql"`` (per-block
     eliminating homomorphisms as SELECT joins), or ``"auto"``
     (:func:`~repro.engine.dispatch.choose_core_backend` by instance size).
-    All backends return the same core up to isomorphism; ``parallel``
-    applies to the tuple path only.
+    All backends return the same core up to isomorphism.
     """
     if backend != "tuple":
         from repro.engine.dispatch import CORE_SQL_AUTO_THRESHOLD, choose_core_backend
 
         size = len(instance)
         sql_supported = False
+        blocks = None
         if backend == "sql" or (backend == "auto" and size >= CORE_SQL_AUTO_THRESHOLD):
             from repro.engine.sql_backend import sql_core_supported
 
-            sql_supported = sql_core_supported(instance)
+            blocks = _null_blocks(instance)
+            sql_supported = sql_core_supported(instance, blocks)
         choice = choose_core_backend(
             backend, input_size=size, sql_supported=sql_supported
         )
         if choice.backend == "sql":
             from repro.engine.sql_backend import sql_core
 
-            return sql_core(instance)
+            return sql_core(instance, blocks=blocks)
         if choice.backend == "columnar":
             return _core_columnar(instance)
-    builder = InstanceBuilder()
-    null_blocks: list[list[Atom]] = []
-    for block in fact_blocks(instance):
-        block_facts = sorted(block, key=repr)
-        if _has_nulls(block_facts):
-            null_blocks.append(block_facts)
-        else:
-            builder.add_all(block_facts)
+    null_blocks = _null_blocks(instance)
     perf.incr("core.blocks", len(null_blocks))
     null_blocks.sort(key=lambda facts: [repr(f) for f in facts])
 
     # Drop isomorphic duplicates (equal canonical form => the isomorphism is
     # a wholesale eliminating retraction into the kept representative).
-    kept: list[tuple[list[Atom], tuple[tuple[Atom, ...], dict] | None]] = []
-    seen_keys: set[tuple[Atom, ...]] = set()
+    builder = InstanceBuilder(instance)
+    pending: deque[list[Atom]] = deque()
+    seen: set[str] = set()
     for block_facts in null_blocks:
         canon = _canonical_block(block_facts)
         if canon is not None:
-            if canon[0] in seen_keys:
+            fingerprint = fingerprint_fact_sequence(canon)
+            if fingerprint in seen:
                 perf.incr("core.iso_folds")
+                for fact in block_facts:
+                    builder.discard(fact)
                 continue
-            seen_keys.add(canon[0])
-        kept.append((block_facts, canon))
-
-    if parallel and parallel > 1:
-        uncached = [
-            canon[0]
-            for __, canon in kept
-            if canon is not None and canon[0] not in _FOLD_CACHE
-        ]
-        if len(uncached) > 1:
-            _prefold_parallel(uncached, parallel)
-
-    pending: deque[list[Atom]] = deque()
-    for block_facts, canon in kept:
-        folded = _fold_block(block_facts, canon)
-        builder.add_all(folded)
-        pending.extend(_null_components(list(folded)))
+            seen.add(fingerprint)
+        pending.append(block_facts)
     _process_blocks(builder, pending)
     return builder.freeze()
 
 
 def is_core(instance: Instance) -> bool:
     """Return True if *instance* equals its own core (no null is eliminable)."""
-    for block in fact_blocks(instance):
-        block_facts = sorted(block, key=repr)
-        if not _has_nulls(block_facts):
-            continue
-        if _eliminating_hom(block_facts, instance) is not None:
-            return False
-    return True
+    return all(
+        _eliminating_hom(block_facts, instance) is None
+        for block_facts in _null_blocks(instance)
+    )
 
 
-__all__ = ["core", "is_core", "clear_fold_cache", "core_columnar"]
+__all__ = ["core", "is_core", "core_columnar"]
 
 #: Public alias: the id-space engine, callable directly (benchmarks, tests).
 core_columnar = _core_columnar

@@ -203,10 +203,13 @@ def choose_core_backend(
     validate_backend(requested)
     if requested == "sql":
         if not sql_supported:
+            from repro.engine.sql_backend import SQL_CORE_MAX_BLOCK
+
             raise ChaseError(
                 "backend 'sql' cannot load this instance for core "
                 "computation (unencodable value, arity-0 or mixed-arity "
-                "relation); use the columnar backend"
+                f"relation, or an f-block of more than {SQL_CORE_MAX_BLOCK} "
+                "facts, SQLite's join limit); use the columnar backend"
             )
         return BackendChoice("sql", requested, "requested explicitly")
     if requested != "auto":

@@ -609,17 +609,31 @@ def sql_chase_egds(
 # ------------------------------------------------------------- core pushdown
 
 
-def sql_core_supported(instance: Instance) -> bool:
+#: SQLite joins at most 64 tables, and :class:`_BlockQuery` joins one table
+#: alias per block fact, so larger f-blocks cannot be pushed down.
+SQL_CORE_MAX_BLOCK = 64
+
+
+def sql_core_supported(
+    instance: Instance, blocks: Sequence[Sequence[Atom]] | None = None
+) -> bool:
     """Can *instance* load into a SQL core session?  (Used by ``auto``.)
 
     Requires SQL-safe relation names and one fixed arity (>= 1) per
-    relation -- the same table-shape rules as the chase pushdown.
+    relation -- the same table-shape rules as the chase pushdown -- and no
+    f-block of more than :data:`SQL_CORE_MAX_BLOCK` facts.  *blocks* are
+    the instance's null f-blocks when the caller already has them (pass the
+    same list on to :func:`sql_core`).
     """
     try:
         _collect_arities(instance, ())
     except DependencyError:
         return False
-    return True
+    if blocks is None:
+        from repro.engine.core_instance import _null_blocks
+
+        blocks = _null_blocks(instance)
+    return all(len(block) <= SQL_CORE_MAX_BLOCK for block in blocks)
 
 
 def _duckdb_connection() -> Any:
@@ -693,16 +707,22 @@ class _BlockQuery:
         )
 
 
-def sql_core(instance: Instance, *, use_duckdb: bool | None = None) -> Instance:
+def sql_core(
+    instance: Instance,
+    *,
+    blocks: Sequence[Sequence[Atom]] | None = None,
+    use_duckdb: bool | None = None,
+) -> Instance:
     """Compute the core of *instance* with block eliminations pushed to SQL.
 
     Same worklist as :func:`repro.engine.core_instance.core` -- split into
     f-blocks, repeatedly retract a block along an eliminating homomorphism,
     re-enqueue the surviving components -- but each candidate elimination is
     one SELECT join evaluated by the database over the live tables, and an
-    elimination is applied as exact-row DELETEs.  No block-local fold memo:
-    the database already amortizes the repeated joins, and memoization would
-    re-introduce the per-fact object traffic the pushdown avoids.
+    elimination is applied as exact-row DELETEs.  *blocks* are the
+    instance's null f-blocks when the caller already computed them (as
+    :func:`repro.engine.core_instance.core` does for
+    :func:`sql_core_supported`).
 
     ``use_duckdb=None`` (the default) uses DuckDB when importable and falls
     back to SQLite; ``True`` requires it; ``False`` forces SQLite.  Either
@@ -711,8 +731,7 @@ def sql_core(instance: Instance, *, use_duckdb: bool | None = None) -> Instance:
     and the SELECTs are ordered).
     """
     from repro.engine.builder import InstanceBuilder
-    from repro.engine.core_instance import _block_nulls, _has_nulls, _null_components
-    from repro.engine.gaifman import fact_blocks
+    from repro.engine.core_instance import _block_nulls, _null_blocks, _null_components
 
     arities = _collect_arities(instance, ())
     connection = None
@@ -726,14 +745,10 @@ def sql_core(instance: Instance, *, use_duckdb: bool | None = None) -> Instance:
         perf.incr("core.sql.duckdb_sessions")
 
     builder = InstanceBuilder(instance)
-    pending: "deque[list[Atom]]" = deque()
-    blocks = 0
-    for block in fact_blocks(instance):
-        block_facts = sorted(block, key=repr)
-        if _has_nulls(block_facts):
-            blocks += 1
-            pending.append(block_facts)
-    perf.incr("core.sql.blocks", blocks)
+    if blocks is None:
+        blocks = _null_blocks(instance)
+    pending: "deque[Sequence[Atom]]" = deque(blocks)
+    perf.incr("core.sql.blocks", len(blocks))
 
     session = _Session(connection)
     queries = 0
@@ -797,6 +812,7 @@ __all__ = [
     "encode_value",
     "decode_value",
     "sql_compilable",
+    "SQL_CORE_MAX_BLOCK",
     "sql_core",
     "sql_core_supported",
     "sql_execute_exchange",

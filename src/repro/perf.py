@@ -34,16 +34,12 @@ Counter names are dotted strings, grouped by subsystem:
                           for the integer-domain kernel
 ``core.blocks``           null-containing f-blocks seen by ``core``
 ``core.iso_folds``        duplicate blocks dropped as isomorphic copies
-``core.memo_hits``        block folds answered by the canonical-form cache
-``core.memo_misses``      block folds computed and cached
 ``core.eliminations``     eliminating retractions applied
 ``core.rigid_blocks``     blocks proven rigid (no eliminable null)
-``core.parallel_blocks``  block folds dispatched to the worker pool
 ``core.columnar.blocks``  f-blocks seen by the id-space core engine; its
-                          ``iso_folds`` / ``memo_hits`` / ``memo_misses`` /
-                          ``eliminations`` / ``rigid_blocks`` twins mirror
-                          the ``core.*`` meanings for
-                          ``core(backend="columnar")``
+                          ``iso_folds`` / ``eliminations`` /
+                          ``rigid_blocks`` twins mirror the ``core.*``
+                          meanings for ``core(backend="columnar")``
 ``core.sql.blocks``       f-blocks seen by the SQL core pushdown
 ``core.sql.queries``      eliminating-homomorphism SELECT joins executed
 ``core.sql.eliminations``  eliminating retractions applied via SQL DELETEs

@@ -36,16 +36,16 @@ class TestDiskStoreBasics:
     def test_spaces_are_isolated(self, tmp_path):
         store = DiskStore(tmp_path)
         store.put("chase", "k", b"chase-value")
-        store.put("fold", "k", b"fold-value")
+        store.put("contain", "k", b"contain-value")
         assert store.get("chase", "k") == b"chase-value"
-        assert store.get("fold", "k") == b"fold-value"
+        assert store.get("contain", "k") == b"contain-value"
         store.close()
 
     def test_disabled_space_is_a_noop(self, tmp_path):
         store = DiskStore(tmp_path, spaces=frozenset({"chase"}))
-        assert not store.enabled("fold")
-        store.put("fold", "k", b"v")
-        assert store.get("fold", "k") is None
+        assert not store.enabled("contain")
+        store.put("contain", "k", b"v")
+        assert store.get("contain", "k") is None
         assert store.entry_counts() == {}
         store.close()
 
@@ -67,11 +67,11 @@ class TestDiskStoreBasics:
 
     def test_keys_sorted_and_counts(self, tmp_path):
         store = DiskStore(tmp_path)
-        store.put("fold", "b", b"2")
+        store.put("contain", "b", b"2")
         store.put("chase", "a", b"1")
-        store.put("fold", "a", b"3")
-        assert store.keys() == [("chase", "a"), ("fold", "a"), ("fold", "b")]
-        assert store.entry_counts() == {"chase": 1, "fold": 2}
+        store.put("contain", "a", b"3")
+        assert store.keys() == [("chase", "a"), ("contain", "a"), ("contain", "b")]
+        assert store.entry_counts() == {"chase": 1, "contain": 2}
         store.close()
 
     def test_lifetime_counters_survive_reopen(self, tmp_path):
@@ -93,7 +93,7 @@ class TestDiskStoreBasics:
         assert stats["enabled"] is True
         assert stats["schema_version"] == SCHEMA_VERSION
         assert stats["entries"] == {"chase": 1}
-        assert stats["spaces"] == ["chase", "contain", "fold", "implies"]
+        assert stats["spaces"] == ["chase", "contain", "implies"]
         assert str(stats["path"]).endswith(STORE_FILENAME)
         assert isinstance(stats["size_bytes"], int)
         store.close()
@@ -122,11 +122,11 @@ class TestEviction:
         store.close()
 
     def test_eviction_is_per_space(self, tmp_path):
-        store = DiskStore(tmp_path, limits={"chase": 2, "fold": 100})
+        store = DiskStore(tmp_path, limits={"chase": 2, "contain": 100})
         for i in range(4):
             store.put("chase", f"c{i}", b"v")
-            store.put("fold", f"f{i}", b"v")
-        assert store.entry_counts() == {"chase": 2, "fold": 4}
+            store.put("contain", f"f{i}", b"v")
+        assert store.entry_counts() == {"chase": 2, "contain": 4}
         store.close()
 
 
@@ -142,6 +142,24 @@ class TestInvalidation:
         connection.commit()
         connection.close()
         reopened = DiskStore(tmp_path)
+        assert reopened.get("chase", "k") is None
+        assert reopened.entry_counts() == {}
+        reopened.close()
+
+    def test_version_1_store_with_fold_rows_opens_empty(self, tmp_path):
+        # Version 1 also persisted core block folds in a "fold" space; a
+        # store written then must be recomputed from, never served.
+        store = DiskStore(tmp_path, spaces=frozenset({"chase", "fold"}))
+        store.put("chase", "k", b"v")
+        store.put("fold", "block", b"folded")
+        store.close()
+        connection = sqlite3.connect(tmp_path / STORE_FILENAME)
+        connection.execute("UPDATE meta SET value = '1' WHERE key = 'schema_version'")
+        connection.commit()
+        connection.close()
+        reopened = DiskStore(tmp_path)
+        assert SCHEMA_VERSION == 2
+        assert not reopened.enabled("fold")
         assert reopened.get("chase", "k") is None
         assert reopened.entry_counts() == {}
         reopened.close()
@@ -222,7 +240,7 @@ class TestConfiguration:
             store = get_store()
             assert store is not None
             assert store.spaces == frozenset({"chase", "implies"})
-            assert not store.enabled("fold")
+            assert not store.enabled("contain")
         finally:
             del os.environ[ENV_CACHE_DIR]
             del os.environ[ENV_CACHE_SPACES]
@@ -277,10 +295,10 @@ class TestFacade:
 
     def test_cache_stats_enabled(self, tmp_path):
         configure(tmp_path)
-        cache.disk_put("fold", "k", "v")
+        cache.disk_put("contain", "k", "v")
         stats = cache.cache_stats()
         assert stats["enabled"] is True
-        assert stats["entries"] == {"fold": 1}
+        assert stats["entries"] == {"contain": 1}
 
 
 class TestForkSafety:

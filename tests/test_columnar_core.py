@@ -2,15 +2,15 @@
 
 Three interchangeable backends compute cores (``core(backend=...)``): the
 seed tuple engine, the columnar id-space engine, and the SQL pushdown.  The
-fold tie-breaks differ between engines (each may keep a different set of
-representative facts), so the correctness bar is: **verdicts agree exactly**
+retraction tie-breaks differ between engines (each may keep a different set
+of representative facts), so the correctness bar is: **verdicts agree exactly**
 (homomorphism existence, witness validity) and **cores agree up to
 isomorphism** (the core is unique up to isomorphism; sizes agree exactly).
 
-Also covered here: the shared persistent fold tier (fingerprints are
-byte-identical across engines, so a fold written by one engine is a disk hit
-for the other), the ``facts_of`` / ``facts_with`` decode memo counter, the
-``choose_core_backend`` dispatch policy, and the ``repro core`` CLI.
+Also covered here: the single search per canonicalizable block, the
+``facts_of`` / ``facts_with`` decode memo counter, the ``choose_core_backend``
+dispatch policy, the SQL core's 64-fact block limit, and the ``repro core``
+CLI.
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-import repro.cache
 from repro import perf
 from repro.engine.columnar import ColumnarInstance
-from repro.engine.core_instance import clear_fold_cache, core, is_core
+from repro.engine.core_instance import core, is_core
 from repro.engine.dispatch import (
     CORE_COLUMNAR_AUTO_THRESHOLD,
     CORE_SQL_AUTO_THRESHOLD,
@@ -100,7 +99,6 @@ class TestCoreDifferential:
               suppress_health_check=[HealthCheck.too_slow])
     @given(instance=instances(max_facts=8))
     def test_three_backends_isomorphic(self, instance):
-        clear_fold_cache()
         reference = core(instance, backend="tuple")
         for backend in ("columnar", "sql"):
             other = core(instance, backend=backend)
@@ -112,7 +110,6 @@ class TestCoreDifferential:
               suppress_health_check=[HealthCheck.too_slow])
     @given(instance=instances(max_facts=8, max_nulls=6, max_constants=2))
     def test_nulls_heavy_cores_isomorphic(self, instance):
-        clear_fold_cache()
         reference = core(instance, backend="tuple")
         for backend in ("columnar", "sql"):
             assert core(instance, backend=backend).isomorphic(reference)
@@ -143,7 +140,6 @@ class TestCoreDifferential:
         assert core(store, backend="columnar") == parse_instance("R(a,b)")
 
     def test_columnar_counters_flow(self):
-        clear_fold_cache()
         with perf.measuring() as stats:
             core(parse_instance("R(a,_x), R(a,b), T(c,_y), T(c,d)"),
                  backend="columnar")
@@ -158,34 +154,31 @@ class TestCoreDifferential:
         assert stats.get("core.sql.eliminations") == 1
 
 
-class TestSharedFoldTier:
-    """Fingerprints are byte-identical, so the disk fold tier is shared."""
+class TestSinglePass:
+    """Each kept block is searched once, against the whole store."""
 
-    @pytest.mark.parametrize("writer,reader",
-                             [("tuple", "columnar"), ("columnar", "tuple")])
-    def test_cross_engine_disk_hits(self, tmp_path, writer, reader):
-        repro.cache.configure(tmp_path)
-        instance = parse_instance("R(a,_x), R(a,_y), R(a,b)")
-        expected = core(instance, backend=writer)
-        clear_fold_cache()  # drop the in-memory memo; keep the disk tier
+    def test_rigid_canonicalizable_block_costs_one_search_per_null(self):
+        # An undirected triangle is a core with 3 nulls (3! labelings, so it
+        # is canonicalized): one solve_encoded call per null proves it rigid.
+        triangle = parse_instance(
+            "R(_1,_2), R(_2,_1), R(_2,_3), R(_3,_2), R(_3,_1), R(_1,_3)"
+        )
         with perf.measuring() as stats:
-            result = core(instance, backend=reader)
-        assert stats.get("cache.disk.hits") >= 1
-        assert result.isomorphic(expected)
+            result = core(triangle, backend="columnar")
+        assert result == triangle
+        assert stats.get("hom.columnar.kernel_calls") == 3
+        assert stats.get("core.columnar.rigid_blocks") == 1
 
-    def test_columnar_memo_hits_on_isomorphic_blocks(self):
-        clear_fold_cache()
-        # Two isomorphic blocks (same canonical form, different nulls)
-        # anchored at different constants: the second is answered by the
-        # fold memo / iso-duplicate pass without a second hom search.
-        instance = parse_instance("R(a,_x), R(a,b), T(c,_y), T(c,_z), T(c,d)")
-        with perf.measuring() as stats:
-            core(instance, backend="columnar")
-        assert stats.get("core.columnar.memo_misses") >= 1
-        core_again = parse_instance("R(a,_w), R(a,f)")
-        with perf.measuring() as stats:
-            core(core_again, backend="columnar")
-        assert stats.get("core.columnar.memo_hits") >= 1
+    def test_canonical_fingerprints_match_across_engines(self):
+        from repro.cache.fingerprint import fingerprint_fact_sequence
+        from repro.engine.core_instance import _canonical_block, _ColumnarCore
+
+        instance = parse_instance("R(a,_x), R(_x,_y), S(_y,b), S(_y,_z)")
+        store = ColumnarInstance(instance)
+        engine = _ColumnarCore(store.values)
+        [block] = engine.null_blocks(store)
+        expected = fingerprint_fact_sequence(_canonical_block(sorted(instance, key=repr)))
+        assert engine.block_fingerprint(block) == expected
 
 
 class TestDecodeMemoCounter:
@@ -239,9 +232,41 @@ class TestChooseCoreBackend:
             choose_core_backend("vectorized", input_size=1)
 
 
+def _intro_star_chase(n: int):
+    """The intro nested tgd chased over a star: n blocks of n facts each."""
+    from repro.engine.chase import chase
+    from repro.logic.parser import parse_nested_tgd
+    from repro.workloads.families import star_instance
+
+    intro = parse_nested_tgd(
+        "S(x1,x2) -> exists y . (R(y,x2) & (S(x1,x3) -> R(y,x3)))"
+    )
+    return chase(star_instance(n), [intro])
+
+
 class TestSqlCore:
     def test_supported_on_plain_instances(self):
         assert sql_core_supported(parse_instance("R(a,_x), R(a,b)"))
+
+    def test_block_of_64_facts_pushes_down(self):
+        chased = _intro_star_chase(64)
+        assert sql_core_supported(chased)
+        assert len(core(chased, backend="sql")) == 64
+
+    def test_block_of_65_facts_exceeds_the_join_limit(self, monkeypatch):
+        from repro.engine import dispatch
+
+        chased = _intro_star_chase(65)
+        assert not sql_core_supported(chased)
+        with pytest.raises(ChaseError, match="more than 64 facts"):
+            core(chased, backend="sql")
+        # "auto" above the SQL threshold falls back to columnar.
+        monkeypatch.setattr(dispatch, "CORE_SQL_AUTO_THRESHOLD", len(chased))
+        with perf.measuring() as stats:
+            result = core(chased, backend="auto")
+        assert len(result) == 65
+        assert stats.get("core.columnar.blocks") == 65
+        assert stats.get("core.sql.blocks") == 0
 
     def test_duckdb_explicit_requires_module(self):
         try:

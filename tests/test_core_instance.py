@@ -68,6 +68,25 @@ class TestSymmetricStructures:
         assert core(path) == path
 
 
+class TestSinglePass:
+    def test_rigid_block_is_searched_once(self):
+        # Ex 4.8's SO tgd over the 7-cycle: one rigid block of 7 nulls.
+        # Proving it rigid costs one kernel call per null, with no separate
+        # block-local fold searching it a second time.
+        from repro import perf
+        from repro.engine.chase import chase_so_tgd
+        from repro.logic.parser import parse_so_tgd
+        from repro.workloads import cycle_instance
+
+        ex48 = parse_so_tgd("S(x,y) -> R(f(x), f(y)) & R(f(y), f(x))")
+        solution = chase_so_tgd(cycle_instance(7), ex48)
+        with perf.measuring() as stats:
+            result = core(solution, backend="tuple")
+        assert result == solution
+        assert stats.get("hom.kernel_calls") == 7
+        assert stats.get("core.rigid_blocks") == 1
+
+
 class TestBlocksIndependent:
     def test_distinct_blocks_folded_independently(self):
         inst = parse_instance("R(a,_x), R(a,b), T(c,_y), T(c,d)")
