@@ -5,8 +5,7 @@ every k-pattern independently; the DAG-incremental sweep (the default of
 ``implies_tgd``) extends each pattern's chase state from its parent pattern
 by the delta one new leaf contributes.  This benchmark measures both on
 implication queries whose right-hand sides nest progressively deeper, cold
-(empty chase cache) and warm (second run), serial and with the work-stealing
-parallel sweep.
+(empty chase cache) and warm (second run).
 
 Run as a script to record the results in ``BENCH_sweep.json``::
 
@@ -16,6 +15,8 @@ Run as a script to record the results in ``BENCH_sweep.json``::
 incremental sweep is not slower than the from-scratch sweep on the
 Example 3.10 query -- the CI perf gate.  The full run also sweeps the deep
 workload and asserts the incremental sweep is at least 5x faster there.
+The rows are merged into the artifact in place, so other axes stored in it
+(``bench_warm_restart.py``'s ``warm_restart``) survive a regeneration.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ WORKLOADS = [
 ]
 
 
-def _timed_sweep(lhs, rhs, *, incremental, parallel=None, cold=True, repeat=1):
+def _timed_sweep(lhs, rhs, *, incremental, cold=True, repeat=1):
     """Best-of-*repeat* wall time of one sweep; cold clears the chase cache."""
     best = None
     result = None
@@ -63,13 +64,13 @@ def _timed_sweep(lhs, rhs, *, incremental, parallel=None, cold=True, repeat=1):
             clear_chase_cache()
         start = time.perf_counter()
         result = implies_tgd(lhs, rhs, max_patterns=100_000, subsumption=False,
-                             incremental=incremental, parallel=parallel)
+                             incremental=incremental)
         elapsed = time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
     return best, result
 
 
-def sweep_workload(label, lhs, rhs, *, repeat=1, parallel_workers=2):
+def sweep_workload(label, lhs, rhs, *, repeat=1):
     """Measure one workload every way; return a result row."""
     from repro.core.implication import _normalize_lhs, implication_bound
 
@@ -83,10 +84,8 @@ def sweep_workload(label, lhs, rhs, *, repeat=1, parallel_workers=2):
     # warm: same query again without clearing the cache
     warm_s, __ = _timed_sweep(lhs, rhs, incremental=True, cold=False,
                               repeat=repeat)
-    par_s, par = _timed_sweep(lhs, rhs, incremental=True,
-                              parallel=parallel_workers, repeat=repeat)
-    assert incr.holds == fresh.holds == par.holds
-    assert incr.patterns_checked == fresh.patterns_checked == par.patterns_checked
+    assert incr.holds == fresh.holds
+    assert incr.patterns_checked == fresh.patterns_checked
     return {
         "workload": label,
         "k": k,
@@ -95,7 +94,6 @@ def sweep_workload(label, lhs, rhs, *, repeat=1, parallel_workers=2):
         "fresh_cold_s": round(fresh_s, 6),
         "incremental_cold_s": round(incr_s, 6),
         "incremental_warm_s": round(warm_s, 6),
-        "parallel_cold_s": round(par_s, 6),
         "speedup_cold": round(fresh_s / incr_s, 2) if incr_s else float("inf"),
         "incremental_hits": hits_per_run,
     }
@@ -142,7 +140,12 @@ def main(argv=None) -> dict:
     repeat = 5 if args.smoke else 1
     rows = [sweep_workload(label, lhs, rhs, repeat=repeat)
             for label, lhs, rhs in workloads]
-    report = {"benchmark": "pattern-sweep", "smoke": args.smoke, "rows": rows}
+    try:
+        with open(args.json) as handle:
+            report = json.load(handle)
+    except (OSError, json.JSONDecodeError):
+        report = {}
+    report.update({"benchmark": "pattern-sweep", "smoke": args.smoke, "rows": rows})
     with open(args.json, "w") as handle:
         json.dump(report, handle, indent=2)
     for row in rows:
@@ -150,7 +153,6 @@ def main(argv=None) -> dict:
               f"fresh {row['fresh_cold_s']:.4f}s  "
               f"incr {row['incremental_cold_s']:.4f}s  "
               f"warm {row['incremental_warm_s']:.4f}s  "
-              f"par {row['parallel_cold_s']:.4f}s  "
               f"speedup {row['speedup_cold']:.1f}x")
     print(f"wrote {args.json}")
     by_label = {row["workload"]: row for row in rows}

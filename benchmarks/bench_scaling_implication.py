@@ -192,20 +192,6 @@ def test_cache_hits_on_ex310_workload(benchmark):
     assert row["cache_misses"] <= row["patterns_per_sweep"]
 
 
-def test_parallel_sweep_matches_serial_diagnostics(benchmark):
-    """The parallel sweep returns the same verdict and diagnostics as the
-    serial one on the failing Example 3.10 check."""
-    clear_chase_cache()
-    serial = implies_tgd([EX310_TAU_P], EX310_TAU)
-    clear_chase_cache()
-    parallel = benchmark(implies_tgd, [EX310_TAU_P], EX310_TAU, (), 1_000_000,
-                         parallel=2)
-    assert not parallel.holds
-    assert parallel.patterns_checked == serial.patterns_checked
-    assert parallel.failing_pattern == serial.failing_pattern
-    assert parallel.counterexample_source == serial.counterexample_source
-
-
 def test_scale_implies_nonelementary_wall(sigma_star):
     """Implication between renamed copies of the 4-part sigma (*) has k = 9
     and |P_9| = 10 * 10^10 patterns: the honest non-elementary blow-up of

@@ -37,7 +37,10 @@ import sys
 import tempfile
 import time
 
-from bench_pattern_sweep import WORKLOADS
+if __package__:  # imported as benchmarks.bench_warm_restart (pytest)
+    from .bench_pattern_sweep import WORKLOADS
+else:  # run as a script: benchmarks/ itself is on sys.path
+    from bench_pattern_sweep import WORKLOADS
 
 SWEEP_JSON = "BENCH_sweep.json"
 IMPLICATION_JSON = "BENCH_implication.json"

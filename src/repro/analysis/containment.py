@@ -396,7 +396,6 @@ def _implies_verdict(
     *,
     budget: int | None,
     max_patterns: int | None,
-    parallel: int | None,
 ) -> DependencyVerdict:
     """Run one gated IMPLIES query and package the outcome."""
     from repro.core.implication import implies_tgd
@@ -404,7 +403,7 @@ def _implies_verdict(
     try:
         result = implies_tgd(
             lhs, dep, source_egds=list(source_egds), max_patterns=max_patterns,
-            parallel=parallel, budget=budget,
+            budget=budget,
         )
     except (BudgetExceeded, ResourceLimitExceeded, DependencyError) as exc:
         perf.incr("containment.refused")
@@ -442,7 +441,6 @@ def check_containment(
     *,
     budget: int | None = None,
     max_patterns: int | None = CONTAINMENT_PATTERN_LIMIT,
-    parallel: int | None = None,
 ) -> ContainmentReport:
     """Decide ``Sigma <= Sigma'`` (solution-set inclusion for every source).
 
@@ -522,7 +520,7 @@ def check_containment(
             continue
         verdicts.append(_implies_verdict(
             lhs, dep, label, egds,
-            budget=budget, max_patterns=max_patterns, parallel=parallel,
+            budget=budget, max_patterns=max_patterns,
         ))
 
     if any(v.status == "refuted" for v in verdicts):
@@ -557,7 +555,6 @@ def contains(
     *,
     budget: int | None = None,
     max_patterns: int | None = CONTAINMENT_PATTERN_LIMIT,
-    parallel: int | None = None,
 ) -> bool:
     """``Sigma <= Sigma'`` as a plain bool; undecided queries raise.
 
@@ -568,7 +565,7 @@ def contains(
     """
     report = check_containment(
         sigma, sigma_prime, source_egds,
-        budget=budget, max_patterns=max_patterns, parallel=parallel,
+        budget=budget, max_patterns=max_patterns,
     )
     if report.holds is None:
         reasons = "; ".join(v.reason for v in report.refusals)
@@ -583,7 +580,6 @@ def check_equivalence(
     *,
     budget: int | None = None,
     max_patterns: int | None = CONTAINMENT_PATTERN_LIMIT,
-    parallel: int | None = None,
 ) -> EquivalenceCertificate:
     """Decide ``Sigma == Sigma'`` as mutual containment (Corollary 3.11).
 
@@ -596,11 +592,11 @@ def check_equivalence(
     return EquivalenceCertificate(
         forward=check_containment(
             sigma, sigma_prime, source_egds,
-            budget=budget, max_patterns=max_patterns, parallel=parallel,
+            budget=budget, max_patterns=max_patterns,
         ),
         backward=check_containment(
             sigma_prime, sigma, source_egds,
-            budget=budget, max_patterns=max_patterns, parallel=parallel,
+            budget=budget, max_patterns=max_patterns,
         ),
     )
 

@@ -22,7 +22,7 @@ holds every persistent cache space in a single ``entries`` table keyed by
   recomputes and overwrites).
 - **Fork-safe.**  SQLite connections must not cross ``fork()``; every
   operation checks the owning pid and reopens in the child on mismatch,
-  so sweep workers inherit the configuration but not the connection.
+  so a forked child inherits the configuration but not the connection.
 """
 
 from __future__ import annotations

@@ -90,7 +90,6 @@ def to_glav(
     dependencies,
     source_egds: Sequence[Egd] = (),
     max_pattern_nodes: int = 8,
-    parallel: int | None = None,
     backend: str = "tuple",
 ) -> list[STTgd]:
     """Construct a GLAV mapping logically equivalent to the given nested GLAV mapping.
@@ -98,9 +97,8 @@ def to_glav(
     Raises :class:`UndecidedError` when the mapping has unbounded f-block size
     (no equivalent GLAV mapping exists, Theorem 4.1) or when the search bound
     *max_pattern_nodes* is exhausted before the implication closes.
-    ``parallel=N`` is forwarded to the closing IMPLIES sweep (parallel
-    pattern checks), ``backend=`` to the boundedness analysis's core engine.
-    The construction is unchanged in every configuration.
+    ``backend=`` is forwarded to the boundedness analysis's core engine; the
+    construction is unchanged for every backend.
 
         >>> from repro.logic.parser import parse_nested_tgd
         >>> sigma = parse_nested_tgd("S1(x1) -> (S2(x2) -> T(x1, x2))")
@@ -131,7 +129,7 @@ def to_glav(
         candidate = list(dict.fromkeys(candidate))
         # The nested mapping always implies its pattern tgds; equivalence holds
         # as soon as the pattern tgds imply the nested mapping back.
-        if implies(candidate, nested, source_egds=list(source_egds), parallel=parallel):
+        if implies(candidate, nested, source_egds=list(source_egds)):
             return candidate
     raise UndecidedError(
         "no equivalent GLAV mapping found with patterns of at most "

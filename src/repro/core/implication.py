@@ -39,18 +39,6 @@ Engine-level accelerations on top of the paper's procedure:
   IMPLIES runs) whose canonical sources coincide share one chase.  Hits and
   misses are recorded in :mod:`repro.perf`; incremental extensions count as
   ``implies.sweep.incremental_hits``.
-- an optional **parallel pattern sweep** (``parallel=N``): the per-pattern
-  checks fan out over a ``multiprocessing`` fork pool in work-stealing index
-  chunks.  Workers receive only integer ranges -- the sweep spec (pattern
-  DAG or pattern list, Sigma, clause programs) is published once into a
-  :mod:`repro.cache.shm` shared-memory segment that each worker attaches
-  and deserializes once, so no pattern or instance is ever pickled per
-  task.  Workers rebuild chase states from the spec on demand with
-  worker-local memoization and return only (index, failed) flags.  The
-  first failing pattern *in enumeration order* is reported, with
-  diagnostics replayed deterministically in the parent, so the verdict,
-  ``patterns_checked``, and the counterexample agree exactly with the
-  serial sweep.
 - optional **persistent tiers** (:mod:`repro.cache`, enabled by
   ``REPRO_CACHE_DIR`` or ``repro.cache.configure``): chase-cache misses
   consult a fingerprint-keyed on-disk store before chasing, every computed
@@ -64,14 +52,12 @@ Engine-level accelerations on top of the paper's procedure:
 
 from __future__ import annotations
 
-import multiprocessing
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro import perf
 from repro.cache import SPACE_CHASE, SPACE_IMPLIES, disk_get, disk_put, get_store
-from repro.cache import shm as cache_shm
 from repro.cache.fingerprint import (
     combine_fingerprints,
     fingerprint_facts,
@@ -272,20 +258,34 @@ def _disk_chase_put(
     disk_put(SPACE_CHASE, key, tuple(sorted(result.facts, key=repr)))
 
 
-def _cached_chase(source: Instance, lhs: Sequence, fingerprint: tuple[str, ...]) -> Instance:
-    key = (source.facts, fingerprint)
+def _chase_tier(
+    source_facts: frozenset, fingerprint: tuple[str, ...], compute
+) -> tuple[Instance, InstanceBuilder | None]:
+    """Look one chase up through the tiers: LRU, then disk, then *compute*.
+
+    *compute* returns ``(chased, builder)`` and runs only on a miss in both
+    tiers; its result is written through to disk.  The returned builder is
+    None whenever the chase came from a tier.
+    """
+    key = (source_facts, fingerprint)
     cached = _CHASE_CACHE.get(key)
     if cached is not None:
         _CHASE_CACHE.move_to_end(key)
         perf.incr("implies.cache_hits")
-        return cached
+        return cached, None
     perf.incr("implies.cache_misses")
-    result = _disk_chase_get(source.facts, fingerprint)
-    if result is None:
-        result = chase(source, lhs)
-        _disk_chase_put(source.facts, fingerprint, result)
-    _cache_store(key, result)
-    return result
+    builder = None
+    chased = _disk_chase_get(source_facts, fingerprint)
+    if chased is None:
+        chased, builder = compute()
+        _disk_chase_put(source_facts, fingerprint, chased)
+    _cache_store(key, chased)
+    return chased, builder
+
+
+def _cached_chase(source: Instance, lhs: Sequence, fingerprint: tuple[str, ...]) -> Instance:
+    chased, _ = _chase_tier(source.facts, fingerprint, lambda: (chase(source, lhs), None))
+    return chased
 
 
 def cached_chase(source: Instance, dependencies: Sequence) -> Instance:
@@ -326,7 +326,7 @@ class _MirrorNode:
 
     The canonical :class:`Pattern` keeps children sorted, which reshuffles
     node positions as leaves are attached; the mirror tree preserves the
-    attachment order so that spec entries can address nodes by a stable
+    attachment order so that sweep entries can address nodes by a stable
     preorder index, and carries the per-node variable assignment the
     canonical-instance delta of a new leaf inherits.  The generation trees
     additionally cache each node's canonical subtree (``canon``) and parent
@@ -433,14 +433,13 @@ def _attach_candidate(node: _MirrorNode, part_id: int, k: int) -> Pattern | None
 
 
 @dataclass(frozen=True)
-class _SpecEntry:
+class _SweepEntry:
     """One pattern of the sweep DAG: its producing edge and canonical form.
 
     ``parent`` is the index of the (node_count - 1)-node pattern this one
     extends (-1 for the root), ``node_index`` the preorder position in the
     parent's mirror tree of the node that receives the new leaf, and ``part``
-    the part identifier of the leaf.  Everything a worker needs to rebuild
-    the chase state is these three integers plus the shared spec list.
+    the part identifier of the leaf.
     """
 
     index: int
@@ -451,7 +450,7 @@ class _SpecEntry:
 
 
 def _iter_pattern_levels(rhs: NestedTgd, k: int):
-    """Yield ``P_k(rhs)`` level by level as lists of :class:`_SpecEntry`.
+    """Yield ``P_k(rhs)`` level by level as lists of :class:`_SweepEntry`.
 
     Level ``n`` holds the k-patterns with ``n`` nodes, each produced by one
     leaf attachment to a level ``n - 1`` pattern; within a level, entries are
@@ -466,7 +465,7 @@ def _iter_pattern_levels(rhs: NestedTgd, k: int):
     with one and no sibling multiplicity ever rises (the correctness argument
     is spelled out in ``docs/algorithms.md``).
     """
-    root_entry = _SpecEntry(0, Pattern(1), -1, 0, 1)
+    root_entry = _SweepEntry(0, Pattern(1), -1, 0, 1)
     yield [root_entry]
     root_tree = _MirrorNode(1, None, [])
     _index_gen_tree(root_tree)
@@ -484,7 +483,7 @@ def _iter_pattern_levels(rhs: NestedTgd, k: int):
                     if child_pattern is None or child_pattern in candidates:
                         continue
                     candidates[child_pattern] = (index, node_index, part)
-        entries: list[_SpecEntry] = []
+        entries: list[_SweepEntry] = []
         new_level: list[int] = []
         for pattern in sorted(candidates, key=lambda p: p.sort_key()):
             parent_index, node_index, part = candidates[pattern]
@@ -501,7 +500,7 @@ def _iter_pattern_levels(rhs: NestedTgd, k: int):
                 )
                 current = current.parent
             trees[next_index] = tree
-            entries.append(_SpecEntry(next_index, pattern, parent_index, node_index, part))
+            entries.append(_SweepEntry(next_index, pattern, parent_index, node_index, part))
             new_level.append(next_index)
             next_index += 1
         for index in level:
@@ -515,8 +514,8 @@ def _iter_pattern_levels(rhs: NestedTgd, k: int):
 class _SweepState:
     """The incrementally maintained per-pattern state of the sweep.
 
-    ``chase_builder`` is None when the chase came straight from the LRU
-    cache; a child extension then re-indexes the cached instance once and
+    ``chase_builder`` is None when the chase came straight from a cache
+    tier; a child extension then re-indexes the cached instance once and
     shares the cost across all children of this state.
     """
 
@@ -545,23 +544,13 @@ def _root_sweep_state(
     tree = _MirrorNode(1, assignment, [])
     source_builder = InstanceBuilder(source_delta)
     source_facts = frozenset(source_builder)
-    key = (source_facts, fingerprint)
-    cached = _CHASE_CACHE.get(key)
-    if cached is not None:
-        _CHASE_CACHE.move_to_end(key)
-        perf.incr("implies.cache_hits")
-        chased, chase_builder = cached, None
-    else:
-        perf.incr("implies.cache_misses")
-        disk_hit = _disk_chase_get(source_facts, fingerprint)
-        if disk_hit is not None:
-            chased, chase_builder = disk_hit, None
-        else:
-            chase_builder = InstanceBuilder()
-            chase_builder.add_all(run_clause_program(clauses, source_builder))
-            chased = chase_builder.freeze()
-            _disk_chase_put(source_facts, fingerprint, chased)
-        _cache_store(key, chased)
+
+    def compute() -> tuple[Instance, InstanceBuilder]:
+        builder = InstanceBuilder()
+        builder.add_all(run_clause_program(clauses, source_builder))
+        return builder.freeze(), builder
+
+    chased, chase_builder = _chase_tier(source_facts, fingerprint, compute)
     return _SweepState(
         tree, factory, source_builder, source_facts, chased, chase_builder,
         tuple(target_delta),
@@ -570,7 +559,7 @@ def _root_sweep_state(
 
 def _extend_sweep_state(
     parent: _SweepState,
-    entry: _SpecEntry,
+    entry: _SweepEntry,
     rhs: NestedTgd,
     clauses,
     fingerprint: tuple[str, ...],
@@ -587,30 +576,18 @@ def _extend_sweep_state(
     delta = source_builder.add_all(source_delta)
     source_facts = frozenset(source_builder)
     targets = parent.targets + tuple(target_delta)
-    key = (source_facts, fingerprint)
-    cached = _CHASE_CACHE.get(key)
-    if cached is not None:
-        _CHASE_CACHE.move_to_end(key)
-        perf.incr("implies.cache_hits")
-        chased, chase_builder = cached, None
-    else:
-        perf.incr("implies.cache_misses")
-        disk_hit = _disk_chase_get(source_facts, fingerprint)
-        if disk_hit is not None:
-            chased, chase_builder = disk_hit, None
+
+    def compute() -> tuple[Instance, InstanceBuilder]:
+        perf.incr("implies.sweep.incremental_hits")
+        if parent.chase_builder is not None:
+            builder = parent.chase_builder.copy()
         else:
-            perf.incr("implies.sweep.incremental_hits")
-            if parent.chase_builder is not None:
-                chase_builder = parent.chase_builder.copy()
-            else:
-                chase_builder = InstanceBuilder(parent.chased)
-            if delta:
-                chase_builder.add_all(
-                    run_clause_program_delta(clauses, source_builder, delta)
-                )
-            chased = chase_builder.freeze()
-            _disk_chase_put(source_facts, fingerprint, chased)
-        _cache_store(key, chased)
+            builder = InstanceBuilder(parent.chased)
+        if delta:
+            builder.add_all(run_clause_program_delta(clauses, source_builder, delta))
+        return builder.freeze(), builder
+
+    chased, chase_builder = _chase_tier(source_facts, fingerprint, compute)
     return _SweepState(
         tree, factory, source_builder, source_facts, chased, chase_builder, targets
     )
@@ -651,224 +628,7 @@ def _sweep_incremental_serial(
     return ImplicationResult(holds=True, k=k, patterns_checked=checked)
 
 
-def _replay_state(
-    index: int,
-    entries: Sequence[_SpecEntry],
-    rhs: NestedTgd,
-    clauses,
-    fingerprint: tuple[str, ...],
-    memo: dict[int, _SweepState] | None = None,
-) -> _SweepState:
-    """Rebuild the sweep state of pattern *index* from its ancestor chain."""
-    chain: list[int] = []
-    current = index
-    while current >= 0 and (memo is None or current not in memo):
-        chain.append(current)
-        current = entries[current].parent
-    state = memo[current] if (memo is not None and current >= 0) else None
-    for position in reversed(chain):
-        entry = entries[position]
-        if entry.parent < 0:
-            state = _root_sweep_state(rhs, clauses, fingerprint)
-        else:
-            assert state is not None
-            state = _extend_sweep_state(state, entry, rhs, clauses, fingerprint)
-        if memo is not None:
-            memo[position] = state
-    assert state is not None
-    return state
-
-
-# ---------------------------------------------- parallel work-stealing sweep
-
-#: The sweep spec shared with fork workers: (entries, rhs, clauses,
-#: fingerprint).  The parent publishes it once into a shared-memory segment
-#: (:mod:`repro.cache.shm`) before the pool forks; each worker attaches and
-#: deserializes it once, re-interning onto the fork-inherited tables.  When
-#: shared memory is unavailable the spec rides along as a plain module
-#: global inherited by fork.  Either way, tasks and results stay plain
-#: integers and booleans -- no pattern or instance is pickled per task.
-_INCR_SPEC: tuple | None = None
-_INCR_HANDLE: cache_shm.ShmHandle | None = None
-
-#: Worker-local memo of rebuilt sweep states, keyed by spec index.
-_WORKER_STATES: dict[int, _SweepState] = {}
-
-
-def _init_incr_worker() -> None:
-    global _WORKER_STATES
-    _WORKER_STATES = {}
-
-
-def _incr_spec() -> tuple:
-    if _INCR_HANDLE is not None:
-        spec = cache_shm.attach(_INCR_HANDLE)
-        assert isinstance(spec, tuple)
-        return spec
-    assert _INCR_SPEC is not None
-    return _INCR_SPEC
-
-
-def _incr_worker(chunk: tuple[int, int]) -> tuple[int, list[bool]]:
-    start, end = chunk
-    entries, rhs, clauses, fingerprint = _incr_spec()
-    fails: list[bool] = []
-    for index in range(start, end):
-        state = _replay_state(index, entries, rhs, clauses, fingerprint, _WORKER_STATES)
-        fails.append(find_homomorphism(state.targets, state.chased) is None)
-    return start, fails
-
-
-def _sweep_incremental_parallel(
-    lhs: Sequence,
-    rhs: NestedTgd,
-    fingerprint: tuple[str, ...],
-    k: int,
-    workers: int,
-) -> ImplicationResult:
-    """Fan the incremental sweep out over a fork pool in index chunks.
-
-    Chunks are pulled by idle workers (``imap_unordered``), so load balances
-    itself; the parent tracks the minimal failing index and stops as soon as
-    every chunk before it has reported, which bounds the extra work past a
-    failure to the in-flight chunks.  Verdict and diagnostics are identical
-    to the serial sweep: the failing pattern is the enumeration-order first,
-    and its counterexample instances are replayed deterministically.
-    """
-    global _INCR_SPEC, _INCR_HANDLE
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:  # platform without fork: fall back to the serial sweep
-        return _sweep_incremental_serial(lhs, rhs, fingerprint, k)
-    clauses = compile_clause_program(lhs)
-    entries = [entry for level in _iter_pattern_levels(rhs, k) for entry in level]
-    total = len(entries)
-    if total <= 1 or workers <= 1:
-        return _sweep_incremental_serial(lhs, rhs, fingerprint, k)
-    chunk_size = max(1, min(16, -(-total // (workers * 4))))
-    chunks = [(start, min(start + chunk_size, total))
-              for start in range(0, total, chunk_size)]
-    fail_index: int | None = None
-    arrived: set[int] = set()
-    spec = (entries, rhs, clauses, fingerprint)
-    handle = cache_shm.publish(spec)
-    if handle is not None:
-        _INCR_HANDLE = handle
-    else:
-        _INCR_SPEC = spec
-    try:
-        with context.Pool(processes=workers, initializer=_init_incr_worker) as pool:
-            for start, fails in pool.imap_unordered(_incr_worker, chunks):
-                arrived.add(start)
-                perf.incr("implies.parallel_chunks")
-                for offset, failed in enumerate(fails):
-                    if failed:
-                        position = start + offset
-                        if fail_index is None or position < fail_index:
-                            fail_index = position
-                        break
-                if fail_index is not None and all(
-                    prefix in arrived for prefix in range(0, fail_index, chunk_size)
-                ):
-                    break
-    finally:
-        _INCR_SPEC = None
-        _INCR_HANDLE = None
-        cache_shm.unlink(handle)
-    if fail_index is None:
-        return ImplicationResult(holds=True, k=k, patterns_checked=total)
-    state = _replay_state(fail_index, entries, rhs, clauses, fingerprint)
-    return ImplicationResult(
-        holds=False,
-        k=k,
-        patterns_checked=fail_index + 1,
-        failing_pattern=entries[fail_index].pattern,
-        counterexample_source=Instance(state.source_facts),
-        counterexample_target=Instance(state.targets),
-    )
-
-
 # ------------------------------------------------------- from-scratch sweep
-
-#: The from-scratch sweep spec: (patterns, lhs, rhs, source_egds,
-#: fingerprint).  Published once into shared memory (or, when that is
-#: unavailable, left in this fork-inherited global); workers receive plain
-#: pattern indexes as tasks instead of pickled patterns.
-_SCRATCH_SPEC: tuple | None = None
-_SCRATCH_HANDLE: cache_shm.ShmHandle | None = None
-
-
-def _scratch_spec() -> tuple:
-    if _SCRATCH_HANDLE is not None:
-        spec = cache_shm.attach(_SCRATCH_HANDLE)
-        assert isinstance(spec, tuple)
-        return spec
-    assert _SCRATCH_SPEC is not None
-    return _SCRATCH_SPEC
-
-
-def _pattern_worker(index: int) -> tuple[bool, Instance | None, Instance | None]:
-    patterns, lhs, rhs, source_egds, fingerprint = _scratch_spec()
-    fails, source, target = _check_pattern(
-        patterns[index], lhs, rhs, source_egds, fingerprint
-    )
-    if not fails:
-        return False, None, None
-    return True, source, target
-
-
-def _sweep_parallel(
-    patterns: Sequence[Pattern],
-    lhs: Sequence,
-    rhs: NestedTgd,
-    source_egds: Sequence[Egd],
-    fingerprint: tuple[str, ...],
-    k: int,
-    workers: int,
-) -> ImplicationResult:
-    """Check from-scratch patterns over a worker pool, chunked in enumeration order.
-
-    Chunks are dispatched one at a time and scanned in order, so the first
-    failing pattern (and the ``patterns_checked`` count up to it) is exactly
-    the serial one; at most one chunk of extra work runs past a failure.
-    """
-    global _SCRATCH_SPEC, _SCRATCH_HANDLE
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:  # platform without fork: fall back to the serial sweep
-        return _sweep_serial(patterns, lhs, rhs, source_egds, fingerprint, k)
-    chunk_size = max(1, 2 * workers)
-    checked = 0
-    spec = (tuple(patterns), list(lhs), rhs, list(source_egds), fingerprint)
-    handle = cache_shm.publish(spec)
-    if handle is not None:
-        _SCRATCH_HANDLE = handle
-    else:
-        _SCRATCH_SPEC = spec
-    try:
-        with context.Pool(processes=workers) as pool:
-            for start in range(0, len(patterns), chunk_size):
-                batch = range(start, min(start + chunk_size, len(patterns)))
-                perf.incr("implies.parallel_chunks")
-                for offset, (fails, source, target) in enumerate(
-                    pool.map(_pattern_worker, batch)
-                ):
-                    checked += 1
-                    if fails:
-                        return ImplicationResult(
-                            holds=False,
-                            k=k,
-                            patterns_checked=checked,
-                            failing_pattern=patterns[start + offset],
-                            counterexample_source=source,
-                            counterexample_target=target,
-                        )
-    finally:
-        _SCRATCH_SPEC = None
-        _SCRATCH_HANDLE = None
-        cache_shm.unlink(handle)
-    return ImplicationResult(holds=True, k=k, patterns_checked=checked)
-
 
 def _sweep_serial(
     patterns: Sequence[Pattern],
@@ -967,7 +727,6 @@ def implies_tgd(
     source_egds: Sequence[Egd] = (),
     max_patterns: int | None = 1_000_000,
     *,
-    parallel: int | None = None,
     subsumption: bool = True,
     budget: int | None = None,
     incremental: bool | None = None,
@@ -979,11 +738,13 @@ def implies_tgd(
     delta one new leaf contributes (``incremental=False`` forces the
     from-scratch sweep; with *source_egds* the from-scratch sweep is always
     used, because egd merges are not monotone under source extension).
+    Both sweeps run in this process and check patterns in enumeration
+    order, stopping at the first failing one.
 
-    With ``parallel=N > 1``, the per-pattern checks fan out over N worker
-    processes; the result (verdict, pattern count, diagnostics) is identical
-    to the serial sweep, and the sweep early-exits once a failing pattern is
-    found.
+    A sweep over more than *max_patterns* patterns raises
+    :class:`~repro.errors.ResourceLimitExceeded`.  The budget pre-flight
+    and this limit are checked before the persistent verdict tier, so a
+    warm store never answers a query that would have raised.
 
     With ``budget=N``, the static cost model of
     :func:`repro.analysis.cost.sweep_cost` predicts the sweep size *before*
@@ -1054,34 +815,28 @@ def implies_tgd(
     try:
         from repro.core.patterns import count_k_patterns
 
-        # Persistent verdict tier: a warm process answers a repeated query
-        # without enumerating a single pattern.  Consulted only after the
-        # budget pre-flight (BudgetExceeded must still raise) and only when
-        # the sweep would fit max_patterns (ResourceLimitExceeded must still
-        # raise), so resource-limit semantics match the cache-off path.
-        verdict_key: str | None = None
+        # The pattern limit is checked before the persistent verdict tier, so
+        # ResourceLimitExceeded (like BudgetExceeded above) still raises over
+        # a warm store.  The from-scratch sweep enforces the limit while
+        # enumerating, so it pays for the count only when the tier is on.
         store = get_store()
-        if store is not None and store.enabled(SPACE_IMPLIES):
-            if max_patterns is None or count_k_patterns(rhs, k) <= max_patterns:
-                verdict_key = _verdict_key(fingerprint, rhs, source_egds, k, incremental)
-                cached_verdict = _disk_verdict_get(verdict_key)
-                if cached_verdict is not None:
-                    return cached_verdict
-        if incremental:
-            if max_patterns is not None and count_k_patterns(rhs, k) > max_patterns:
+        use_store = store is not None and store.enabled(SPACE_IMPLIES)
+        if max_patterns is not None and (incremental or use_store):
+            if count_k_patterns(rhs, k) > max_patterns:
                 raise ResourceLimitExceeded("patterns", max_patterns)
-            if parallel and parallel > 1:
-                result = _sweep_incremental_parallel(lhs, rhs, fingerprint, k, parallel)
-            else:
-                result = _sweep_incremental_serial(lhs, rhs, fingerprint, k)
+        # A warm process answers a repeated query without enumerating a
+        # single pattern.
+        verdict_key: str | None = None
+        if use_store:
+            verdict_key = _verdict_key(fingerprint, rhs, source_egds, k, incremental)
+            cached_verdict = _disk_verdict_get(verdict_key)
+            if cached_verdict is not None:
+                return cached_verdict
+        if incremental:
+            result = _sweep_incremental_serial(lhs, rhs, fingerprint, k)
         else:
             patterns = enumerate_k_patterns(rhs, k, max_patterns=max_patterns)
-            if parallel and parallel > 1 and len(patterns) > 1:
-                result = _sweep_parallel(
-                    patterns, lhs, rhs, source_egds, fingerprint, k, parallel
-                )
-            else:
-                result = _sweep_serial(patterns, lhs, rhs, source_egds, fingerprint, k)
+            result = _sweep_serial(patterns, lhs, rhs, source_egds, fingerprint, k)
         if verdict_key is not None:
             _disk_verdict_put(verdict_key, result)
         return result
@@ -1097,7 +852,6 @@ def implies(
     source_egds: Sequence[Egd] = (),
     max_patterns: int | None = 1_000_000,
     *,
-    parallel: int | None = None,
     subsumption: bool = True,
     budget: int | None = None,
     incremental: bool | None = None,
@@ -1113,8 +867,7 @@ def implies(
     return all(
         implies_tgd(
             sigma_set, sigma, source_egds=source_egds, max_patterns=max_patterns,
-            parallel=parallel, subsumption=subsumption, budget=budget,
-            incremental=incremental,
+            subsumption=subsumption, budget=budget, incremental=incremental,
         ).holds
         for sigma in sigma_prime_set
     )
@@ -1126,7 +879,6 @@ def equivalent(
     source_egds: Sequence[Egd] = (),
     max_patterns: int | None = 1_000_000,
     *,
-    parallel: int | None = None,
     subsumption: bool = True,
     budget: int | None = None,
     incremental: bool | None = None,
@@ -1134,11 +886,11 @@ def equivalent(
     """Decide logical equivalence of two finite sets of nested tgds (Corollary 3.11)."""
     return implies(
         sigma_set, sigma_prime_set, source_egds=source_egds,
-        max_patterns=max_patterns, parallel=parallel, subsumption=subsumption,
+        max_patterns=max_patterns, subsumption=subsumption,
         budget=budget, incremental=incremental,
     ) and implies(
         sigma_prime_set, sigma_set, source_egds=source_egds,
-        max_patterns=max_patterns, parallel=parallel, subsumption=subsumption,
+        max_patterns=max_patterns, subsumption=subsumption,
         budget=budget, incremental=incremental,
     )
 

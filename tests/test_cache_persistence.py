@@ -29,7 +29,6 @@ import hypothesis.strategies as st
 import repro.cache as cache
 from repro import perf
 from repro.cache import configure
-from repro.cache import shm as cache_shm
 from repro.cache.fingerprint import (
     combine_fingerprints,
     encode_atom,
@@ -206,32 +205,6 @@ def test_fingerprints_independent_of_hash_seed(tmp_path):
     assert len(digests) == 1
 
 
-# ------------------------------------------------------------ shared memory
-
-
-def test_shm_publish_attach_roundtrip():
-    payload = (Atom("R", (Constant("shm_a"), Constant("shm_b"))), "tail", 42)
-    handle = cache_shm.publish(payload)
-    if handle is None:
-        pytest.skip("shared memory unavailable on this platform")
-    try:
-        attached = cache_shm.attach(handle)
-        assert attached == payload
-        assert attached[0] is payload[0]  # re-interned onto the same atom
-        assert cache_shm.attach(handle) is attached  # memoized
-    finally:
-        cache_shm.unlink(handle)
-
-
-def test_shm_unlink_tolerates_none_and_double_unlink():
-    cache_shm.unlink(None)
-    handle = cache_shm.publish("x")
-    if handle is None:
-        pytest.skip("shared memory unavailable on this platform")
-    cache_shm.unlink(handle)
-    cache_shm.unlink(handle)
-
-
 # ------------------------------------------------ differential correctness
 
 
@@ -326,30 +299,6 @@ def test_core_differential_cache_off_vs_on(tmp_path):
     warm = compute_core(target)
     assert set(cold.facts) == set(baseline.facts)
     assert set(warm.facts) == set(baseline.facts)
-
-
-def test_parallel_shm_sweep_agrees_with_serial(tmp_path):
-    from repro import implies_tgd
-
-    tau, good, bad, __ = _workload()
-    for rhs_deps in ([good], [bad]):
-        serial = implies_tgd(rhs_deps, tau, incremental=False)
-        par = implies_tgd(rhs_deps, tau, incremental=False, parallel=2)
-        assert par.holds == serial.holds
-        assert par.patterns_checked == serial.patterns_checked
-        assert par.failing_pattern is serial.failing_pattern
-        assert par.counterexample_source == serial.counterexample_source
-
-
-def test_parallel_incremental_shm_agrees_with_serial():
-    from repro import implies_tgd
-
-    tau, good, bad, __ = _workload()
-    for rhs_deps in ([good], [bad]):
-        serial = implies_tgd(rhs_deps, tau, incremental=True)
-        par = implies_tgd(rhs_deps, tau, incremental=True, parallel=2)
-        assert par.holds == serial.holds
-        assert par.patterns_checked == serial.patterns_checked
 
 
 def test_resource_limits_not_masked_by_verdict_store(tmp_path):

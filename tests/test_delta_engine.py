@@ -1,9 +1,9 @@
-"""Differential tests for the delta-driven engine and the parallel sweep.
+"""Differential tests for the delta-driven engine and the incremental sweep.
 
 The incremental engines (InstanceBuilder-backed chases, the semi-naive egd
 fixpoint, the memoized nested chase) must agree with the seed baselines kept
-in :mod:`repro.engine.naive`, and the parallel `implies_tgd` sweep must agree
-with the serial one -- including the failing-pattern diagnostics.
+in :mod:`repro.engine.naive`, and the DAG-incremental `implies_tgd` sweep must
+agree with the from-scratch one -- including the failing-pattern diagnostics.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from repro.core.implication import clear_chase_cache, implies_tgd
 from repro.engine.builder import InstanceBuilder
 from repro.engine.chase import chase
 from repro.engine.egd_chase import chase_egds, satisfies_egds
+from repro.engine.homomorphism import find_homomorphism
 from repro.engine.matching import find_matches
 from repro.engine.naive import chase_egds_naive, standard_chase_naive
 from repro.engine.standard_chase import standard_chase
@@ -170,14 +171,24 @@ class TestParallelImpliesAgreesWithSerial:
 
     @pytest.mark.parametrize("lhs,rhs", PAIRS)
     def test_verdict_and_diagnostics_agree(self, lhs, rhs):
-        serial = implies_tgd(lhs, rhs)
-        parallel = implies_tgd(lhs, rhs, parallel=2)
-        assert serial.holds == parallel.holds
-        assert serial.k == parallel.k
-        assert serial.patterns_checked == parallel.patterns_checked
-        assert serial.failing_pattern == parallel.failing_pattern
-        assert serial.counterexample_source == parallel.counterexample_source
-        assert serial.counterexample_target == parallel.counterexample_target
+        """The incremental sweep against the from-scratch one, subsumption
+        off so that every pair runs a real pattern sweep."""
+        clear_chase_cache()
+        fresh = implies_tgd(lhs, rhs, incremental=False, subsumption=False)
+        clear_chase_cache()
+        incremental = implies_tgd(lhs, rhs, incremental=True, subsumption=False)
+        assert incremental.patterns_checked > 0
+        assert incremental.holds == fresh.holds
+        assert incremental.k == fresh.k
+        assert incremental.patterns_checked == fresh.patterns_checked
+        assert incremental.failing_pattern == fresh.failing_pattern
+        if not incremental.holds:
+            # constants are named in attachment order vs canonical DFS order
+            assert incremental.counterexample_source.isomorphic(
+                fresh.counterexample_source, rename_constants=True
+            )
+            witness = incremental.counterexample_source
+            assert find_homomorphism(chase(witness, [rhs]), chase(witness, lhs)) is None
 
 
 class TestChaseCache:

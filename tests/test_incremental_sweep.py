@@ -87,18 +87,6 @@ def test_differential_random_nested_tgds(lhs, rhs):
         pass  # both sweeps respect max_patterns; the bound itself is tested below
 
 
-def test_parallel_incremental_matches_serial():
-    clear_chase_cache()
-    serial = implies_tgd([TAU_PRIME], TAU)
-    clear_chase_cache()
-    parallel = implies_tgd([TAU_PRIME], TAU, parallel=2)
-    assert parallel.holds == serial.holds
-    assert parallel.patterns_checked == serial.patterns_checked
-    assert parallel.failing_pattern == serial.failing_pattern
-    assert parallel.counterexample_source == serial.counterexample_source
-    assert parallel.counterexample_target == serial.counterexample_target
-
-
 # ----------------------------------------------------------- perf counters
 
 

@@ -9,7 +9,7 @@ objects are the *same* object.  The invariants under test:
   ``with_extra_child`` return trees whose untouched subtrees are the
   original objects),
 - pickling round-trips *through* the intern table (a loaded copy is the
-  original object), so fork/pickle-based parallelism cannot duplicate nodes,
+  original object), so serialized payloads cannot duplicate nodes,
 - the cached hash agrees with the structural hash the pre-interning
   dataclasses used, so mixed containers keep working.
 """
