@@ -27,6 +27,11 @@ Two further axes compare the columnar/SQL backends of the core stack:
   ``FactIndex`` protocol, on every hom workload above.
 - **core backends** (``core_backends`` key):
   ``core(backend="tuple"/"columnar"/"sql")`` wall times on the star chase.
+- **rigid cores** (``core_rigid`` key): the core of Ex 4.8's SO tgd chased
+  over an odd n-cycle -- one rigid, vertex-transitive block of n nulls
+  (the paper's counterexample to [FK12, Thm 5.2]) -- with wall time and
+  kernel calls on the tuple and columnar engines.  The first failed
+  retraction puts every null in its orbit, so the rest are skipped.
 
 Run as a script to record the comparison in ``BENCH_hom.json``::
 
@@ -34,15 +39,17 @@ Run as a script to record the comparison in ``BENCH_hom.json``::
 
 Acceptance: the pinpoint workload must show a >= 10x kernel-vs-naive speedup
 at the largest size, and the id-space kernel must be at least as fast as
-decode-through on the hub workload at the largest size (both asserted in
-smoke runs too -- the perf-smoke CI gate).
+decode-through on the hub workload at the largest size, and each rigid odd
+cycle must cost one kernel call per engine (both asserted in smoke runs
+too -- the perf-smoke CI gate).
 """
 
 import time
 
 import pytest
 
-from repro.engine.chase import chase
+from repro import perf
+from repro.engine.chase import chase, chase_so_tgd
 from repro.engine.columnar import ColumnarInstance
 from repro.engine.core_instance import core
 from repro.engine.hom_kernel import (
@@ -53,15 +60,19 @@ from repro.engine.homomorphism import find_homomorphism, is_homomorphism
 from repro.engine.naive import core_naive, find_homomorphism_naive
 from repro.logic.atoms import Atom
 from repro.logic.instances import Instance
-from repro.logic.parser import parse_nested_tgd
+from repro.logic.parser import parse_nested_tgd, parse_so_tgd
 from repro.logic.values import Constant, Null
+from repro.workloads import cycle_instance
 
 NESTED = parse_nested_tgd("S(x1,x2) -> exists y . (R(y,x2) & (S(x1,x3) -> R(y,x3)))")
+EX48 = parse_so_tgd("S(x,y) -> R(f(x), f(y)) & R(f(y), f(x))")
 
 HOM_SIZES = [100, 200, 400]
 SMOKE_HOM_SIZES = [30, 60, 120]
 CORE_SIZES = [6, 9, 12]
 SMOKE_CORE_SIZES = [4, 6, 8]
+RIGID_SIZES = [11, 21, 31]
+SMOKE_RIGID_SIZES = [7, 11]
 
 HUB_SPOKES = 10
 
@@ -170,6 +181,24 @@ def compare_core_backends(n: int) -> dict:
             "columnar_s": times["columnar"], "sql_s": times["sql"]}
 
 
+def compare_core_rigid(n: int) -> dict:
+    """Wall time and kernel calls of the core of a rigid odd cycle, per engine.
+
+    The chase of an odd n-cycle under Ex 4.8 is one rigid block of n nulls
+    and 2n facts.
+    """
+    chased = chase_so_tgd(cycle_instance(n), EX48)
+    row: dict = {"n": n, "chase_facts": len(chased)}
+    for backend, counter in (("tuple", "hom.kernel_calls"),
+                             ("columnar", "hom.columnar.kernel_calls")):
+        with perf.measuring() as stats:
+            result = core(chased, backend=backend)
+        assert result == chased, backend  # an odd cycle is its own core
+        row[f"{backend}_kernel_calls"] = stats.get(counter)
+        row[f"{backend}_s"], __ = _best_of(core, chased, backend=backend)
+    return row
+
+
 def compare_core(n: int) -> dict:
     """Time the worklist core engine against the seed elimination loop."""
     chased = star_chase(n)
@@ -217,6 +246,12 @@ def test_columnar_kernel_hub_gate():
     assert row["speedup"] >= 1.0, row
 
 
+def test_core_rigid_gate():
+    """Acceptance: a rigid odd cycle costs one kernel call on each engine."""
+    row = compare_core_rigid(SMOKE_RIGID_SIZES[-1])
+    assert row["tuple_kernel_calls"] == row["columnar_kernel_calls"] == 1, row
+
+
 @pytest.mark.parametrize("backend", ["tuple", "columnar", "sql"])
 def test_scale_core_backends(benchmark, backend):
     chased = star_chase(SMOKE_CORE_SIZES[-1])
@@ -238,6 +273,7 @@ def main(argv=None) -> dict:
 
     hom_sizes = SMOKE_HOM_SIZES if args.smoke else HOM_SIZES
     core_sizes = SMOKE_CORE_SIZES if args.smoke else CORE_SIZES
+    rigid_sizes = SMOKE_RIGID_SIZES if args.smoke else RIGID_SIZES
     report = {
         "benchmark": "scale-hom-kernel",
         "smoke": args.smoke,
@@ -251,6 +287,7 @@ def main(argv=None) -> dict:
         "columnar_hub_unsat": [compare_hom_columnar("hub_unsat", n)
                                for n in hom_sizes],
         "core_backends": [compare_core_backends(n) for n in core_sizes],
+        "core_rigid": [compare_core_rigid(n) for n in rigid_sizes],
     }
     report["largest_pinpoint_speedup"] = report["pinpoint"][-1]["speedup"]
     report["largest_hub_speedup"] = report["hub"][-1]["speedup"]
@@ -275,10 +312,17 @@ def main(argv=None) -> dict:
         print(f"core_backends      n={row['n']:4d}  "
               f"tuple {row['tuple_s']:.4f}s  columnar {row['columnar_s']:.4f}s  "
               f"sql {row['sql_s']:.4f}s")
+    for row in report["core_rigid"]:
+        print(f"core_rigid         n={row['n']:4d}  "
+              f"tuple {row['tuple_s']:.4f}s ({row['tuple_kernel_calls']} kernel call)  "
+              f"columnar {row['columnar_s']:.4f}s "
+              f"({row['columnar_kernel_calls']} kernel call)")
     print(f"wrote {args.json}")
     # The columnar-kernel hub gate holds at every size tier (smoke included:
     # the perf-smoke CI job runs this script with --smoke).
     assert report["largest_hub_columnar_speedup"] >= 1.0
+    for row in report["core_rigid"]:
+        assert row["tuple_kernel_calls"] == row["columnar_kernel_calls"] == 1, row
     if not args.smoke:
         assert report["largest_pinpoint_speedup"] >= 10.0
     return report

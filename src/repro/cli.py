@@ -192,6 +192,7 @@ def cmd_core(args) -> int:
         "blocks": stats.get(prefix + "blocks"),
         "eliminations": stats.get(prefix + "eliminations"),
         "rigid_blocks": stats.get(prefix + "rigid_blocks"),
+        "orbit_skips": stats.get("core.orbit_skips"),
         "sql_queries": stats.get("core.sql.queries"),
     }
     if args.facts:

@@ -42,6 +42,16 @@ restart per elimination -- is preserved as
   connected components and re-enqueued.  A block with no eliminable null is
   *rigid* and never revisited: eliminating homomorphisms only lose candidate
   facts as J shrinks, so rigidity is monotone under eliminations.
+- **One failed retraction proves a whole orbit rigid.**  After the first
+  failed attempt on a block with untried nulls left, the block's nulls are
+  grouped into orbits of automorphisms found by colour refinement plus
+  individualization-refinement and then checked fact by fact
+  (:func:`_null_orbits`); nulls whose orbit already holds a failed null
+  are skipped (``core.orbit_skips``).  Block nulls occur only in the block,
+  so an automorphism σ of the block extends by the identity to one of J,
+  and if h eliminates x then σ∘h∘σ⁻¹ eliminates σ(x).  Skipped nulls would
+  have failed, so the core is the same fact for fact; a rigid odd cycle of
+  n nulls (Ex 4.8) costs one kernel call instead of n.
 - **Isomorphic duplicate blocks drop wholesale.**  If B2 is isomorphic to a
   disjoint block B1 of the same instance, the isomorphism maps B2 into
   ``J minus facts(x)`` for every null x of B2 (distinct blocks share no
@@ -75,7 +85,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro import perf
 from repro.cache.fingerprint import (
@@ -105,6 +115,11 @@ _Row = tuple[_RelGroup, int]
 #: Maximum number of tie-break permutations tried when canonically labeling
 #: the nulls of a block; more symmetric blocks skip iso-duplicate detection.
 _CANON_PERMUTATION_LIMIT = 120
+
+#: Maximum number of search-tree leaves (discrete colourings checked, plus
+#: branches whose refinements diverge) explored while looking for one
+#: automorphism of a block; a search that reaches it finds nothing.
+_ORBIT_LEAF_LIMIT = 64
 
 
 def _has_nulls(facts: Iterable[Atom]) -> bool:
@@ -155,20 +170,264 @@ def _null_components(facts: Sequence[Atom]) -> list[list[Atom]]:
     return list(groups.values())
 
 
+def _refine(
+    colourings: list[list[int]], occurrences, neighbours
+) -> list[list[int]] | None:
+    """Colour-refine several colourings of one block's nulls in lockstep.
+
+    A null's signature is the multiset of its occurrences, each rendered as
+    (relation, position, the fact's args with nulls replaced by their
+    colours); constants are negative ids and stay themselves.  Each round
+    splits every cell whose members' signatures differ.  Only a null that
+    shares a fact with a null recoloured in the previous round can have a
+    new signature, so only those are recomputed: a long path costs linear,
+    not quadratic, work.  When a cell splits, the part holding its
+    untouched members (else the least signature) keeps the cell's colour
+    and the other parts take fresh colours in signature order, so equal
+    splits give equal colours in every copy.  Returns the stable
+    colourings, or None as soon as two copies split differently (no
+    isomorphism between the copies respects their colours).
+    """
+    colourings = [list(colour) for colour in colourings]
+    members: list[dict[int, set[int]]] = []
+    for colour in colourings:
+        cells: dict[int, set[int]] = {}
+        for null, c in enumerate(colour):
+            cells.setdefault(c, set()).add(null)
+        members.append(cells)
+    signatures = [[()] * len(colour) for colour in colourings]
+    fresh = max(colourings[0], default=-1) + 1
+    recoloured: list = [range(len(colour)) for colour in colourings]
+    while recoloured[0]:
+        splits: list[dict[int, dict[tuple, list[int]]]] = []
+        plans = []
+        for copy, colour in enumerate(colourings):
+            touched = {near for null in recoloured[copy] for near in neighbours[null]}
+            split: dict[int, dict[tuple, list[int]]] = {}
+            for null in touched:
+                signature = signatures[copy][null] = tuple(sorted(
+                    (relation, pos, tuple(colour[a] if a >= 0 else a for a in args))
+                    for relation, pos, args in occurrences[null]
+                ))
+                split.setdefault(colour[null], {}).setdefault(signature, []).append(null)
+            plan = []
+            for cell, parts in split.items():
+                keep = next(
+                    (signatures[copy][null] for null in members[copy][cell]
+                     if null not in touched),
+                    min(parts),
+                )
+                plan.append((cell, keep, sorted((sig, len(part)) for sig, part in parts.items())))
+            splits.append(split)
+            plans.append(sorted(plan))
+        if any(plan != plans[0] for plan in plans[1:]):
+            return None
+        recoloured = [[] for __ in colourings]
+        for cell, keep, parts in plans[0]:
+            for signature, __ in parts:
+                if signature == keep:
+                    continue
+                for copy, colour in enumerate(colourings):
+                    movers = splits[copy][cell][signature]
+                    members[copy][cell].difference_update(movers)
+                    members[copy][fresh] = set(movers)
+                    for null in movers:
+                        colour[null] = fresh
+                    recoloured[copy].extend(movers)
+                fresh += 1
+    return colourings
+
+
+def _individualize(colour: list[int], null: int, fresh: int) -> list[int]:
+    individualized = list(colour)
+    individualized[null] = fresh
+    return individualized
+
+
+def _automorphism(
+    first: list[int], second: list[int], occurrences, neighbours, fact_set: set
+) -> list[int] | None:
+    """A checked automorphism mapping colour classes of *first* onto *second*.
+
+    Individualization-refinement over two copies of the block.  Both
+    colourings are refined in lockstep, and each node guesses a bijection
+    that maps every cell of the first copy onto the same-coloured cell of
+    the second, keeping the nulls the two cells share in place (at a
+    discrete node this is the only bijection left).  The guess is returned
+    if it maps every block fact onto a block fact.  Otherwise the search
+    branches: individualize the first null of the smallest non-singleton
+    cell of the first copy against each member of that cell in the second.
+    Gives up (None) after ``_ORBIT_LEAF_LIMIT`` leaves.
+    """
+    leaves = 0
+    stack = [(first, second)]
+    while stack and leaves < _ORBIT_LEAF_LIMIT:
+        refined = _refine(list(stack.pop()), occurrences, neighbours)
+        if refined is None:
+            leaves += 1
+            continue
+        first, second = refined
+        cells: dict[int, list[int]] = {}
+        for null, colour in enumerate(first):
+            cells.setdefault(colour, []).append(null)
+        images: dict[int, list[int]] = {}
+        for null, colour in enumerate(second):
+            images.setdefault(colour, []).append(null)
+        sigma = list(range(len(first)))
+        for colour, cell in cells.items():
+            kept = set(cell).intersection(images[colour])
+            moved = iter([image for image in images[colour] if image not in kept])
+            for null in cell:
+                if null not in kept:
+                    sigma[null] = next(moved)
+        if all(
+            (relation, tuple(sigma[a] if a >= 0 else a for a in args)) in fact_set
+            for relation, args in fact_set
+        ):
+            return sigma
+        if len(cells) == len(first):
+            leaves += 1
+            continue
+        __, colour = min((len(cell), colour) for colour, cell in cells.items() if len(cell) > 1)
+        fresh = max(cells) + 1
+        pinned = _individualize(first, cells[colour][0], fresh)
+        stack.extend(
+            (pinned, _individualize(second, image, fresh))
+            for image in reversed(images[colour])
+        )
+    return None
+
+
+def _null_orbits(
+    facts: Iterable[tuple[str, tuple]], is_var: Callable[[object], bool]
+) -> dict:
+    """An orbit id per null of a block, from automorphisms found and checked.
+
+    *facts* is the block as ``(relation, args)`` pairs and *is_var* tells
+    its nulls from its constants.  Two nulls share an id only if a checked
+    automorphism of the block maps one to the other, so the ids split the
+    true orbits at worst more finely (a search that gives up costs pruning,
+    never soundness).
+
+    Colour refinement from the degree profile first splits the nulls into
+    cells that every automorphism preserves.  In each non-singleton cell the
+    first null r is matched against every other member y: individualize r
+    in one copy of the block and y in another, and search for an
+    automorphism σ with σ(r) = y (:func:`_automorphism`).  Each σ found
+    joins z with σ(z) for every null z.  If r found a partner, the first
+    member still apart from r repeats the pass over the rest; a cell whose
+    representative found none is left as it is.  Refinement alone would be
+    unsound: the Frucht graph is regular, so refinement keeps its nulls in
+    one cell, yet it has no automorphism but the identity.
+    """
+    index: dict = {}
+    constants: dict = {}
+    relations: dict = {}
+    fact_set: set[tuple[int, tuple[int, ...]]] = set()
+    for relation, args in facts:
+        ids = tuple(
+            index.setdefault(arg, len(index)) if is_var(arg)
+            else -1 - constants.setdefault(arg, len(constants))
+            for arg in args
+        )
+        fact_set.add((relations.setdefault(relation, len(relations)), ids))
+    occurrences: list[list[tuple[int, int, tuple[int, ...]]]] = [[] for __ in index]
+    neighbours: list[set[int]] = [set() for __ in index]
+    for relation, args in fact_set:
+        for pos, arg in enumerate(args):
+            if arg >= 0:
+                occurrences[arg].append((relation, pos, args))
+                neighbours[arg].update(a for a in args if a >= 0)
+
+    parent = list(range(len(index)))
+
+    def root(null: int) -> int:
+        while parent[null] != null:
+            parent[null] = parent[parent[null]]
+            null = parent[null]
+        return null
+
+    refined = _refine([[0] * len(index)], occurrences, neighbours)
+    assert refined is not None  # a single copy never diverges
+    [base] = refined
+    cells: dict[int, list[int]] = {}
+    for null, colour in enumerate(base):
+        cells.setdefault(colour, []).append(null)
+    fresh = max(cells, default=0) + 1
+    for apart in cells.values():
+        while len(apart) > 1:
+            rep = apart[0]
+            pinned = _individualize(base, rep, fresh)
+            partnered = False
+            for null in apart[1:]:
+                if root(null) != root(rep):
+                    sigma = _automorphism(
+                        pinned, _individualize(base, null, fresh),
+                        occurrences, neighbours, fact_set,
+                    )
+                    if sigma is None:
+                        continue
+                    for z, image in enumerate(sigma):
+                        parent[root(image)] = root(z)
+                partnered = True
+            if not partnered:
+                break
+            apart = [null for null in apart if root(null) != root(rep)]
+    return {null: root(i) for null, i in index.items()}
+
+
+def _first_retraction(
+    nulls: Sequence,
+    attempt: Callable[[object], dict | None],
+    facts: Callable[[], list[tuple[str, tuple]]],
+    is_var: Callable[[object], bool],
+) -> dict | None:
+    """The first mapping ``attempt(x)`` finds over the block's *nulls*, in order.
+
+    Orbit rule: after the first failed attempt, with untried nulls left,
+    the block's null orbits are computed once (``_null_orbits(facts(),
+    is_var)``), and every later null whose orbit already holds a failed
+    null is skipped (``core.orbit_skips``).  Sound because block nulls occur
+    only in the block: an automorphism σ of the block, extended by the
+    identity, is an automorphism of the instance, and if h eliminates x
+    then σ∘h∘σ⁻¹ eliminates σ(x).  A skipped null would have failed, so
+    the first null that succeeds, and its mapping, are unchanged.
+    """
+    orbit_of = None
+    failed: set = set()
+    for position, null in enumerate(nulls):
+        if orbit_of is not None and orbit_of[null] in failed:
+            perf.incr("core.orbit_skips")
+            continue
+        mapping = attempt(null)
+        if mapping is not None:
+            return mapping
+        if orbit_of is None:
+            if position + 1 == len(nulls):
+                break
+            orbit_of = _null_orbits(facts(), is_var)
+        failed.add(orbit_of[null])
+    return None
+
+
 def _eliminating_hom(block: Sequence[Atom], target) -> dict | None:
     """Find a retraction of *block* into *target* eliminating one of its nulls.
 
-    Tries each null x of the block in repr order; "target minus the facts
-    containing x" is expressed by passing those facts (looked up in the
-    per-value reverse index) to the kernel as a forbidden set.  The nulls of
-    a block occur in no other block, so the lookup returns block facts only.
+    Tries each null x of the block in repr order, under the orbit rule of
+    :func:`_first_retraction`; "target minus the facts containing x" is
+    expressed by passing those facts (looked up in the per-value reverse
+    index) to the kernel as a forbidden set.  The nulls of a block occur in
+    no other block, so the lookup returns block facts only.
     """
-    for null in _block_nulls(block):
+
+    def attempt(null) -> dict | None:
         forbidden = frozenset(target.facts_containing(null))
-        mapping = block_homomorphism(block, target, None, forbidden)
-        if mapping is not None:
-            return mapping
-    return None
+        return block_homomorphism(block, target, None, forbidden)
+
+    return _first_retraction(
+        _block_nulls(block), attempt,
+        lambda: [(fact.relation, fact.args) for fact in block], is_null,
+    )
 
 
 def _process_blocks(builder: InstanceBuilder, pending: deque[list[Atom]]) -> None:
@@ -458,11 +717,15 @@ class _ColumnarCore:
     ) -> dict[object, int] | None:
         """Id-space twin of :func:`_eliminating_hom`: retraction dropping a null."""
         encoded = self.encode_block(block)
-        for vid in self.block_null_vids(block):
-            mapping = solve_encoded(encoded, self.rows_containing(store, vid))
-            if mapping is not None:
-                return mapping
-        return None
+        return _first_retraction(
+            self.block_null_vids(block),
+            lambda vid: solve_encoded(encoded, self.rows_containing(store, vid)),
+            lambda: [
+                (group.relation, tuple(column[row] for column in group.columns))
+                for group, row in block
+            ],
+            self.is_null_vid,
+        )
 
     def process_blocks(
         self, store: ColumnarInstance, pending: "deque[list[_Row]]"

@@ -36,6 +36,9 @@ Counter names are dotted strings, grouped by subsystem:
 ``core.iso_folds``        duplicate blocks dropped as isomorphic copies
 ``core.eliminations``     eliminating retractions applied
 ``core.rigid_blocks``     blocks proven rigid (no eliminable null)
+``core.orbit_skips``      retraction attempts skipped because a null in the
+                          same automorphism orbit already failed (one
+                          counter for the tuple and columnar engines)
 ``core.columnar.blocks``  f-blocks seen by the id-space core engine; its
                           ``iso_folds`` / ``eliminations`` /
                           ``rigid_blocks`` twins mirror the ``core.*``

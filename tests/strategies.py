@@ -116,6 +116,56 @@ def instances(
 
 
 @st.composite
+def symmetric_instances(draw, max_parts: int = 2, max_size: int = 7):
+    """Generate an instance with large null automorphism orbits.
+
+    Draws a disjoint union of 1..*max_parts* parts, each a symmetric cycle
+    (``R`` both ways), a directed cycle, or a cloned star: one hub with
+    copies of one random leaf template, as the cloning of sibling subtrees
+    in a nested-tgd chase produces.  Optionally a constant pendant
+    ``R(_n, a0)`` hangs off one null, breaking part of the symmetry.  The
+    :func:`instances` draws are rarely symmetric; these are, by
+    construction, so orbit pruning in the core engine does real work.
+    """
+    facts: list[Atom] = []
+    counter = {"null": 0}
+
+    def fresh() -> Null:
+        counter["null"] += 1
+        return Null(f"s{counter['null']}")
+
+    for __ in range(draw(st.integers(1, max_parts))):
+        kind = draw(st.sampled_from(["symmetric_cycle", "directed_cycle", "star"]))
+        if kind == "star":
+            hub = fresh() if draw(st.booleans()) else Constant("hub")
+            template = draw(st.lists(
+                st.sampled_from([("R", "hl"), ("R", "lh"), ("R", "lm"), ("P", "l"),
+                                 ("P", "m"), ("U", "hlm"), ("U", "lml")]),
+                min_size=1, max_size=3, unique=True,
+            ))
+            if not any(relation == "R" and "h" in roles for relation, roles in template):
+                template.append(("R", "hl"))
+            for __ in range(draw(st.integers(2, max(2, max_size // 2)))):
+                clone = {"h": hub, "l": fresh(), "m": fresh()}
+                facts.extend(
+                    Atom(relation, tuple(clone[role] for role in roles))
+                    for relation, roles in template
+                )
+        else:
+            nulls = [fresh() for __ in range(draw(st.integers(3, max_size)))]
+            for i, null in enumerate(nulls):
+                successor = nulls[(i + 1) % len(nulls)]
+                facts.append(Atom("R", (null, successor)))
+                if kind == "symmetric_cycle":
+                    facts.append(Atom("R", (successor, null)))
+    if draw(st.booleans()):
+        nulls = sorted({arg for fact in facts for arg in fact.nulls()}, key=repr)
+        if nulls:
+            facts.append(Atom("R", (draw(st.sampled_from(nulls)), Constant("a0"))))
+    return Instance(facts)
+
+
+@st.composite
 def same_schema_tgds(draw, max_tgds: int = 3, max_body_atoms: int = 2):
     """Generate a small set of flat tgds over one shared schema.
 

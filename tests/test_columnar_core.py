@@ -157,16 +157,18 @@ class TestCoreDifferential:
 class TestSinglePass:
     """Each kept block is searched once, against the whole store."""
 
-    def test_rigid_canonicalizable_block_costs_one_search_per_null(self):
+    def test_rigid_canonicalizable_block_costs_one_search(self):
         # An undirected triangle is a core with 3 nulls (3! labelings, so it
-        # is canonicalized): one solve_encoded call per null proves it rigid.
+        # is canonicalized).  Its nulls form one automorphism orbit, so one
+        # failed solve_encoded call proves it rigid.
         triangle = parse_instance(
             "R(_1,_2), R(_2,_1), R(_2,_3), R(_3,_2), R(_3,_1), R(_1,_3)"
         )
         with perf.measuring() as stats:
             result = core(triangle, backend="columnar")
         assert result == triangle
-        assert stats.get("hom.columnar.kernel_calls") == 3
+        assert stats.get("hom.columnar.kernel_calls") == 1
+        assert stats.get("core.orbit_skips") == 2
         assert stats.get("core.columnar.rigid_blocks") == 1
 
     def test_canonical_fingerprints_match_across_engines(self):

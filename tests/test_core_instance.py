@@ -71,8 +71,9 @@ class TestSymmetricStructures:
 class TestSinglePass:
     def test_rigid_block_is_searched_once(self):
         # Ex 4.8's SO tgd over the 7-cycle: one rigid block of 7 nulls.
-        # Proving it rigid costs one kernel call per null, with no separate
-        # block-local fold searching it a second time.
+        # The cycle is vertex-transitive, so the first failed retraction
+        # proves all 7 nulls rigid: one kernel call, six orbit skips, and no
+        # separate block-local fold searching it a second time.
         from repro import perf
         from repro.engine.chase import chase_so_tgd
         from repro.logic.parser import parse_so_tgd
@@ -83,7 +84,8 @@ class TestSinglePass:
         with perf.measuring() as stats:
             result = core(solution, backend="tuple")
         assert result == solution
-        assert stats.get("hom.kernel_calls") == 7
+        assert stats.get("hom.kernel_calls") == 1
+        assert stats.get("core.orbit_skips") == 6
         assert stats.get("core.rigid_blocks") == 1
 
 
