@@ -13,8 +13,10 @@ Run as a script to record the results in ``BENCH_sweep.json``::
 
 ``--smoke`` runs only the small workloads with repetitions and asserts the
 incremental sweep is not slower than the from-scratch sweep on the
-Example 3.10 query -- the CI perf gate.  The full run also sweeps the deep
-workload and asserts the incremental sweep is at least 5x faster there.
+Example 3.10 query, and that on every workload its seeded pattern checks
+take no more hom-kernel search nodes than the from-scratch sweep's -- the
+CI perf gate.  The full run also sweeps the deep workload and asserts the
+incremental sweep is at least 5x faster there.
 The rows are merged into the artifact in place, so other axes stored in it
 (``bench_warm_restart.py``'s ``warm_restart``) survive a regeneration.
 """
@@ -75,12 +77,15 @@ def sweep_workload(label, lhs, rhs, *, repeat=1):
     from repro.core.implication import _normalize_lhs, implication_bound
 
     k = implication_bound(_normalize_lhs(lhs), rhs)
+    # every cold repetition contributes the same counts; report one run's worth
+    perf.reset()
     fresh_s, fresh = _timed_sweep(lhs, rhs, incremental=False, repeat=repeat)
+    fresh_nodes = perf.snapshot().get("hom.search_nodes", 0) // repeat
     perf.reset()
     incr_s, incr = _timed_sweep(lhs, rhs, incremental=True, repeat=repeat)
     counters = perf.snapshot()
-    # every cold repetition contributes the same counts; report one run's worth
     hits_per_run = counters.get("implies.sweep.incremental_hits", 0) // repeat
+    incr_nodes = counters.get("hom.search_nodes", 0) // repeat
     # warm: same query again without clearing the cache
     warm_s, __ = _timed_sweep(lhs, rhs, incremental=True, cold=False,
                               repeat=repeat)
@@ -96,6 +101,8 @@ def sweep_workload(label, lhs, rhs, *, repeat=1):
         "incremental_warm_s": round(warm_s, 6),
         "speedup_cold": round(fresh_s / incr_s, 2) if incr_s else float("inf"),
         "incremental_hits": hits_per_run,
+        "fresh_search_nodes": fresh_nodes,
+        "incremental_search_nodes": incr_nodes,
     }
 
 
@@ -109,6 +116,7 @@ def test_sweep_incremental_not_slower_ex310(benchmark):
     row = benchmark(sweep_workload, *WORKLOADS[0], repeat=5)
     assert row["incremental_hits"] == row["patterns"] - 1
     assert row["incremental_cold_s"] <= row["fresh_cold_s"]
+    assert row["incremental_search_nodes"] <= row["fresh_search_nodes"]
 
 
 def test_sweep_wide_incremental_agrees(benchmark):
@@ -153,7 +161,9 @@ def main(argv=None) -> dict:
               f"fresh {row['fresh_cold_s']:.4f}s  "
               f"incr {row['incremental_cold_s']:.4f}s  "
               f"warm {row['incremental_warm_s']:.4f}s  "
-              f"speedup {row['speedup_cold']:.1f}x")
+              f"speedup {row['speedup_cold']:.1f}x  "
+              f"search nodes {row['fresh_search_nodes']} -> "
+              f"{row['incremental_search_nodes']}")
     print(f"wrote {args.json}")
     by_label = {row["workload"]: row for row in rows}
     gate = by_label["ex310"]
@@ -162,6 +172,12 @@ def main(argv=None) -> dict:
         f"sweep on Example 3.10 ({gate['incremental_cold_s']:.4f}s vs "
         f"{gate['fresh_cold_s']:.4f}s)"
     )
+    for row in rows:
+        assert row["incremental_search_nodes"] <= row["fresh_search_nodes"], (
+            f"perf gate: the seeded pattern checks searched more than the "
+            f"from-scratch sweep on {row['workload']} "
+            f"({row['incremental_search_nodes']} vs {row['fresh_search_nodes']} nodes)"
+        )
     if not args.smoke:
         deep = by_label["deep"]
         assert deep["speedup_cold"] >= 5.0, (

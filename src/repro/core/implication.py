@@ -34,6 +34,17 @@ Engine-level accelerations on top of the paper's procedure:
   (levels by node count, canonical order within a level -- exactly the
   enumeration order of ``enumerate_k_patterns``), so counterexamples
   short-circuit before the deep frontier is ever generated.
+- a **seeded pattern check** inside that sweep: each state keeps the
+  homomorphism ``h`` found for its ``J_p`` and the image ``h(J_p)``.  A child
+  whose chase still contains the parent's image searches only the new leaf's
+  target facts, with every older null fixed by ``h``; a success maps the
+  whole child ``J_p`` (parent facts by the subset test, delta facts by the
+  kernel).  The subset test is not redundant: on a chase-tier hit the chased
+  instance came from another derivation, whose nulls need not extend the
+  parent's.  When the test or the seeded search fails, the full search runs
+  (``implies.sweep.hom_fallbacks``), and only the full search refutes -- so
+  verdicts, pattern counts and counterexamples are those of the unseeded
+  sweep.
 - a process-wide LRU **chase cache** keyed by (canonical source facts,
   Sigma fingerprint).  Chasing is deterministic, so two patterns (or two
   IMPLIES runs) whose canonical sources coincide share one chase.  Hits and
@@ -326,12 +337,14 @@ class _MirrorNode:
 
     The canonical :class:`Pattern` keeps children sorted, which reshuffles
     node positions as leaves are attached; the mirror tree preserves the
-    attachment order so that sweep entries can address nodes by a stable
-    preorder index, and carries the per-node variable assignment the
-    canonical-instance delta of a new leaf inherits.  The generation trees
-    additionally cache each node's canonical subtree (``canon``) and parent
-    link, so a candidate attachment rebuilds canonical patterns only along
-    the root path instead of over the whole tree.
+    attachment order so that candidate attachments can be addressed by a
+    stable preorder index.  There is one mirror tree per pattern, built by
+    :func:`_iter_pattern_levels`; each node caches its canonical subtree
+    (``canon``) and parent link, so a candidate attachment rebuilds
+    canonical patterns only along the root path instead of over the whole
+    tree.  The sweep sets the new leaf's ``assignment`` (the per-node
+    variable assignment a child leaf's canonical-instance delta inherits) in
+    place when it extends the pattern's state.
     """
 
     __slots__ = ("part_id", "assignment", "children", "parent", "canon")
@@ -342,12 +355,6 @@ class _MirrorNode:
         self.children = children
         self.parent: _MirrorNode | None = None
         self.canon: Pattern | None = None
-
-
-def _copy_tree(node: _MirrorNode) -> _MirrorNode:
-    return _MirrorNode(
-        node.part_id, node.assignment, [_copy_tree(child) for child in node.children]
-    )
 
 
 def _preorder(node: _MirrorNode, out: list[_MirrorNode] | None = None) -> list[_MirrorNode]:
@@ -368,7 +375,7 @@ def _index_gen_tree(node: _MirrorNode, parent: _MirrorNode | None = None) -> Non
 
 
 def _copy_gen_tree(node: _MirrorNode, parent: _MirrorNode | None = None) -> _MirrorNode:
-    """Copy a generation tree, carrying over parent links and canon caches.
+    """Copy a generation tree, carrying over assignments and canon caches.
 
     The copy's canons are identical to the original's; an attachment then
     refreshes only the canons along the attach node's root path.
@@ -437,16 +444,15 @@ class _SweepEntry:
     """One pattern of the sweep DAG: its producing edge and canonical form.
 
     ``parent`` is the index of the (node_count - 1)-node pattern this one
-    extends (-1 for the root), ``node_index`` the preorder position in the
-    parent's mirror tree of the node that receives the new leaf, and ``part``
-    the part identifier of the leaf.
+    extends (-1 for the root), and ``leaf`` the new leaf in this pattern's
+    mirror tree (the root node for the root pattern); its ``parent`` link
+    is the node that received it.
     """
 
     index: int
     pattern: Pattern
     parent: int
-    node_index: int
-    part: int
+    leaf: _MirrorNode
 
 
 def _iter_pattern_levels(rhs: NestedTgd, k: int):
@@ -464,11 +470,14 @@ def _iter_pattern_levels(rhs: NestedTgd, k: int):
     path ends up strictly smaller than every sibling, so it cannot collide
     with one and no sibling multiplicity ever rises (the correctness argument
     is spelled out in ``docs/algorithms.md``).
+
+    Each level-``n`` tree is copied, assignments included, only when the
+    generator resumes for level ``n + 1``; by then the consumer has set the
+    ``assignment`` of every level-``n`` entry's leaf.
     """
-    root_entry = _SweepEntry(0, Pattern(1), -1, 0, 1)
-    yield [root_entry]
     root_tree = _MirrorNode(1, None, [])
     _index_gen_tree(root_tree)
+    yield [_SweepEntry(0, Pattern(1), -1, root_tree)]
     trees: dict[int, _MirrorNode] = {0: root_tree}
     level = [0]
     next_index = 1
@@ -500,7 +509,7 @@ def _iter_pattern_levels(rhs: NestedTgd, k: int):
                 )
                 current = current.parent
             trees[next_index] = tree
-            entries.append(_SweepEntry(next_index, pattern, parent_index, node_index, part))
+            entries.append(_SweepEntry(next_index, pattern, parent_index, leaf))
             new_level.append(next_index)
             next_index += 1
         for index in level:
@@ -516,32 +525,35 @@ class _SweepState:
 
     ``chase_builder`` is None when the chase came straight from a cache
     tier; a child extension then re-indexes the cached instance once and
-    shares the cost across all children of this state.
+    shares the cost across all children of this state.  Once the pattern
+    is checked, ``hom`` is the homomorphism found for ``targets`` and
+    ``images`` the set of target facts under it.
     """
 
     __slots__ = (
-        "tree", "factory", "source_builder", "source_facts",
-        "chased", "chase_builder", "targets",
+        "factory", "source_builder", "source_facts",
+        "chased", "chase_builder", "targets", "hom", "images",
     )
 
-    def __init__(self, tree, factory, source_builder, source_facts,
+    def __init__(self, factory, source_builder, source_facts,
                  chased, chase_builder, targets):
-        self.tree = tree
         self.factory = factory
         self.source_builder = source_builder
         self.source_facts = source_facts
         self.chased = chased
         self.chase_builder = chase_builder
         self.targets = targets
+        self.hom: dict = {}
+        self.images: frozenset[Atom] = frozenset()
 
 
 def _root_sweep_state(
-    rhs: NestedTgd, clauses, fingerprint: tuple[str, ...]
+    rhs: NestedTgd, root: _MirrorNode, clauses, fingerprint: tuple[str, ...]
 ) -> _SweepState:
     """The state of the single-node root pattern (full chase or cache hit)."""
     factory = FreshValueFactory()
     assignment, source_delta, target_delta = canonical_extension(rhs, 1, {}, factory)
-    tree = _MirrorNode(1, assignment, [])
+    root.assignment = assignment
     source_builder = InstanceBuilder(source_delta)
     source_facts = frozenset(source_builder)
 
@@ -552,7 +564,7 @@ def _root_sweep_state(
 
     chased, chase_builder = _chase_tier(source_facts, fingerprint, compute)
     return _SweepState(
-        tree, factory, source_builder, source_facts, chased, chase_builder,
+        factory, source_builder, source_facts, chased, chase_builder,
         tuple(target_delta),
     )
 
@@ -566,12 +578,11 @@ def _extend_sweep_state(
 ) -> _SweepState:
     """Extend *parent* by the one leaf *entry* attaches, chasing only the delta."""
     factory = parent.factory.clone()
-    tree = _copy_tree(parent.tree)
-    attach = _preorder(tree)[entry.node_index]
+    leaf = entry.leaf
     assignment, source_delta, target_delta = canonical_extension(
-        rhs, entry.part, attach.assignment, factory
+        rhs, leaf.part_id, leaf.parent.assignment, factory
     )
-    attach.children.append(_MirrorNode(entry.part, assignment, []))
+    leaf.assignment = assignment
     source_builder = parent.source_builder.copy()
     delta = source_builder.add_all(source_delta)
     source_facts = frozenset(source_builder)
@@ -589,8 +600,36 @@ def _extend_sweep_state(
 
     chased, chase_builder = _chase_tier(source_facts, fingerprint, compute)
     return _SweepState(
-        tree, factory, source_builder, source_facts, chased, chase_builder, targets
+        factory, source_builder, source_facts, chased, chase_builder, targets
     )
+
+
+def _check_sweep_state(state: _SweepState, parent: _SweepState | None) -> bool:
+    """Map ``J_p`` into ``chase(I_p, Sigma)``, seeded by *parent*'s homomorphism.
+
+    Returns False iff no homomorphism exists; on success sets ``state.hom``
+    and ``state.images``.  When the chase contains the parent's image, only
+    the target facts the new leaf added are searched, with every older null
+    fixed by the parent's homomorphism: a success maps the parent's facts by
+    the subset test and the new ones by the kernel.  Otherwise, or when the
+    seeded search finds nothing, the full search decides
+    (``implies.sweep.hom_fallbacks``), so only an unseeded search refutes.
+    """
+    if parent is not None:
+        delta = state.targets[len(parent.targets):]
+        if parent.images <= state.chased.facts:
+            hom = find_homomorphism(delta, state.chased, parent.hom)
+            if hom is not None:
+                state.hom = hom
+                state.images = parent.images.union(fact.rename_values(hom) for fact in delta)
+                return True
+        perf.incr("implies.sweep.hom_fallbacks")
+    hom = find_homomorphism(state.targets, state.chased)
+    if hom is None:
+        return False
+    state.hom = hom
+    state.images = frozenset(fact.rename_values(hom) for fact in state.targets)
+    return True
 
 
 def _sweep_incremental_serial(
@@ -607,14 +646,14 @@ def _sweep_incremental_serial(
         states: dict[int, _SweepState] = {}
         for entry in entries:
             if entry.parent < 0:
-                state = _root_sweep_state(rhs, clauses, fingerprint)
+                parent = None
+                state = _root_sweep_state(rhs, entry.leaf, clauses, fingerprint)
             else:
-                state = _extend_sweep_state(
-                    previous[entry.parent], entry, rhs, clauses, fingerprint
-                )
+                parent = previous[entry.parent]
+                state = _extend_sweep_state(parent, entry, rhs, clauses, fingerprint)
             checked += 1
             perf.incr("implies.patterns")
-            if find_homomorphism(state.targets, state.chased) is None:
+            if not _check_sweep_state(state, parent):
                 return ImplicationResult(
                     holds=False,
                     k=k,

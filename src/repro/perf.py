@@ -58,6 +58,10 @@ Counter names are dotted strings, grouped by subsystem:
                           the parent pattern's cached chase by the new
                           leaf's delta (DAG-incremental sweep), instead of
                           being re-chased from scratch
+``implies.sweep.hom_fallbacks``  incremental-sweep patterns whose check
+                          ran the full hom search: the chase lost the
+                          parent's image, or the parent's homomorphism did
+                          not extend to the new leaf's target facts
 ``implies.verdict_disk_hits``  whole IMPLIES verdicts answered by the
                           persistent verdict store (``repro.cache``)
 ``cache.disk.hits``       persistent-store lookups that found a row

@@ -37,7 +37,13 @@ def _assert_same_result(lhs, rhs, **kwargs):
     clear_chase_cache()
     fresh = implies_tgd(lhs, rhs, incremental=False, **kwargs)
     clear_chase_cache()
+    perf.reset()
     incremental = implies_tgd(lhs, rhs, incremental=True, **kwargs)
+    snap = perf.snapshot()
+    # one kernel call per pattern, plus one per seeded check that fell back
+    assert snap.get("hom.kernel_calls", 0) == (
+        incremental.patterns_checked + snap.get("implies.sweep.hom_fallbacks", 0)
+    )
     assert incremental.holds == fresh.holds
     assert incremental.k == fresh.k
     assert incremental.patterns_checked == fresh.patterns_checked
@@ -85,6 +91,49 @@ def test_differential_random_nested_tgds(lhs, rhs):
         _assert_same_result(lhs, rhs, max_patterns=2_000, subsumption=False)
     except ResourceLimitExceeded:
         pass  # both sweeps respect max_patterns; the bound itself is tested below
+
+
+# ------------------------------------------------------ seeded pattern checks
+
+
+def test_seeded_check_falls_back_to_full_search():
+    """The parent's ``y -> z_b`` does not extend to ``[1 [2] [2]]``: only the
+    second dependency's shared ``w`` maps both R facts.  The full search then
+    finds that mapping, and it refutes the next pattern."""
+    lhs = [
+        parse_tgd("S2(x2) -> exists z . R(z, x2)"),
+        parse_tgd("S1(x1) & S2(x2) & S2(x3) -> exists w . (R(w, x2) & R(w, x3))"),
+    ]
+    rhs = parse_nested_tgd("S1(x1) -> exists y . (S2(x2) -> R(y, x2))")
+    result = _assert_same_result(lhs, rhs, subsumption=False)
+    assert not result.holds
+    assert (result.k, result.patterns_checked) == (4, 4)
+    assert repr(result.failing_pattern) == "[1 [2] [2] [2]]"
+    assert perf.snapshot().get("implies.sweep.hom_fallbacks", 0) >= 1
+
+
+def _wide(branches, var, exist):
+    """The ``_wide`` shape of ``benchmarks/e2e/ops.py``: *branches* sibling
+    parts ``S_i(x_i) -> R_i(y, x_i)`` under one existential."""
+    parts = " & ".join(
+        f"(S{i}({var}{i}) -> R{i}({exist}, {var}{i}))" for i in range(2, branches + 2)
+    )
+    return parse_nested_tgd(f"S1({var}1) -> exists {exist} . ({parts})")
+
+
+def test_seeded_checks_pin_wide3_search_counts():
+    """Every wide(3) pattern extends its parent's homomorphism: one kernel
+    call per pattern and (almost) no search -- the unseeded sweep takes 215
+    search nodes and 1620 AC-3 revisions here."""
+    clear_chase_cache()
+    perf.reset()
+    result = implies_tgd([_wide(3, "u", "w")], _wide(3, "x", "y"), subsumption=False)
+    snap = perf.snapshot()
+    assert result.holds
+    assert result.patterns_checked == 216
+    assert snap.get("implies.sweep.hom_fallbacks", 0) == 0
+    assert snap["hom.kernel_calls"] == 216
+    assert snap.get("hom.search_nodes", 0) <= 3
 
 
 # ----------------------------------------------------------- perf counters
