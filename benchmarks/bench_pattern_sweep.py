@@ -23,7 +23,9 @@ The rows are merged into the artifact in place, so other axes stored in it
 
 from __future__ import annotations
 
+import gc
 import time
+from collections import Counter
 
 from repro import perf
 from repro.core.implication import clear_chase_cache, implies_tgd
@@ -57,19 +59,36 @@ WORKLOADS = [
 ]
 
 
-def _timed_sweep(lhs, rhs, *, incremental, cold=True, repeat=1):
-    """Best-of-*repeat* wall time of one sweep; cold clears the chase cache."""
-    best = None
-    result = None
+def _timed_sweep(lhs, rhs, modes, *, cold=True, repeat=1):
+    """Best-of-*repeat* wall time of one sweep per ``incremental`` flag in *modes*.
+
+    The repetitions interleave the modes, so a drift in machine speed hits
+    each mode alike, and the garbage collector is paused while a sweep is
+    timed, as ``timeit`` does.  Cold clears the chase cache before each
+    sweep.  Returns one ``(best_s, result, counters)`` per mode; *counters*
+    are the ``perf`` counters summed over the mode's repetitions.
+    """
+    best = [None] * len(modes)
+    results = [None] * len(modes)
+    counters = [Counter() for __ in modes]
     for __ in range(repeat):
-        if cold:
-            clear_chase_cache()
-        start = time.perf_counter()
-        result = implies_tgd(lhs, rhs, max_patterns=100_000, subsumption=False,
-                             incremental=incremental)
-        elapsed = time.perf_counter() - start
-        best = elapsed if best is None else min(best, elapsed)
-    return best, result
+        for slot, incremental in enumerate(modes):
+            if cold:
+                clear_chase_cache()
+            perf.reset()
+            gc_was_enabled = gc.isenabled()
+            gc.disable()
+            try:
+                start = time.perf_counter()
+                results[slot] = implies_tgd(lhs, rhs, max_patterns=100_000,
+                                            subsumption=False, incremental=incremental)
+                elapsed = time.perf_counter() - start
+            finally:
+                if gc_was_enabled:
+                    gc.enable()
+            counters[slot].update(perf.snapshot())
+            best[slot] = elapsed if best[slot] is None else min(best[slot], elapsed)
+    return list(zip(best, results, counters))
 
 
 def sweep_workload(label, lhs, rhs, *, repeat=1):
@@ -77,18 +96,14 @@ def sweep_workload(label, lhs, rhs, *, repeat=1):
     from repro.core.implication import _normalize_lhs, implication_bound
 
     k = implication_bound(_normalize_lhs(lhs), rhs)
+    (fresh_s, fresh, fresh_counters), (incr_s, incr, counters) = _timed_sweep(
+        lhs, rhs, (False, True), repeat=repeat)
     # every cold repetition contributes the same counts; report one run's worth
-    perf.reset()
-    fresh_s, fresh = _timed_sweep(lhs, rhs, incremental=False, repeat=repeat)
-    fresh_nodes = perf.snapshot().get("hom.search_nodes", 0) // repeat
-    perf.reset()
-    incr_s, incr = _timed_sweep(lhs, rhs, incremental=True, repeat=repeat)
-    counters = perf.snapshot()
+    fresh_nodes = fresh_counters.get("hom.search_nodes", 0) // repeat
     hits_per_run = counters.get("implies.sweep.incremental_hits", 0) // repeat
     incr_nodes = counters.get("hom.search_nodes", 0) // repeat
     # warm: same query again without clearing the cache
-    warm_s, __ = _timed_sweep(lhs, rhs, incremental=True, cold=False,
-                              repeat=repeat)
+    [(warm_s, __, __)] = _timed_sweep(lhs, rhs, (True,), cold=False, repeat=repeat)
     assert incr.holds == fresh.holds
     assert incr.patterns_checked == fresh.patterns_checked
     return {

@@ -33,7 +33,10 @@ Engine-level accelerations on top of the paper's procedure:
   rebuilt and re-chased from scratch.  Patterns are swept smallest first
   (levels by node count, canonical order within a level -- exactly the
   enumeration order of ``enumerate_k_patterns``), so counterexamples
-  short-circuit before the deep frontier is ever generated.
+  short-circuit before the deep frontier is ever generated.  Generation is
+  path-copied: a child pattern's mirror tree shares every subtree off the
+  new leaf's root path with its parent's, and the parent's source instance
+  is copied and indexed only when the child's chase misses every tier.
 - a **seeded pattern check** inside that sweep: each state keeps the
   homomorphism ``h`` found for its ``J_p`` and the image ``h(J_p)``.  A child
   whose chase still contains the parent's image searches only the new leaf's
@@ -337,106 +340,77 @@ class _MirrorNode:
 
     The canonical :class:`Pattern` keeps children sorted, which reshuffles
     node positions as leaves are attached; the mirror tree preserves the
-    attachment order so that candidate attachments can be addressed by a
-    stable preorder index.  There is one mirror tree per pattern, built by
-    :func:`_iter_pattern_levels`; each node caches its canonical subtree
-    (``canon``) and parent link, so a candidate attachment rebuilds
-    canonical patterns only along the root path instead of over the whole
-    tree.  The sweep sets the new leaf's ``assignment`` (the per-node
-    variable assignment a child leaf's canonical-instance delta inherits) in
-    place when it extends the pattern's state.
+    attachment order, so a candidate attachment is addressed by its
+    root-to-node path.  Each node caches its canonical subtree (``canon``),
+    so a candidate rebuilds canonical patterns only along that path.
+
+    Nodes are shared between patterns: ``children`` is never mutated after
+    the node is created, and ``assignment`` (the per-node variable
+    assignment a child leaf's canonical-instance delta inherits) is set once,
+    by the sweep, on the new leaf.  A child pattern's tree is its parent's
+    tree with fresh nodes for the new leaf, the node that received it, and
+    that node's ancestors; every other subtree is the parent's, by reference.
     """
 
-    __slots__ = ("part_id", "assignment", "children", "parent", "canon")
+    __slots__ = ("part_id", "assignment", "children", "canon")
 
-    def __init__(self, part_id: int, assignment: dict | None, children: list):
+    def __init__(self, part_id: int, assignment: dict | None,
+                 children: list[_MirrorNode], canon: Pattern):
         self.part_id = part_id
         self.assignment = assignment
         self.children = children
-        self.parent: _MirrorNode | None = None
-        self.canon: Pattern | None = None
-
-
-def _preorder(node: _MirrorNode, out: list[_MirrorNode] | None = None) -> list[_MirrorNode]:
-    if out is None:
-        out = []
-    out.append(node)
-    for child in node.children:
-        _preorder(child, out)
-    return out
-
-
-def _index_gen_tree(node: _MirrorNode, parent: _MirrorNode | None = None) -> None:
-    """Set parent links and cache canonical subtrees bottom-up (generation trees)."""
-    node.parent = parent
-    for child in node.children:
-        _index_gen_tree(child, node)
-    node.canon = Pattern(node.part_id, tuple(child.canon for child in node.children))
-
-
-def _copy_gen_tree(node: _MirrorNode, parent: _MirrorNode | None = None) -> _MirrorNode:
-    """Copy a generation tree, carrying over assignments and canon caches.
-
-    The copy's canons are identical to the original's; an attachment then
-    refreshes only the canons along the attach node's root path.
-    """
-    clone = _MirrorNode(node.part_id, node.assignment, [])
-    clone.parent = parent
-    clone.canon = node.canon
-    clone.children = [_copy_gen_tree(child, clone) for child in node.children]
-    return clone
+        self.canon = canon
 
 
 def _collect_attach_positions(
-    node: _MirrorNode, index: int, out: list[tuple[int, _MirrorNode]]
-) -> int:
-    """Preorder (index, node) attach positions, skipping duplicate-canon siblings.
+    node: _MirrorNode, path: tuple[_MirrorNode, ...], out: list[tuple[_MirrorNode, ...]]
+) -> None:
+    """Preorder root-to-node attach paths, skipping duplicate-canon siblings.
 
     Attaching a leaf anywhere inside a subtree isomorphic to an
     already-visited sibling subtree yields the same canonical pattern (swap
-    the two siblings), so the whole duplicate subtree is skipped -- the
-    preorder counter still advances past it, keeping indexes aligned with
-    ``_preorder`` of the same tree.
+    the two siblings), so the whole duplicate subtree is skipped.
     """
-    out.append((index, node))
-    next_index = index + 1
+    path = path + (node,)
+    out.append(path)
     seen: set[Pattern] = set()
     for child in node.children:
         if child.canon in seen:
-            next_index += child.canon.node_count
             continue
         seen.add(child.canon)
-        next_index = _collect_attach_positions(child, next_index, out)
-    return next_index
+        _collect_attach_positions(child, path, out)
 
 
-def _attach_candidate(node: _MirrorNode, part_id: int, k: int) -> Pattern | None:
-    """The canonical pattern after attaching a *part_id* leaf under *node*,
-    or None when the attachment would break the clone bound *k*.
+def _attach_candidate(
+    path: tuple[_MirrorNode, ...], part_id: int, k: int
+) -> list[Pattern] | None:
+    """The canonical subtrees after attaching a *part_id* leaf under
+    ``path[-1]``, bottom-up (the leaf, then one per path node, the whole
+    pattern last), or None when the attachment would break the clone bound *k*.
 
-    Only the sibling groups along the root path change: the new leaf joins
-    *node*'s children, and each ancestor sees exactly one child subtree
+    Only the sibling groups along the path change: the new leaf joins the
+    attach node's children, and each ancestor sees exactly one child subtree
     replaced -- so checking those multiplicities *is* ``is_k_pattern(k)``
     (the parent pattern is a k-pattern already).  Canonical subtrees of
     untouched siblings come from the ``canon`` cache, so a candidate costs
     O(depth) interned constructions, not a full-tree rebuild.
     """
     leaf = Pattern(part_id)
-    current = node
-    current_pat = Pattern(node.part_id, tuple(c.canon for c in node.children) + (leaf,))
-    if current_pat.multiplicity(leaf) > k:
+    node = path[-1]
+    current = Pattern(node.part_id, tuple(c.canon for c in node.children) + (leaf,))
+    if current.multiplicity(leaf) > k:
         return None
-    while current.parent is not None:
-        parent = current.parent
-        kids = tuple(
-            current_pat if child is current else child.canon
-            for child in parent.children
-        )
+    canons = [leaf, current]
+    for depth in range(len(path) - 2, -1, -1):
+        parent, replaced = path[depth], path[depth + 1]
+        kids = tuple(current if child is replaced else child.canon
+                     for child in parent.children)
         parent_pat = Pattern(parent.part_id, kids)
-        if parent_pat.multiplicity(current_pat) > k:
+        if parent_pat.multiplicity(current) > k:
             return None
-        current, current_pat = parent, parent_pat
-    return current_pat
+        canons.append(parent_pat)
+        current = parent_pat
+    return canons
 
 
 @dataclass(frozen=True)
@@ -444,15 +418,37 @@ class _SweepEntry:
     """One pattern of the sweep DAG: its producing edge and canonical form.
 
     ``parent`` is the index of the (node_count - 1)-node pattern this one
-    extends (-1 for the root), and ``leaf`` the new leaf in this pattern's
-    mirror tree (the root node for the root pattern); its ``parent`` link
-    is the node that received it.
+    extends (-1 for the root), ``tree`` the root of this pattern's mirror
+    tree, ``leaf`` the new leaf (the root node for the root pattern), and
+    ``attach`` the node that received it (None for the root pattern).
     """
 
     index: int
     pattern: Pattern
     parent: int
+    tree: _MirrorNode
+    attach: _MirrorNode | None
     leaf: _MirrorNode
+
+
+def _path_copy(
+    path: tuple[_MirrorNode, ...], canons: list[Pattern]
+) -> tuple[_MirrorNode, _MirrorNode, _MirrorNode]:
+    """Attach the leaf ``canons[0]`` under ``path[-1]`` without touching the old tree.
+
+    Returns ``(root, attach, leaf)`` of the new tree: fresh nodes for the
+    leaf and every node on *path*, each with the canon :func:`_attach_candidate`
+    computed for it, and the old nodes' other children shared by reference.
+    """
+    leaf = _MirrorNode(canons[0].part_id, None, [], canons[0])
+    old = path[-1]
+    attach = new = _MirrorNode(old.part_id, old.assignment, old.children + [leaf], canons[1])
+    for depth in range(len(path) - 2, -1, -1):
+        node = path[depth]
+        children = [new if child is old else child for child in node.children]
+        old, new = node, _MirrorNode(node.part_id, node.assignment, children,
+                                     canons[len(path) - depth])
+    return new, attach, leaf
 
 
 def _iter_pattern_levels(rhs: NestedTgd, k: int):
@@ -471,62 +467,44 @@ def _iter_pattern_levels(rhs: NestedTgd, k: int):
     with one and no sibling multiplicity ever rises (the correctness argument
     is spelled out in ``docs/algorithms.md``).
 
-    Each level-``n`` tree is copied, assignments included, only when the
-    generator resumes for level ``n + 1``; by then the consumer has set the
-    ``assignment`` of every level-``n`` entry's leaf.
+    No tree is ever copied whole: a level-``n + 1`` tree shares every
+    subtree off the attach path with its level-``n`` parent tree (see
+    :class:`_MirrorNode`).  The path copies carry the parent nodes'
+    assignments, so level ``n + 1`` is built only when the generator
+    resumes, by which time the consumer has set the ``assignment`` of every
+    level-``n`` entry's leaf.
     """
-    root_tree = _MirrorNode(1, None, [])
-    _index_gen_tree(root_tree)
-    yield [_SweepEntry(0, Pattern(1), -1, root_tree)]
-    trees: dict[int, _MirrorNode] = {0: root_tree}
-    level = [0]
+    root = _MirrorNode(1, None, [], Pattern(1))
+    level = [_SweepEntry(0, root.canon, -1, root, None, root)]
     next_index = 1
     while level:
-        candidates: dict[Pattern, tuple[int, int, int]] = {}
-        for index in level:
-            positions: list[tuple[int, _MirrorNode]] = []
-            _collect_attach_positions(trees[index], 0, positions)
-            for node_index, node in positions:
-                for part in rhs.children_of(node.part_id):
-                    child_pattern = _attach_candidate(node, part, k)
-                    if child_pattern is None or child_pattern in candidates:
+        yield level
+        candidates: dict[Pattern, tuple] = {}
+        for entry in level:
+            paths: list[tuple[_MirrorNode, ...]] = []
+            _collect_attach_positions(entry.tree, (), paths)
+            for path in paths:
+                for part in rhs.children_of(path[-1].part_id):
+                    canons = _attach_candidate(path, part, k)
+                    if canons is None or canons[-1] in candidates:
                         continue
-                    candidates[child_pattern] = (index, node_index, part)
-        entries: list[_SweepEntry] = []
-        new_level: list[int] = []
+                    candidates[canons[-1]] = (entry.index, path, canons)
+        level = []
         for pattern in sorted(candidates, key=lambda p: p.sort_key()):
-            parent_index, node_index, part = candidates[pattern]
-            tree = _copy_gen_tree(trees[parent_index])
-            attach = _preorder(tree)[node_index]
-            leaf = _MirrorNode(part, None, [])
-            leaf.parent = attach
-            leaf.canon = Pattern(part)
-            attach.children.append(leaf)
-            current: _MirrorNode | None = attach
-            while current is not None:
-                current.canon = Pattern(
-                    current.part_id, tuple(c.canon for c in current.children)
-                )
-                current = current.parent
-            trees[next_index] = tree
-            entries.append(_SweepEntry(next_index, pattern, parent_index, leaf))
-            new_level.append(next_index)
+            parent_index, path, canons = candidates[pattern]
+            tree, attach, leaf = _path_copy(path, canons)
+            level.append(_SweepEntry(next_index, pattern, parent_index, tree, attach, leaf))
             next_index += 1
-        for index in level:
-            del trees[index]
-        if not entries:
-            return
-        yield entries
-        level = new_level
 
 
 class _SweepState:
     """The incrementally maintained per-pattern state of the sweep.
 
-    ``chase_builder`` is None when the chase came straight from a cache
-    tier; a child extension then re-indexes the cached instance once and
-    shares the cost across all children of this state.  Once the pattern
-    is checked, ``hom`` is the homomorphism found for ``targets`` and
+    ``source_builder`` and ``chase_builder`` are None when the chase came
+    straight from a cache tier: only a chase-tier miss indexes the source
+    and builds the chase.  A child extension that misses then re-indexes
+    what it needs from ``source_facts`` and ``chased``.  Once the pattern is
+    checked, ``hom`` is the homomorphism found for ``targets`` and
     ``images`` the set of target facts under it.
     """
 
@@ -554,14 +532,16 @@ def _root_sweep_state(
     factory = FreshValueFactory()
     assignment, source_delta, target_delta = canonical_extension(rhs, 1, {}, factory)
     root.assignment = assignment
-    source_builder = InstanceBuilder(source_delta)
-    source_facts = frozenset(source_builder)
+    source_builder = None
 
     def compute() -> tuple[Instance, InstanceBuilder]:
+        nonlocal source_builder
+        source_builder = InstanceBuilder(source_delta)
         builder = InstanceBuilder()
         builder.add_all(run_clause_program(clauses, source_builder))
         return builder.freeze(), builder
 
+    source_facts = frozenset(source_delta)
     chased, chase_builder = _chase_tier(source_facts, fingerprint, compute)
     return _SweepState(
         factory, source_builder, source_facts, chased, chase_builder,
@@ -578,18 +558,22 @@ def _extend_sweep_state(
 ) -> _SweepState:
     """Extend *parent* by the one leaf *entry* attaches, chasing only the delta."""
     factory = parent.factory.clone()
-    leaf = entry.leaf
     assignment, source_delta, target_delta = canonical_extension(
-        rhs, leaf.part_id, leaf.parent.assignment, factory
+        rhs, entry.leaf.part_id, entry.attach.assignment, factory
     )
-    leaf.assignment = assignment
-    source_builder = parent.source_builder.copy()
-    delta = source_builder.add_all(source_delta)
-    source_facts = frozenset(source_builder)
+    entry.leaf.assignment = assignment
+    source_facts = parent.source_facts.union(source_delta)
     targets = parent.targets + tuple(target_delta)
+    source_builder = None
 
     def compute() -> tuple[Instance, InstanceBuilder]:
+        nonlocal source_builder
         perf.incr("implies.sweep.incremental_hits")
+        if parent.source_builder is not None:
+            source_builder = parent.source_builder.copy()
+        else:
+            source_builder = InstanceBuilder(parent.source_facts)
+        delta = source_builder.add_all(source_delta)
         if parent.chase_builder is not None:
             builder = parent.chase_builder.copy()
         else:

@@ -166,9 +166,10 @@ class Pattern:
         """Return the pattern with a new leaf labeled *leaf_part_id* under *path*.
 
         *path* addresses the node (the empty path is the root) that receives
-        the new child.  This is the single-edge producer of the DAG-incremental
-        sweep: every pattern with ``n > 1`` nodes arises from a pattern with
-        ``n - 1`` nodes by one such leaf attachment.
+        the new child.  Every pattern with ``n > 1`` nodes arises from a
+        pattern with ``n - 1`` nodes by one such leaf attachment, the edge the
+        DAG-incremental IMPLIES sweep follows; the sweep itself builds its
+        candidates on mirror trees (``repro.core.implication``), not here.
         """
         if not path:
             return Pattern(self.part_id, self.children + (Pattern(leaf_part_id),))

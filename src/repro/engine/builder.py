@@ -107,9 +107,10 @@ class InstanceBuilder:
         """Return an independent builder with the same facts and indexes.
 
         One linear pass over the index buckets (no re-indexing and no
-        re-hashing of facts) -- this is what makes the incremental IMPLIES
-        sweep cheap: extending a parent pattern's chase state starts from a
-        copy of its builder instead of rebuilding indexes from the fact set.
+        re-hashing of facts).  The incremental IMPLIES sweep copies a parent
+        pattern's source and chase builders only on a chase-tier miss, so
+        extending its state starts from a copy instead of rebuilding indexes
+        from the fact set; a tier hit copies nothing.
         """
         clone = InstanceBuilder.__new__(InstanceBuilder)
         clone._facts = set(self._facts)

@@ -11,13 +11,13 @@ than canonical DFS order (the instances are isomorphic, not equal).
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, HealthCheck
+from hypothesis import assume, given, settings, HealthCheck
 import hypothesis.strategies as st
 
 from repro import perf
 from repro.core import implication
 from repro.core.implication import clear_chase_cache, implies_tgd
-from repro.core.patterns import count_k_patterns
+from repro.core.patterns import Pattern, count_k_patterns, enumerate_k_patterns
 from repro.engine.chase import chase
 from repro.engine.homomorphism import find_homomorphism
 from repro.errors import DependencyError, ResourceLimitExceeded
@@ -91,6 +91,56 @@ def test_differential_random_nested_tgds(lhs, rhs):
         _assert_same_result(lhs, rhs, max_patterns=2_000, subsumption=False)
     except ResourceLimitExceeded:
         pass  # both sweeps respect max_patterns; the bound itself is tested below
+
+
+# ------------------------------------------------------- pattern generation
+
+
+def _rebuild(node):
+    """The canonical pattern of a mirror tree, rebuilt bottom-up from its nodes."""
+    return Pattern(node.part_id, tuple(_rebuild(child) for child in node.children))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.data_too_large])
+@given(nested_tgds(max_depth=2), st.sampled_from([1, 2]))
+def test_pattern_levels_follow_enumeration_and_keep_shared_trees(rhs, k):
+    """The levels concatenate to ``enumerate_k_patterns`` in its order, and
+    building level n + 1 by path copying leaves every level-n tree intact."""
+    assume(count_k_patterns(rhs, k) <= 2_000)
+    generated = []
+    previous = []
+    for level in implication._iter_pattern_levels(rhs, k):
+        for entry in previous:
+            assert _rebuild(entry.tree) == entry.pattern
+        generated.extend(entry.pattern for entry in level)
+        previous = level
+    assert generated == enumerate_k_patterns(rhs, k)
+
+
+DEEP_RHS = parse_nested_tgd(
+    "S1(x1) -> exists y . (S2(x2) -> R2(y, x2) & (S3(x3) -> R3(y, x3)))"
+)
+DEEP_LHS = parse_nested_tgd(
+    "S1(u1) -> exists w . (S2(u2) -> R2(w, u2) & (S3(u3) -> R3(w, u3)))"
+)
+
+
+def test_deep_sweep_pins_chase_tier_counts():
+    """The deep workload of ``bench_pattern_sweep.py``: most patterns hit the
+    chase cache, so a later miss indexes its source from the parent's facts
+    (the parent kept no source builder)."""
+    clear_chase_cache()
+    perf.reset()
+    result = implies_tgd([DEEP_LHS], DEEP_RHS, subsumption=False, incremental=True)
+    snap = perf.snapshot()
+    assert result.holds
+    assert result.patterns_checked == 3125
+    assert snap["implies.cache_hits"] == 2784
+    assert snap["implies.cache_misses"] == 341
+    assert snap["implies.sweep.incremental_hits"] == 340
+    assert snap["hom.kernel_calls"] == 3125
+    assert snap.get("implies.sweep.hom_fallbacks", 0) == 0
 
 
 # ------------------------------------------------------ seeded pattern checks
