@@ -17,7 +17,9 @@ Three workloads, each with a predictable asymptotic gap:
   one.  The single-pass worklist engine
   (:func:`repro.engine.core_instance.core`) against the seed loop preserved
   as :func:`repro.engine.naive.core_naive` (restricted immutable instance
-  per candidate null, restart per elimination).
+  per candidate null, searched by the unindexed
+  :func:`~repro.engine.naive.find_homomorphism_naive` in repr fact order,
+  restart per elimination).
 
 Two further axes compare the columnar/SQL backends of the core stack:
 

@@ -13,6 +13,7 @@ from repro import (
     clear_chase_cache,
     canonical_instances,
     chase,
+    chase_nested,
     count_k_patterns,
     decide_bounded_fblock_size,
     enumerate_k_patterns,
@@ -251,9 +252,9 @@ def engine_counters() -> None:
     # n child-body matching runs are shared via the memo.
     star = parse_instance(", ".join(f"S(hub, v{i})" for i in range(30)))
     with perf.measuring() as stats:
-        chase(star, INTRO)
+        chase_nested(star, INTRO)
     print(
-        f"nested chase (intro tgd, star n=30): "
+        f"nested chase forest (intro tgd, star n=30): "
         f"triggers = {stats.get('chase.triggers')}, "
         f"memoized child-match hits = {stats.get('match.memo_hits')}"
     )

@@ -1,4 +1,4 @@
-"""The oblivious chase for s-t tgds and (plain) SO tgds.
+"""The oblivious chase: one compiled Skolem clause program, evaluated once.
 
 ``chase(I, M)`` produces the canonical universal solution of Section 2: for
 every dependency and every assignment making its body true in the source
@@ -8,17 +8,12 @@ the null for existential variable ``y`` under body match ``a`` is the ground
 term ``f_y(a)``, which both deduplicates repeated triggers and records
 provenance (Section 3: "Skolem terms are considered as null labels").
 
-For SO tgds the chase interprets the existentially quantified functions over
-the term algebra: a term evaluates to the corresponding ground Skolem term,
-and an equality ``t = t'`` holds iff the two ground terms are identical.
-This is the canonical-universal-solution chase of Fagin et al. (reference [8]
-of the paper).
-
-All engines accumulate their output through a single
-:class:`~repro.engine.builder.InstanceBuilder`, so indexes are maintained
-incrementally as facts are emitted and the final instance is frozen without
-re-indexing -- ``chase`` with many dependencies no longer pays one full
-re-index per dependency (the old ``Instance.union`` accumulation).
+Every formalism is chased as one Skolemized clause program
+(:func:`compile_clause_program`; a nested tgd is its Skolemized plain SO
+tgd, Section 2) evaluated in one pass (:func:`run_clause_program`).  SO tgd
+functions are interpreted over the term algebra: an equality ``t = t'``
+holds iff the two ground terms are identical -- the canonical-universal-
+solution chase of Fagin et al. (reference [8] of the paper).
 """
 
 from __future__ import annotations
@@ -36,23 +31,11 @@ from repro.engine.builder import InstanceBuilder
 from repro.engine.matching import find_matches
 
 
-def _evaluate_term(term, assignment: dict):
-    """Evaluate a term under *assignment*; function symbols build ground terms."""
-    value = substitute_term(term, assignment)
-    return value
-
-
-def _chase_st_tgds_into(
-    builder: InstanceBuilder, instance: Instance, tgds: Sequence[STTgd]
-) -> None:
-    for index, tgd in enumerate(tgds):
-        head = tgd.skolem_head(
-            function_namer=lambda var, index=index: f"t{index}_{var.name}"
-        )
-        for assignment in find_matches(tgd.body, instance):
-            perf.incr("chase.triggers")
-            for atom in head:
-                builder.add(atom.substitute(assignment))
+def _freeze(facts: list[Atom]) -> Instance:
+    builder = InstanceBuilder()
+    builder.add_all(facts)
+    perf.incr("chase.facts", len(builder))
+    return builder.freeze()
 
 
 def chase_st_tgds(instance: Instance, tgds: Sequence[STTgd]) -> Instance:
@@ -64,28 +47,7 @@ def chase_st_tgds(instance: Instance, tgds: Sequence[STTgd]) -> Instance:
         >>> len(J)
         1
     """
-    builder = InstanceBuilder()
-    _chase_st_tgds_into(builder, instance, tgds)
-    perf.incr("chase.facts", len(builder))
-    return builder.freeze()
-
-
-def _chase_so_tgd_into(
-    builder: InstanceBuilder, instance: Instance, so_tgd: SOTgd
-) -> None:
-    for clause in so_tgd.clauses:
-        for assignment in find_matches(clause.body, instance):
-            satisfied = True
-            for left, right in clause.equalities:
-                if _evaluate_term(left, assignment) != _evaluate_term(right, assignment):
-                    satisfied = False
-                    break
-            if not satisfied:
-                continue
-            perf.incr("chase.triggers")
-            for atom in clause.head:
-                args = tuple(_evaluate_term(t, assignment) for t in atom.args)
-                builder.add(Atom(atom.relation, args))
+    return chase(instance, list(tgds))
 
 
 def chase_so_tgd(instance: Instance, so_tgd: SOTgd) -> Instance:
@@ -93,12 +55,10 @@ def chase_so_tgd(instance: Instance, so_tgd: SOTgd) -> Instance:
 
     Equalities between terms are evaluated over the term algebra (two ground
     Skolem terms are equal iff identical); this matches the chase of [8] that
-    produces canonical universal solutions for SO tgds.
+    produces canonical universal solutions for SO tgds.  The function
+    symbols keep their names (no renaming apart).
     """
-    builder = InstanceBuilder()
-    _chase_so_tgd_into(builder, instance, so_tgd)
-    perf.incr("chase.facts", len(builder))
-    return builder.freeze()
+    return _freeze(run_clause_program(so_tgd.clauses, instance))
 
 
 def chase(instance: Instance, dependencies) -> Instance:
@@ -106,51 +66,28 @@ def chase(instance: Instance, dependencies) -> Instance:
 
     *dependencies* may be a single dependency or an iterable mixing
     :class:`STTgd`, :class:`~repro.logic.nested.NestedTgd`, and
-    :class:`SOTgd`.  Nested tgds are chased with the recursive-triggering
-    procedure of Section 3; SO tgds clause-wise; s-t tgds obliviously.
-    Distinct dependencies never share nulls (their Skolem functions are
-    renamed apart).
+    :class:`SOTgd`.  All of them are compiled by
+    :func:`compile_clause_program` and evaluated in one pass; distinct
+    dependencies never share nulls (their Skolem functions are renamed
+    apart).
     """
-    from repro.logic.nested import NestedTgd
-    from repro.engine.nested_chase import chase_nested
-
-    if isinstance(dependencies, (STTgd, NestedTgd, SOTgd)):
-        dependencies = [dependencies]
-
-    builder = InstanceBuilder()
-    st_batch: list[STTgd] = []
-    for index, dep in enumerate(dependencies):
-        if isinstance(dep, STTgd):
-            st_batch.append(dep)
-        elif isinstance(dep, NestedTgd):
-            forest = chase_nested(instance, dep, function_prefix=f"d{index}_")
-            for tree in forest.trees:
-                builder.add_all(tree.facts())
-        elif isinstance(dep, SOTgd):
-            renamed = _rename_functions_apart(dep, f"d{index}_")
-            _chase_so_tgd_into(builder, instance, renamed)
-        else:
-            raise ChaseError(f"cannot chase with dependency {dep!r}")
-    if st_batch:
-        _chase_st_tgds_into(builder, instance, st_batch)
-    perf.incr("chase.facts", len(builder))
-    return builder.freeze()
+    return _freeze(run_clause_program(compile_clause_program(dependencies), instance))
 
 
 def compile_clause_program(dependencies) -> tuple:
-    """Compile a dependency list into Skolemized clauses that replay ``chase``.
+    """Compile a dependency list into the Skolemized clause program of ``chase``.
 
-    The returned clauses are :class:`~repro.logic.sotgd.SOClause` objects
-    whose single-pass evaluation over a source instance emits *exactly* the
-    fact set ``chase(instance, dependencies)`` produces -- including the null
-    labels, because the Skolem-function naming replicates ``chase``'s scheme
-    verbatim: s-t tgds are batched and named ``t{batch_index}_{var}``, nested
-    tgds are skolemized under ``d{index}_`` (the fact set of the
-    recursive-triggering procedure equals its Skolemization's), and SO tgds
-    are renamed apart under ``d{index}_``.  This is what lets the incremental
-    IMPLIES sweep extend a cached chase result by a source delta and still
-    agree, fact for fact, with a from-scratch ``chase`` of the extended
-    source.
+    The returned clauses are :class:`~repro.logic.sotgd.SOClause` objects;
+    evaluating them once over a source instance (:func:`run_clause_program`)
+    *is* the chase.  Skolem functions are named apart per dependency: nested
+    tgds are skolemized under ``d{index}_`` (the fact set of the Section 3
+    recursive-triggering procedure equals its Skolemization's), SO tgds are
+    renamed apart under ``d{index}_``, and s-t tgds are batched last and
+    named ``t{batch_index}_{var}``.  The tuple, columnar and SQL backends,
+    the SQL export and the incremental IMPLIES sweep all consume this one
+    program, which is what lets the sweep extend a cached chase result by a
+    source delta and still agree, fact for fact and label for label, with a
+    from-scratch ``chase`` of the extended source.
     """
     from repro.logic.nested import NestedTgd
     from repro.logic.sotgd import SOClause
@@ -179,11 +116,11 @@ def compile_clause_program(dependencies) -> tuple:
 def _emit_clause(clause, assignment: dict, out: list[Atom]) -> None:
     """Append the head facts of *clause* under *assignment* (if equalities hold)."""
     for left, right in clause.equalities:
-        if _evaluate_term(left, assignment) != _evaluate_term(right, assignment):
+        if substitute_term(left, assignment) != substitute_term(right, assignment):
             return
     perf.incr("chase.triggers")
     for atom in clause.head:
-        args = tuple(_evaluate_term(t, assignment) for t in atom.args)
+        args = tuple(substitute_term(t, assignment) for t in atom.args)
         out.append(Atom(atom.relation, args))
 
 

@@ -22,7 +22,7 @@ rotating the nulls of a symmetric cycle), whose application does not shrink
 the instance.
 
 Engine structure (the seed loop -- restricted instance per candidate null,
-restart per elimination -- is preserved as
+unindexed search, restart per elimination -- is preserved as
 :func:`repro.engine.naive.core_naive` for differential testing):
 
 - **One mutable target.**  The instance lives in an

@@ -1,17 +1,21 @@
 """Backend selection for the chase engines: tuple, columnar, or SQL pushdown.
 
-Three interchangeable execution backends run the oblivious chase:
+Three interchangeable execution backends run the oblivious chase, and all
+three evaluate one clause program: the Skolemized clauses of
+:func:`repro.engine.chase.compile_clause_program` for a single-pass
+exchange, or those of the fixpoint chase for a fixpoint run.
 
 ``tuple``
-    The original engines over interned Python objects -- lowest constant
-    setup cost, no restrictions, and the reference semantics every other
-    backend is differential-tested against.
+    The clauses matched over interned Python objects
+    (:func:`repro.engine.chase.run_clause_program` for an exchange) --
+    lowest constant setup cost, no restrictions, and the reference
+    semantics every other backend is differential-tested against.
 ``columnar``
-    :mod:`repro.engine.columnar` -- facts as dense integer arrays with
-    index-seeded integer joins.  Same round-by-round semantics as the tuple
-    engine (bounded runs agree exactly); pays an encode pass up front.
+    :mod:`repro.engine.columnar` -- the clauses over dense integer arrays
+    with index-seeded integer joins.  Same round-by-round semantics as the
+    tuple engine (bounded runs agree exactly); pays an encode pass up front.
 ``sql``
-    :mod:`repro.engine.sql_backend` -- the program compiled to SQLite
+    :mod:`repro.engine.sql_backend` -- the clauses compiled to SQLite
     ``INSERT ... SELECT`` statements (semi-naive delta loop for fixpoints).
     Highest setup cost, by far the fastest joins at scale; only available
     for SQL-compilable clause programs, and a fixpoint run should be

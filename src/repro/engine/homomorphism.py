@@ -8,136 +8,16 @@ interact, and ground facts of J1 must simply occur in J2.
 
 The search itself lives in :mod:`repro.engine.hom_kernel` (index-seeded
 candidates, AC-3 domain pruning, most-constrained-null ordering); this
-module keeps the public API and the legacy fact-at-a-time backtracker
-(`_block_homomorphism`), which the naive core baseline still exercises.
+module keeps the public API.  The unindexed reference search is
+:func:`repro.engine.naive.find_homomorphism_naive`.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import defaultdict
 from typing import Mapping
 
-from repro import perf
-from repro.logic.atoms import Atom
 from repro.logic.instances import Instance
 from repro.logic.values import is_null
-
-
-def _order_block(facts: list[Atom], fixed_nulls: set) -> list[Atom]:
-    """Order facts so that consecutive facts share nulls with earlier ones.
-
-    Greedy most-connected-first, implemented with a lazy max-heap over
-    (known-null count, -new-null count, index) scores: each fact's null set
-    is computed once, and a fact is rescored only when one of its nulls
-    becomes known, so the ordering is near-linear in the total number of
-    null occurrences (the old version rescored every remaining fact per
-    pick: O(n^2) per block).
-    """
-    null_sets = [set(fact.nulls()) for fact in facts]
-    facts_of_null: dict[object, list[int]] = defaultdict(list)
-    for index, nulls in enumerate(null_sets):
-        for null in nulls:
-            facts_of_null[null].append(index)
-    known: set = set(fixed_nulls)
-    known_counts = [len(nulls & known) for nulls in null_sets]
-
-    def entry(index: int) -> tuple[int, int, int]:
-        # Max known-null overlap first, fewest new nulls as tie-break, then
-        # position for determinism (matches the old first-max-wins scan).
-        return (-known_counts[index], len(null_sets[index]) - known_counts[index], index)
-
-    heap = [entry(index) for index in range(len(facts))]
-    heapq.heapify(heap)
-    placed = [False] * len(facts)
-    ordered: list[Atom] = []
-    while heap:
-        popped = heapq.heappop(heap)
-        index = popped[2]
-        if placed[index]:
-            continue
-        if popped != entry(index):
-            # Stale score (a null of this fact became known since the push);
-            # the fresher, better entry is already in the heap.
-            continue
-        placed[index] = True
-        ordered.append(facts[index])
-        for null in null_sets[index]:
-            if null in known:
-                continue
-            known.add(null)
-            for other in facts_of_null[null]:
-                if not placed[other]:
-                    known_counts[other] += 1
-                    heapq.heappush(heap, entry(other))
-    return ordered
-
-
-def _match_fact(query: Atom, target: Atom, mapping: dict) -> dict | None:
-    """Unify *query* (with nulls as unknowns) against *target* under *mapping*."""
-    if query.relation != target.relation or query.arity != target.arity:
-        return None
-    new_bindings: dict = {}
-    for arg, value in zip(query.args, target.args):
-        if is_null(arg):
-            existing = mapping.get(arg, new_bindings.get(arg))
-            if existing is None:
-                new_bindings[arg] = value
-            elif existing != value:
-                return None
-        elif arg != value:
-            return None
-    return new_bindings
-
-
-def _candidates(query: Atom, target: Instance, mapping: dict) -> list[Atom]:
-    best: list[Atom] | None = None
-    for pos, arg in enumerate(query.args):
-        value = mapping.get(arg) if is_null(arg) else arg
-        if value is None:
-            continue
-        candidates = target.facts_with(query.relation, pos, value)
-        if best is None or len(candidates) < len(best):
-            best = candidates
-            if not best:
-                return []
-    if best is not None:
-        return best
-    return target.facts_of(query.relation)
-
-
-def _block_homomorphism(
-    facts: list[Atom], target: Instance, fixed: Mapping
-) -> dict | None:
-    """Find a mapping of the nulls of *facts* sending every fact into *target*."""
-    fixed_nulls = {n for n in fixed if is_null(n)}
-    ordered = _order_block(facts, fixed_nulls)
-    mapping: dict = dict(fixed)
-    backtracks = 0
-
-    def search(index: int) -> dict | None:
-        nonlocal backtracks
-        if index == len(ordered):
-            return dict(mapping)
-        query = ordered[index]
-        for candidate in _candidates(query, target, mapping):
-            new_bindings = _match_fact(query, candidate, mapping)
-            if new_bindings is None:
-                backtracks += 1
-                continue
-            mapping.update(new_bindings)
-            result = search(index + 1)
-            if result is not None:
-                return result
-            backtracks += 1
-            for null in new_bindings:
-                del mapping[null]
-        return None
-
-    result = search(0)
-    if backtracks:
-        perf.incr("hom.backtracks", backtracks)
-    return result
 
 
 def find_homomorphism(

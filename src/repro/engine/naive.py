@@ -122,13 +122,13 @@ def core_naive(instance: Instance) -> Instance:
     :func:`repro.engine.core_instance.core` -- null ``x`` is eliminable when
     its f-block maps into the instance minus the facts containing ``x`` --
     but implemented the way the seed did: a *restricted immutable instance*
-    is rebuilt per candidate null (full re-indexing), the legacy ordered
-    backtracker searches it, and each elimination restarts the whole scan.
+    is rebuilt per candidate null (full re-indexing),
+    :func:`find_homomorphism_naive` searches it from the block's facts, and
+    each elimination restarts the whole scan.
     Kept as the oracle for differential tests (cores agree up to isomorphism)
     and as the baseline of ``benchmarks/bench_scaling_hom.py``.
     """
     from repro.engine.gaifman import fact_blocks
-    from repro.engine.homomorphism import _block_homomorphism
 
     def try_eliminate(current: Instance) -> Instance | None:
         for block in fact_blocks(current):
@@ -139,7 +139,7 @@ def core_naive(instance: Instance) -> Instance:
             )
             for null in block_nulls:
                 target = current.restrict(lambda fact: null not in fact.args)
-                mapping = _block_homomorphism(block_facts, target, {})
+                mapping = find_homomorphism_naive(Instance(block_facts), target)
                 if mapping is not None:
                     return current.map_values(mapping)
         return None

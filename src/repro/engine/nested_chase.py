@@ -12,6 +12,10 @@ recursively.
 This module materializes the *chase forest*: one chase tree per root
 triggering.  Two facts produced in distinct chase trees share no nulls --
 one of the two key underpinnings of the paper's decidability results.
+
+The forest serves realizability, provenance and rendering; it is not an
+exchange path.  :func:`repro.engine.chase.chase` runs the Skolemization
+instead, whose facts equal the forest's, labels included.
 """
 
 from __future__ import annotations

@@ -2,11 +2,13 @@
 
 Every nested tgd flattens (via Skolemization, Section 2 of the paper) into
 clauses ``body_atoms -> head_atom`` whose head arguments are variables or
-Skolem terms.  Each clause compiles to one statement::
+Skolem terms; the clauses are those of
+:func:`repro.engine.chase.compile_clause_program`, so the Skolem names match
+``chase``'s.  Each head atom of a clause compiles to one statement::
 
     INSERT INTO T
     SELECT DISTINCT a0.c1,
-           'f_y(' || length(a0.c0) || ':' || a0.c0 || ',' || ... || ')'
+           't0_y(' || length(a0.c0) || ':' || a0.c0 || ',' || ... || ')'
     FROM S AS a0, S AS a1
     WHERE a0.c0 = a1.c0
 
@@ -37,9 +39,10 @@ from typing import Sequence
 from repro.errors import DependencyError
 from repro.logic.atoms import Atom
 from repro.logic.instances import Instance
-from repro.logic.nested import nested_tgds_from
+from repro.logic.nested import NestedTgd
 from repro.logic.schema import Schema
 from repro.logic.terms import FuncTerm
+from repro.logic.tgds import STTgd
 from repro.logic.values import Constant, Null, Variable
 
 
@@ -127,17 +130,26 @@ class _ClauseCompiler:
 def compile_mapping_to_sql(dependencies) -> list[str]:
     """Compile a nested GLAV mapping to a list of INSERT ... SELECT statements.
 
+    The statements run :func:`repro.engine.chase.compile_clause_program`, so
+    over tables holding a source instance they produce exactly
+    ``render_instance_values(chase(source, dependencies))``, Skolem labels
+    included.
+
         >>> from repro.logic.parser import parse_tgd
         >>> compile_mapping_to_sql([parse_tgd("S(x,y) -> R(y,x)")])
         ['INSERT INTO R SELECT DISTINCT a0.c1, a0.c0 FROM S AS a0']
     """
+    from repro.engine.chase import compile_clause_program
+
+    dependencies = list(dependencies)
+    for dep in dependencies:
+        if not isinstance(dep, (STTgd, NestedTgd)):
+            raise DependencyError(f"expected an s-t tgd or nested tgd, got {dep!r}")
     statements: list[str] = []
-    for index, tgd in enumerate(nested_tgds_from(dependencies)):
-        so = tgd.skolemize(function_prefix=f"d{index}_")
-        for clause in so.clauses:
-            compiler = _ClauseCompiler(clause.body)
-            for head_atom in clause.head:
-                statements.append(compiler.insert_statement(head_atom))
+    for clause in compile_clause_program(dependencies):
+        compiler = _ClauseCompiler(clause.body)
+        for head_atom in clause.head:
+            statements.append(compiler.insert_statement(head_atom))
     return statements
 
 

@@ -13,14 +13,14 @@ Counter names are dotted strings, grouped by subsystem:
 ========================  =====================================================
 ``chase.rounds``          fixpoint rounds run by the egd chase
 ``chase.delta_facts``     facts in the deltas matched by semi-naive rounds
-``chase.triggers``        triggers fired (standard chase) / triggerings
-                          created (nested chase)
+``chase.triggers``        triggers fired: clause emissions (oblivious
+                          chase), fired triggers (standard chase),
+                          triggerings created (``chase_nested`` forest)
 ``chase.facts``           facts emitted by the oblivious chase engines
 ``chase.fixpoint_rounds``  rounds run by ``engine.fixpoint_chase``
-``match.memo_hits``       nested-chase child-match memoization hits
+``match.memo_hits``       child-match memoization hits of the
+                          ``chase_nested`` forest
 ``hom.backtracks``        value choices undone during homomorphism search
-                          (kernel) / candidate facts rejected (legacy
-                          backtracker)
 ``hom.kernel_calls``      calls into the indexed homomorphism kernel
 ``hom.ac3_revisions``     per-fact candidate revisions during AC-3
                           propagation

@@ -1,8 +1,18 @@
 """Tests for the recursive-triggering chase for nested tgds (Section 3)."""
 
+import hypothesis.strategies as st
+from hypothesis import HealthCheck, given, settings
+
 from repro.core.patterns import Pattern
+from repro.engine.chase import chase
 from repro.engine.nested_chase import chase_nested
-from repro.logic.parser import parse_instance, parse_nested_tgd
+from repro.logic.atoms import Atom
+from repro.logic.parser import parse_instance, parse_nested_tgd, parse_so_tgd, parse_tgd
+from repro.logic.terms import FuncTerm
+from repro.logic.values import Constant
+from repro.workloads.generators import random_instance
+
+from tests.strategies import SOURCE_RELATIONS, nested_tgds
 
 
 class TestTriggeringStructure:
@@ -88,3 +98,36 @@ class TestAgreementWithSkolemizedChase:
         nested_result = chase_nested(source, sigma_star).instance
         so_result = chase_so_tgd(source, sigma_star.skolemize())
         assert nested_result.isomorphic(so_result)
+
+
+class TestChaseEqualsForest:
+    """``chase`` runs the Skolemized clause program; its facts, null labels
+    included, must equal the Section 3 forest's.  Chase results cached on
+    disk are keyed only by (source, dependencies), so they rely on it."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given(tgd=nested_tgds(max_depth=3, max_children=2),
+           seed=st.integers(0, 10_000))
+    def test_chase_equals_forest_with_labels(self, tgd, seed):
+        source = random_instance(SOURCE_RELATIONS, fact_count=6, domain_size=3, seed=seed)
+        forest = chase_nested(source, tgd, function_prefix="d0_")
+        assert chase(source, [tgd]).facts == forest.instance.facts
+
+    def test_mixed_dependency_labels(self):
+        deps = [
+            parse_nested_tgd("S(x1,x2) -> exists y . (R(y,x2) & (S(x1,x3) -> R(y,x3)))"),
+            parse_tgd("S(x,y) -> exists z . P(x,z)"),
+            parse_so_tgd("S(x,y) -> U(f(x), y)"),
+        ]
+        a, b, c = Constant("a"), Constant("b"), Constant("c")
+        y_ab, y_ac = FuncTerm("d0_f_y", (a, b)), FuncTerm("d0_f_y", (a, c))
+        expected = {
+            Atom("R", (y_ab, b)), Atom("R", (y_ab, c)),
+            Atom("R", (y_ac, b)), Atom("R", (y_ac, c)),
+            Atom("P", (a, FuncTerm("t0_z", (a, b)))),
+            Atom("P", (a, FuncTerm("t0_z", (a, c)))),
+            Atom("U", (FuncTerm("d2_f", (a,)), b)),
+            Atom("U", (FuncTerm("d2_f", (a,)), c)),
+        }
+        assert chase(parse_instance("S(a,b), S(a,c)"), deps).facts == expected
