@@ -350,8 +350,7 @@ def engine_counters() -> None:
         f"sql core (same star): blocks = {stats.get('core.sql.blocks')}, "
         f"queries = {stats.get('core.sql.queries')}, "
         f"eliminations = {stats.get('core.sql.eliminations')}, "
-        f"rigid blocks = {stats.get('core.sql.rigid_blocks')}, "
-        f"duckdb sessions = {stats.get('core.sql.duckdb_sessions')} "
+        f"rigid blocks = {stats.get('core.sql.rigid_blocks')} "
         f"(core size {len(folded)})"
     )
 

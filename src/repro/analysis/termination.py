@@ -8,10 +8,11 @@ Kolaitis, Miller, and Popa (the position/dependency graph with special
 edges) gives a broad decidable sufficient condition, and this module
 implements it for every formalism of the library.
 
-Every dependency is first Skolemized (s-t tgds via
-:meth:`repro.logic.tgds.STTgd.skolem_head`, nested tgds via
-:meth:`repro.logic.nested.NestedTgd.skolemize`, SO tgds clause-wise), so one
-uniform clause shape ``body atoms -> head atoms over terms`` feeds the graph
+Every dependency is first Skolemized by the fixpoint chase's clause
+compiler (s-t tgds via :meth:`repro.logic.tgds.STTgd.skolem_head`, nested
+tgds via :meth:`repro.logic.nested.NestedTgd.skolemize`, SO tgds
+clause-wise, each dependency's functions renamed apart), so one uniform
+clause shape ``body atoms -> head atoms over terms`` feeds the graph
 construction.  The *position graph* has a node ``(R, i)`` for every position
 of every relation and, for each clause and each universal variable ``x``
 occurring at body position ``p``:
@@ -167,9 +168,12 @@ def dependency_graph_ir(dependencies: Iterable[object]) -> DependencyGraphIR:
     """Build the shared dependency-graph IR of a dependency set.
 
     Egds contribute positions only; tgds of every formalism are Skolemized
-    into clauses exactly as :mod:`repro.engine.fixpoint_chase` runs them, so
-    the analyses built on this IR are faithful to the engine's chase.
+    by the fixpoint chase's own clause compiler, Skolem functions renamed
+    apart per dependency, so the analyses built on this IR classify exactly
+    the program the engine runs.
     """
+    from repro.engine.fixpoint_chase import _clauses_of_dependency
+
     clauses: list[ClauseIR] = []
     positions: set[Position] = set()
     for index, dep in enumerate(dependencies):
@@ -178,8 +182,10 @@ def dependency_graph_ir(dependencies: Iterable[object]) -> DependencyGraphIR:
                 for i in range(atom.arity):
                     positions.add((atom.relation, i))
             continue
-        for cid, (body, head) in enumerate(_skolem_clauses(dep, index)):
-            clauses.append(_clause_ir(f"d{index}.{cid}", body, head))
+        if not isinstance(dep, (STTgd, NestedTgd, SOTgd)):
+            raise DependencyError(f"cannot analyze termination of dependency {dep!r}")
+        for cid, clause in enumerate(_clauses_of_dependency(dep, index)):
+            clauses.append(_clause_ir(f"d{index}.{cid}", clause.body, clause.head))
     for clause in clauses:
         for atom in clause.body + clause.head:
             for i in range(atom.arity):
@@ -224,23 +230,6 @@ class TerminationReport:
                 else [format_position(p) for p in self.witness_cycle]
             ),
         }
-
-
-def _skolem_clauses(dep: object, index: int) -> list[tuple[tuple[Atom, ...], tuple[Atom, ...]]]:
-    """Normalize one dependency into Skolemized ``(body, head)`` clauses.
-
-    s-t tgds are Skolemized directly (they may legally share source and
-    target relations -- that is what makes divergence expressible); nested
-    tgds and SO tgds contribute one clause per part/clause.
-    """
-    if isinstance(dep, STTgd):
-        return [(dep.body, dep.skolem_head(lambda var: f"d{index}_f_{var.name}"))]
-    if isinstance(dep, NestedTgd):
-        skolemized = dep.skolemize(function_prefix=f"d{index}_")
-        return [(clause.body, clause.head) for clause in skolemized.clauses]
-    if isinstance(dep, SOTgd):
-        return [(clause.body, clause.head) for clause in dep.clauses]
-    raise DependencyError(f"cannot analyze termination of dependency {dep!r}")
 
 
 def position_graph_of_ir(ir: DependencyGraphIR) -> "nx.DiGraph":

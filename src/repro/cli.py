@@ -97,30 +97,16 @@ def _run_exchange_backend(args):
     Returns ``(source, result, choice)``; every backend produces the exact
     fact set of ``chase(source, deps)`` (same ground-Skolem-term nulls).
     """
-    from repro.engine.chase import chase, compile_clause_program
+    from repro.engine.chase import compile_clause_program
     from repro.engine.dispatch import choose_backend
+    from repro.export.sql import execute_exchange
 
     deps = _dependencies(args)
     source = parse_instance(args.instance)
-    clauses = compile_clause_program(deps)
     choice = choose_backend(
-        args.backend, input_size=len(source), clauses=clauses, certified=True
+        args.backend, input_size=len(source), clauses=compile_clause_program(deps)
     )
-    if choice.backend == "sql":
-        from repro.engine.sql_backend import (
-            check_sql_backend_supported,
-            sql_execute_exchange,
-        )
-
-        check_sql_backend_supported(clauses, what="exchange")
-        result = sql_execute_exchange(source, clauses)
-    elif choice.backend == "columnar":
-        from repro.engine.columnar import columnar_execute_exchange
-
-        result = columnar_execute_exchange(source, clauses)
-    else:
-        result = chase(source, deps)
-    return source, result, choice
+    return source, execute_exchange(source, deps, backend=choice.backend), choice
 
 
 def _backend_banner(source, result, choice) -> str:

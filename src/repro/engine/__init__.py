@@ -10,14 +10,15 @@
 - :mod:`repro.engine.nested_chase` -- recursive-triggering chase for nested tgds
   with materialized chase forests (Section 3 of the paper);
 - :mod:`repro.engine.egd_chase` -- egd chase on source instances;
-- :mod:`repro.engine.fixpoint_chase` -- oblivious chase iterated to a fixpoint,
-  gated by the static weak-acyclicity verdict;
+- :mod:`repro.engine.fixpoint_chase` -- semi-naive oblivious chase iterated
+  to a fixpoint, gated by the static termination hierarchy;
 - :mod:`repro.engine.columnar` -- columnar fact store (dense integer arrays)
-  with vectorized semi-naive trigger matching;
-- :mod:`repro.engine.sql_backend` -- chase programs compiled to SQLite
-  (SQL pushdown), results decoded back through the intern tables;
+  with integer trigger matching for the single-pass exchange;
+- :mod:`repro.engine.sql_backend` -- exchange programs and core eliminations
+  compiled to SQLite (SQL pushdown), results decoded back through the intern
+  tables;
 - :mod:`repro.engine.dispatch` -- backend selection (tuple / columnar / sql
-  / auto) for the chase entry points;
+  / auto) for the single-pass exchange and for cores;
 - :mod:`repro.engine.model_check` -- ``(I, J) |= sigma`` for every formalism.
 """
 

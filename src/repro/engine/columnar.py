@@ -23,10 +23,9 @@ Three layers:
   position lists resolved to environment *slots*, and head/equality term
   builders that produce value ids directly (with a per-(function, arg-ids)
   cache, so re-firing a trigger never rebuilds its Skolem term).
-- :func:`columnar_fixpoint_rounds` / :func:`columnar_execute_exchange` --
-  the semi-naive delta loop and the single-pass exchange, mirroring the
-  tuple engines round for round (same delta discipline, same intra-round
-  visibility), so bounded runs agree with the tuple engine exactly.
+- :func:`columnar_execute_exchange` -- the single-pass exchange: every
+  clause matched over the source store and emitted into a target store,
+  deriving exactly the fact set of :func:`repro.engine.chase.chase`.
 
 Perf counters: ``backend.columnar.joins`` (per-atom index joins performed),
 ``backend.columnar.encoded_rows`` / ``backend.columnar.decoded_rows`` (facts
@@ -50,7 +49,7 @@ from array import array
 from typing import Collection, Iterable, Iterator, Sequence
 
 from repro import perf
-from repro.errors import BudgetExceeded, ChaseError
+from repro.errors import ChaseError
 from repro.logic.atoms import Atom
 from repro.logic.instances import Instance
 from repro.logic.sotgd import SOClause
@@ -461,7 +460,7 @@ def _make_builder(term: object, slot_of: dict[Variable, int], store: ColumnarIns
 
 
 class _ClausePlan:
-    """A Skolemized clause compiled against one (or a pair of) stores."""
+    """A Skolemized clause compiled against a source and a target store."""
 
     def __init__(self, clause: SOClause, source: ColumnarInstance, target: ColumnarInstance):
         self.clause = clause
@@ -487,34 +486,6 @@ class _ClausePlan:
             )
             for atom in clause.head
         )
-        self._full_steps: list[_AtomStep] | None = None
-        self._seeded_steps: dict[int, tuple[_AtomStep, list[_AtomStep]]] = {}
-
-    def full_steps(self) -> list[_AtomStep]:
-        if self._full_steps is None:
-            bound: set[Variable] = set()
-            self._full_steps = [
-                _AtomStep(atom, self.slot_of, bound)
-                for atom in _order_atoms(self.clause.body, set())
-            ]
-        return self._full_steps
-
-    def seeded_steps(self, seed_index: int) -> tuple[_AtomStep, list[_AtomStep]]:
-        """The plan seeding atom *seed_index* from a delta row: (seed, rest)."""
-        cached = self._seeded_steps.get(seed_index)
-        if cached is None:
-            body = self.clause.body
-            seed_atom = body[seed_index]
-            bound: set[Variable] = set()
-            seed = _AtomStep(seed_atom, self.slot_of, bound)
-            rest_atoms = body[:seed_index] + body[seed_index + 1:]
-            rest = [
-                _AtomStep(atom, self.slot_of, bound)
-                for atom in _order_atoms(rest_atoms, set(bound))
-            ]
-            cached = (seed, rest)
-            self._seeded_steps[seed_index] = cached
-        return cached
 
     # ---------------------------------------------------------------- matching
 
@@ -581,65 +552,34 @@ class _ClausePlan:
 
         The yielded list is *borrowed*: it is mutated by the next step of the
         iteration, so callers must consume (or copy) it before advancing.
-        Safe to feed straight into :meth:`emit` when the plan's target store
-        is distinct from its source store (the exchange case).
+        Safe to feed straight into :meth:`emit`: the plan's target store is
+        distinct from its source store.
         """
+        bound: set[Variable] = set()
+        steps = [
+            _AtomStep(atom, self.slot_of, bound)
+            for atom in _order_atoms(self.clause.body, set())
+        ]
         env = [-1] * self.slots
-        return self._match(self.full_steps(), 0, env, stats)
-
-    def full_assignments(self, stats: "_Stats") -> list[tuple[int, ...]]:
-        """Every satisfying environment over the full source store."""
-        return [tuple(e) for e in self.stream_assignments(stats)]
-
-    def delta_assignments(
-        self, delta: dict[tuple[str, int], list[int]], stats: "_Stats"
-    ) -> list[tuple[int, ...]]:
-        """Environments whose match uses at least one delta row (deduplicated)."""
-        seen: set[tuple[int, ...]] = set()
-        out: list[tuple[int, ...]] = []
-        body = self.clause.body
-        for seed_index, atom in enumerate(body):
-            rows = delta.get((atom.relation, atom.arity))
-            if not rows:
-                continue
-            seed, rest = self.seeded_steps(seed_index)
-            group = self.source.group(atom.relation, atom.arity)
-            columns = group.columns
-            for row in rows:
-                env = [-1] * self.slots
-                ok = True
-                for position, slot in seed.binds:
-                    env[slot] = columns[position][row]
-                for position, slot in seed.local_checks:
-                    if columns[position][row] != env[slot]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                stats.joins += 1
-                for result in self._match(rest, 0, env, stats):
-                    key = tuple(result)
-                    if key not in seen:
-                        seen.add(key)
-                        out.append(key)
-        return out
+        return self._match(steps, 0, env, stats)
 
     # ---------------------------------------------------------------- emission
 
-    def emit(self, env: Sequence[int]) -> Iterator[tuple[_RelGroup, int]]:
-        """Yield the (group, row) of each genuinely new head fact.
+    def emit(self, env: Sequence[int]) -> int:
+        """Add the head facts of *env* to the target store; count the new ones.
 
         *env* is read, never written, so streamed (borrowed) environments
         from :meth:`stream_assignments` are safe to pass directly.
         """
         for left, right in self.equalities:
             if left(env) != right(env):
-                return
+                return 0
         target = self.target
+        new = 0
         for group, builders in self.heads:
-            row = target.add_row(group, tuple(builder(env) for builder in builders))
-            if row is not None:
-                yield group, row
+            if target.add_row(group, tuple(builder(env) for builder in builders)) is not None:
+                new += 1
+        return new
 
 
 class _Stats:
@@ -653,63 +593,7 @@ class _Stats:
             perf.incr("backend.columnar.joins", self.joins)
 
 
-# ----------------------------------------------------------------- engines
-
-
-def columnar_fixpoint_rounds(
-    store: ColumnarInstance,
-    clauses: Sequence[SOClause],
-    *,
-    max_rounds: int | None = None,
-    budget: int | None = None,
-    predicted: int | None = None,
-    fact_hook=None,
-) -> tuple[int, bool]:
-    """Iterate *clauses* over *store* to a fixpoint, semi-naively, in place.
-
-    Mirrors the tuple engine's loop exactly -- same per-round delta
-    discipline and intra-round visibility -- so a bounded run derives the
-    same facts in the same number of rounds.  Returns ``(rounds,
-    reached_fixpoint)``.
-    """
-    plans = [_ClausePlan(clause, store, store) for clause in clauses]
-    stats = _Stats()
-    total_facts = len(store)
-    rounds = 0
-    changed = True
-    delta: dict[tuple[str, int], list[int]] | None = None
-    try:
-        while changed and (max_rounds is None or rounds < max_rounds):
-            changed = False
-            rounds += 1
-            perf.incr("chase.fixpoint_rounds")
-            new_delta: dict[tuple[str, int], list[int]] = {}
-            for plan in plans:
-                if delta is None:
-                    assignments = plan.full_assignments(stats)
-                else:
-                    assignments = plan.delta_assignments(delta, stats)
-                for assignment in assignments:
-                    for group, row in plan.emit(assignment):
-                        changed = True
-                        new_delta.setdefault(
-                            (group.relation, group.arity), []
-                        ).append(row)
-                        perf.incr("chase.facts")
-                        total_facts += 1
-                        if budget is not None and total_facts > budget:
-                            raise BudgetExceeded(
-                                "fixpoint chase", budget, predicted=predicted,
-                                hint="Lint finding CC002 predicts the "
-                                "chase-size bound; raise budget= or bound "
-                                "the run with max_rounds=.",
-                            )
-                        if fact_hook is not None:
-                            fact_hook(store.decode_row(group, row))
-            delta = new_delta
-    finally:
-        stats.flush()
-    return rounds, not changed
+# ---------------------------------------------------------------- exchange
 
 
 def columnar_execute_exchange(
@@ -734,8 +618,7 @@ def columnar_execute_exchange(
             # and emits into a distinct target store, so emission can never
             # invalidate the in-flight iteration.
             for env in plan.stream_assignments(stats):
-                for _ in plan.emit(env):
-                    facts += 1
+                facts += plan.emit(env)
         perf.incr("chase.facts", facts)
     finally:
         stats.flush()
@@ -746,5 +629,4 @@ __all__ = [
     "ColumnarInstance",
     "ValueTable",
     "columnar_execute_exchange",
-    "columnar_fixpoint_rounds",
 ]

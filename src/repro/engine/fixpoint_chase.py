@@ -29,10 +29,12 @@ per-relation tier bound of :func:`repro.analysis.frontier.frontier_report`,
 whichever is tighter) already prove the chase fits, the cap costs nothing
 at runtime; otherwise every derived fact counts against it and crossing it
 raises :class:`~repro.errors.BudgetExceeded` immediately instead of
-grinding on a blowup (lint finding ``CC002`` predicts this).  The
-``"auto"`` backend additionally consults the complexity tier: bounded runs
-of non-elementary-tier (uncertified) sets get a default fact budget so a
-runaway chase fails fast.
+grinding on a blowup (lint finding ``CC002`` predicts this).
+
+The loop is semi-naive: after the first round, a clause fires only on
+matches that use at least one fact derived in the previous round.  It is
+the one fixpoint engine; the columnar and SQL backends of
+:mod:`repro.engine.dispatch` serve the single-pass exchange only.
 
 Nulls are ground Skolem terms, exactly as in the single-pass engines, so
 re-firing a trigger re-derives the *same* fact and the fixpoint is
@@ -64,7 +66,6 @@ from repro.engine.matching import find_delta_matches, find_matches
 
 if TYPE_CHECKING:
     from repro.analysis.acyclicity import TerminationClass
-    from repro.analysis.frontier import ComplexityTier
     from repro.analysis.termination import TerminationReport
 
 
@@ -84,29 +85,35 @@ class FixpointChaseResult:
     reached_fixpoint: bool
     termination: TerminationReport
     termination_class: "TerminationClass | None" = None
-    #: The backend that actually executed the run ("tuple"/"columnar"/"sql").
-    backend: str = "tuple"
-    #: The complexity tier the "auto" policy consulted (None otherwise).
-    tier: "ComplexityTier | None" = None
 
     def __iter__(self) -> "Iterator[Atom]":
         return iter(self.instance)
 
 
+def _clauses_of_dependency(dep: object, index: int) -> list[SOClause]:
+    """Skolemize the tgd at *index* of a set, its functions prefixed ``d{index}_``.
+
+    The prefix renames every dependency's Skolem functions apart, so two
+    tgds never share a null.  The termination analyses build their
+    dependency graph from these same clauses.
+    """
+    if isinstance(dep, STTgd):
+        head = dep.skolem_head(lambda var: f"d{index}_f_{var.name}")
+        return [SOClause(body=dep.body, equalities=(), head=head)]
+    if isinstance(dep, NestedTgd):
+        return list(dep.skolemize(function_prefix=f"d{index}_").clauses)
+    if isinstance(dep, SOTgd):
+        return list(_rename_functions_apart(dep, f"d{index}_").clauses)
+    raise ChaseError(f"fixpoint chase cannot run dependency {dep!r}")
+
+
 def _clauses_of(dependencies: Sequence[object]) -> list[SOClause]:
     """Normalize tgds of any formalism into Skolemized clauses, renamed apart."""
-    clauses: list[SOClause] = []
-    for index, dep in enumerate(dependencies):
-        if isinstance(dep, STTgd):
-            head = dep.skolem_head(lambda var: f"d{index}_f_{var.name}")
-            clauses.append(SOClause(body=dep.body, equalities=(), head=head))
-        elif isinstance(dep, NestedTgd):
-            clauses.extend(dep.skolemize(function_prefix=f"d{index}_").clauses)
-        elif isinstance(dep, SOTgd):
-            clauses.extend(_rename_functions_apart(dep, f"d{index}_").clauses)
-        else:
-            raise ChaseError(f"fixpoint chase cannot run dependency {dep!r}")
-    return clauses
+    return [
+        clause
+        for index, dep in enumerate(dependencies)
+        for clause in _clauses_of_dependency(dep, index)
+    ]
 
 
 def fixpoint_chase(
@@ -116,7 +123,6 @@ def fixpoint_chase(
     max_rounds: int | None = None,
     budget: int | None = None,
     fact_hook: "Callable[[Atom], None] | None" = None,
-    backend: str = "tuple",
 ) -> FixpointChaseResult:
     """Chase *instance* with tgds of any formalism until a fixpoint.
 
@@ -136,19 +142,6 @@ def fixpoint_chase(
     *fact_hook* is called with every newly derived fact (the MFA test of the
     acyclicity analysis watches the critical-instance chase through it);
     exceptions it raises propagate to the caller.
-
-    *backend* selects the execution engine: ``"tuple"`` (the reference
-    engine below), ``"columnar"`` (:mod:`repro.engine.columnar`; identical
-    round-by-round semantics over dense integer arrays), ``"sql"``
-    (:mod:`repro.engine.sql_backend`; semi-naive SQLite pushdown -- derives
-    the same fixpoint, though a round there only sees the previous round's
-    facts, so bounded runs can need more rounds than the tuple engine), or
-    ``"auto"`` (:func:`repro.engine.dispatch.choose_backend` picks by
-    instance size, the static certification, and the complexity tier:
-    PTIME-tier programs reach SQL pushdown at a lower threshold, and
-    bounded runs of non-elementary-tier programs get a default fact
-    budget).  The result's ``backend`` and ``tier`` fields record which
-    engine actually ran and which tier the policy consulted.
     """
     from repro.analysis.termination import termination_report
 
@@ -178,27 +171,18 @@ def fixpoint_chase(
 
     enforce_budget = budget is not None
     predicted: int | None = None
-    total_facts = 0
-    frontier = None
-    if budget is not None or backend == "auto":
-        # Both the budget check and the "auto" policy want the frontier
-        # certificate: the former for the tightest static fact bound, the
-        # latter for the complexity tier.
-        from repro.analysis.frontier import frontier_report
-
-        if hierarchy is None:
-            from repro.analysis.acyclicity import classify_termination
-
-            hierarchy = classify_termination(deps, weak=verdict)
-        frontier = frontier_report(deps, verdict=hierarchy)
-    if budget is not None and frontier is not None:
+    total_facts = len(instance)
+    if budget is not None:
+        # The frontier certificate gives the tightest static fact bound.
+        from repro.analysis.acyclicity import classify_termination
         from repro.analysis.cost import chase_budget
 
+        if hierarchy is None:
+            hierarchy = classify_termination(deps, weak=verdict)
         domain = {value for fact in instance for value in fact.args}
         predicted = chase_budget(deps, len(domain), verdict=hierarchy)
         if predicted is not None and predicted <= budget:
             enforce_budget = False  # statically certified to fit the budget
-        total_facts = len(instance)
         if enforce_budget and total_facts > budget:
             raise BudgetExceeded(
                 "fixpoint chase", budget, predicted=predicted,
@@ -206,82 +190,6 @@ def fixpoint_chase(
             )
 
     clauses = _clauses_of(deps)
-
-    from repro.engine.dispatch import choose_backend
-
-    certified = verdict.weakly_acyclic or (
-        hierarchy is not None and hierarchy.guarantees_termination
-    )
-    choice = choose_backend(
-        backend,
-        input_size=len(instance),
-        clauses=clauses,
-        certified=certified,
-        needs_fact_stream=fact_hook is not None,
-        tier=frontier.tier.tier if frontier is not None else None,
-    )
-    if budget is None and choice.forced_budget is not None:
-        # "auto" caps bounded runs of non-elementary-tier sets; no static
-        # bound exists for them, so the cap is always enforced.
-        budget = choice.forced_budget
-        enforce_budget = True
-        total_facts = len(instance)
-        if total_facts > budget:
-            raise BudgetExceeded(
-                "fixpoint chase", budget, predicted=None,
-                hint="The input instance alone exceeds the automatic budget "
-                "imposed on non-elementary-tier programs; pass budget= "
-                "explicitly to raise it.",
-            )
-
-    def finish(result: Instance, rounds: int, reached: bool) -> FixpointChaseResult:
-        if hierarchy is not None:
-            termination_class = hierarchy.cls
-        elif verdict.weakly_acyclic:
-            from repro.analysis.acyclicity import TerminationClass
-
-            termination_class = TerminationClass.WEAKLY_ACYCLIC
-        else:
-            termination_class = None
-        return FixpointChaseResult(
-            instance=result,
-            rounds=rounds,
-            reached_fixpoint=reached,
-            termination=verdict,
-            termination_class=termination_class,
-            backend=choice.backend,
-            tier=choice.tier,
-        )
-
-    if choice.backend == "columnar":
-        from repro.engine.columnar import ColumnarInstance, columnar_fixpoint_rounds
-
-        store = ColumnarInstance(instance)
-        rounds, reached = columnar_fixpoint_rounds(
-            store,
-            clauses,
-            max_rounds=max_rounds,
-            budget=budget if enforce_budget else None,
-            predicted=predicted,
-            fact_hook=fact_hook,
-        )
-        return finish(store.to_instance(), rounds, reached)
-    if choice.backend == "sql":
-        from repro.engine.sql_backend import (
-            check_sql_backend_supported,
-            sql_fixpoint_chase,
-        )
-
-        check_sql_backend_supported(clauses, what="fixpoint chase")
-        result, rounds, reached = sql_fixpoint_chase(
-            instance,
-            clauses,
-            max_rounds=max_rounds,
-            budget=budget if enforce_budget else None,
-            predicted=predicted,
-        )
-        return finish(result, rounds, reached)
-
     builder = InstanceBuilder(instance)
     rounds = 0
     changed = True
@@ -325,7 +233,21 @@ def fixpoint_chase(
                         if fact_hook is not None:
                             fact_hook(fact)
         delta = new_delta
-    return finish(builder.freeze(), rounds, not changed)
+    if hierarchy is not None:
+        termination_class = hierarchy.cls
+    elif verdict.weakly_acyclic:
+        from repro.analysis.acyclicity import TerminationClass
+
+        termination_class = TerminationClass.WEAKLY_ACYCLIC
+    else:
+        termination_class = None
+    return FixpointChaseResult(
+        instance=builder.freeze(),
+        rounds=rounds,
+        reached_fixpoint=not changed,
+        termination=verdict,
+        termination_class=termination_class,
+    )
 
 
 __all__ = ["FixpointChaseResult", "fixpoint_chase"]

@@ -1,4 +1,4 @@
-"""SQL-pushdown chase execution on SQLite.
+"""SQL-pushdown execution on SQLite: single-pass exchanges and cores.
 
 "Laconic schema mappings" (PAPERS.md) shows that (core) universal solutions
 for the mapping classes this library certifies are computable by plain SQL
@@ -8,27 +8,11 @@ form every chase engine consumes) compiles to ``INSERT ... SELECT``
 statements over one TEXT table per relation, and the database -- not a
 Python loop -- performs the joins.
 
-Three entry points:
-
-- :func:`sql_execute_exchange` -- single-pass (source-to-target) execution
-  of a clause program: evaluate every clause over the ``src_``-prefixed
-  source tables, insert into the ``tgt_``-prefixed target tables, decode.
-  Matches :func:`repro.engine.chase.chase` fact for fact when given
-  :func:`~repro.engine.chase.compile_clause_program`'s output.
-- :func:`sql_fixpoint_chase` -- the recursive (same-schema) case as a
-  **semi-naive delta loop**: per relation ``R`` the backend keeps ``R``
-  (all facts), ``R__delta`` (the previous round's new facts) and
-  ``R__next`` (this round's emissions).  Every round evaluates each clause
-  once per body position seeded from a delta table, then computes the
-  genuinely new rows with ``SELECT * FROM R__next EXCEPT SELECT * FROM R``
-  and rotates them into the delta.  This replays the semi-naive Python
-  fixpoint of :mod:`repro.engine.fixpoint_chase` inside SQLite.
-- :func:`sql_chase_egds` -- egds by **equalization round-trips**: each egd
-  body compiles to a ``SELECT`` producing the value pairs to merge; the
-  merges run through the same :class:`~repro.engine.egd_chase.UnionFind`
-  (so representatives match the tuple engine), and one ``UPDATE`` per
-  (relation, position) joined against a temporary merge table rewrites the
-  instance in place.  The loop repeats until no egd produces a pair.
+:func:`sql_execute_exchange` runs a single-pass (source-to-target) clause
+program: it evaluates every clause over the ``src_``-prefixed source
+tables, inserts into the ``tgt_``-prefixed target tables, and decodes.  It
+matches :func:`repro.engine.chase.chase` fact for fact when given
+:func:`~repro.engine.chase.compile_clause_program`'s output.
 
 Values cross the SQL boundary through an **injective textual encoding**
 (:func:`encode_value` / :func:`decode_value`): constants are tagged ``c``,
@@ -41,22 +25,18 @@ the hash-consed value objects of :mod:`repro.logic`, and the SQL backend
 returns *exactly* the fact set the tuple engines produce (not merely an
 isomorphic copy).
 
-A fourth entry point, :func:`sql_core`, pushes *core computation* down
-(following the "Laconic schema mappings" observation that cores of the
-certified mapping classes are SQL-computable): each candidate elimination
-of the core worklist -- "does the f-block of null ``x`` map into the
-instance minus the facts containing ``x``?" -- compiles to one SELECT join
-(:class:`_BlockQuery`) and eliminations apply as exact-row DELETEs.  When
-the ``duckdb`` module is importable the session can run on an in-memory
-DuckDB connection for vectorized joins; SQLite remains the default and the
-fallback.
+:func:`sql_core` pushes *core computation* down (following the "Laconic
+schema mappings" observation that cores of the certified mapping classes
+are SQL-computable): each candidate elimination of the core worklist --
+"does the f-block of null ``x`` map into the instance minus the facts
+containing ``x``?" -- compiles to one SELECT join (:class:`_BlockQuery`)
+and eliminations apply as exact-row DELETEs.
 
 Perf counters: ``backend.sql.statements`` (statements executed),
 ``backend.sql.encoded_rows`` / ``backend.sql.decoded_rows`` (rows crossing
 the boundary in each direction); for the core pushdown additionally
 ``core.sql.blocks``, ``core.sql.queries`` (eliminating-hom SELECTs),
-``core.sql.eliminations``, ``core.sql.rigid_blocks``, and
-``core.sql.duckdb_sessions``.
+``core.sql.eliminations`` and ``core.sql.rigid_blocks``.
 """
 
 from __future__ import annotations
@@ -64,22 +44,17 @@ from __future__ import annotations
 import re
 import sqlite3
 from collections import deque
-from typing import Any, Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro import perf
-from repro.errors import BudgetExceeded, ChaseError, DependencyError, EgdViolation
+from repro.errors import ChaseError, DependencyError
 from repro.logic.atoms import Atom
-from repro.logic.egds import Egd
 from repro.logic.instances import Instance
 from repro.logic.sotgd import SOClause
 from repro.logic.terms import FuncTerm
 from repro.logic.values import Constant, Null, Variable, is_null
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
-#: Suffixes of the backend's working tables; relation names must not end in
-#: them (so a user relation can never alias a delta table).
-_RESERVED_SUFFIXES = ("__delta", "__next")
 
 
 class SQLCompileError(DependencyError):
@@ -89,8 +64,6 @@ class SQLCompileError(DependencyError):
 def _check_identifier(name: str) -> str:
     if not _IDENTIFIER.match(name):
         raise SQLCompileError(f"{name!r} is not usable as an SQL identifier")
-    if name.endswith(_RESERVED_SUFFIXES):
-        raise SQLCompileError(f"{name!r} collides with a backend working table")
     return name
 
 
@@ -171,13 +144,7 @@ def _decode_at(text: str, start: int, end: int) -> tuple[object, int]:
 
 
 class _CompiledClause:
-    """One Skolemized clause, compiled to parameterizable INSERT ... SELECT.
-
-    The FROM clause is produced per statement by a ``table_for(alias_index)``
-    callback, which is how one compilation serves the full pass (all aliases
-    over full tables) and every delta-seeded variant (one alias over the
-    seeded relation's ``__delta`` table).
-    """
+    """One Skolemized clause, compiled to ``INSERT ... SELECT`` statements."""
 
     def __init__(self, clause: SOClause):
         self.body_relations: list[str] = []
@@ -226,15 +193,15 @@ class _CompiledClause:
             return " || ".join(pieces)
         raise SQLCompileError(f"cannot compile head term {term!r}")
 
-    def insert_statements(
-        self, table_for: Callable[[int], str], target_prefix: str, target_suffix: str
-    ) -> list[str]:
+    def insert_statements(self) -> list[str]:
+        """One statement per head atom: ``src_`` body tables into ``tgt_`` tables."""
         from_clause = ", ".join(
-            f'"{table_for(i)}" AS {alias}' for i, alias in enumerate(self.aliases)
+            f'"src_{relation}" AS {alias}'
+            for relation, alias in zip(self.body_relations, self.aliases)
         )
         where = (" WHERE " + " AND ".join(self.conditions)) if self.conditions else ""
         return [
-            f'INSERT INTO "{target_prefix}{relation}{target_suffix}" '
+            f'INSERT INTO "tgt_{relation}" '
             f"SELECT DISTINCT {select_list} FROM {from_clause}{where}"
             for relation, select_list in self.heads
         ]
@@ -284,19 +251,13 @@ def _collect_arities(
 
 
 class _Session:
-    """A connection plus statement/row accounting flushed to :mod:`repro.perf`.
+    """An in-memory SQLite connection plus statement/row accounting.
 
-    Defaults to an in-memory SQLite connection; callers may inject any
-    DB-API-compatible connection instead (the core pushdown hands in a
-    DuckDB connection when the module is importable -- only the portable
-    subset of SQL used here runs on it: ``?`` placeholders, ``CREATE
-    TABLE``/``CREATE INDEX``, SELECT/INSERT/DELETE without ``rowcount``).
+    The counts are flushed to :mod:`repro.perf` on :meth:`close`.
     """
 
-    def __init__(self, connection: Any = None) -> None:
-        self.connection = (
-            connection if connection is not None else sqlite3.connect(":memory:")
-        )
+    def __init__(self) -> None:
+        self.connection = sqlite3.connect(":memory:")
         self.cursor = self.connection.cursor()
         self.statements = 0
         self.encoded_rows = 0
@@ -385,223 +346,12 @@ def sql_execute_exchange(source: Instance, clauses: Sequence[SOClause]) -> Insta
             )
             session.create_indexes(f"src_{relation}", arities[relation])
         for clause in compiled:
-            for statement in clause.insert_statements(
-                lambda i, clause=clause: f"src_{clause.body_relations[i]}",
-                "tgt_", "",
-            ):
+            for statement in clause.insert_statements():
                 session.execute(statement)
         facts: list[Atom] = []
         for relation in sorted(target_relations):
             facts.extend(session.read_facts(f"tgt_{relation}", relation))
         return Instance(facts)
-    finally:
-        session.close()
-
-
-# --------------------------------------------------- semi-naive fixpoint loop
-
-
-def sql_fixpoint_chase(
-    instance: Instance,
-    clauses: Sequence[SOClause],
-    *,
-    max_rounds: int | None = None,
-    budget: int | None = None,
-    predicted: int | None = None,
-) -> tuple[Instance, int, bool]:
-    """Iterate a clause program to a fixpoint inside SQLite, semi-naively.
-
-    Returns ``(instance, rounds, reached_fixpoint)`` exactly as the tuple
-    engine would compute them (the fixpoint of the oblivious chase is unique:
-    head facts are determined by the body assignment alone).  Callers gate
-    termination: pass ``max_rounds`` for uncertified programs.
-
-    Round 1 evaluates every clause over the full tables; each later round
-    evaluates one delta-seeded statement per (clause, body position) --
-    ``FROM R__delta AS a_j`` with the other aliases over the full tables --
-    and rotates ``R__next EXCEPT R`` into ``R__delta``.  *budget* caps the
-    total fact count across rounds (:class:`~repro.errors.BudgetExceeded`).
-    """
-    compiled = compile_clauses(clauses)
-    arities = _collect_arities(instance, clauses)
-    head_relations = sorted({r for clause in compiled for r, _ in clause.heads})
-    session = _Session()
-    try:
-        for relation, arity in sorted(arities.items()):
-            session.create_table(relation, arity)
-            session.create_indexes(relation, arity)
-        for relation in head_relations:
-            session.create_table(f"{relation}__next", arities[relation])
-            session.create_table(f"{relation}__delta", arities[relation])
-        for relation, arity in sorted(arities.items()):
-            session.load_facts(relation, arity, instance.facts_of(relation))
-
-        total_facts = len(instance)
-        # Relations whose delta is currently non-empty (round 1: everything
-        # with at least one fact -- the "delta" is the whole input).
-        delta_rows = {r: len(instance.facts_of(r)) for r in arities}
-        rounds = 0
-        changed = True
-        first_round = True
-        while changed and (max_rounds is None or rounds < max_rounds):
-            changed = False
-            rounds += 1
-            perf.incr("chase.fixpoint_rounds")
-            for clause in compiled:
-                if first_round:
-                    # Every match's alias-0 fact is an input fact, so one
-                    # full-table statement per clause is complete.
-                    if all(delta_rows.get(r, 0) for r in clause.body_relations):
-                        for statement in clause.insert_statements(
-                            lambda i, clause=clause: clause.body_relations[i], "", "__next"
-                        ):
-                            session.execute(statement)
-                    continue
-                for seed in range(len(clause.body_relations)):
-                    if not delta_rows.get(clause.body_relations[seed], 0):
-                        continue
-
-                    def table_for(i: int, clause=clause, seed=seed) -> str:
-                        relation = clause.body_relations[i]
-                        return f"{relation}__delta" if i == seed else relation
-
-                    for statement in clause.insert_statements(table_for, "", "__next"):
-                        session.execute(statement)
-            first_round = False
-            delta_rows = {}
-            for relation in head_relations:
-                session.execute(f'DELETE FROM "{relation}__delta"')
-                cursor = session.execute(
-                    f'INSERT INTO "{relation}__delta" '
-                    f'SELECT * FROM "{relation}__next" EXCEPT SELECT * FROM "{relation}"'
-                )
-                new_rows = max(cursor.rowcount, 0)
-                session.execute(f'DELETE FROM "{relation}__next"')
-                if not new_rows:
-                    continue
-                session.execute(
-                    f'INSERT INTO "{relation}" SELECT * FROM "{relation}__delta"'
-                )
-                delta_rows[relation] = new_rows
-                changed = True
-                perf.incr("chase.facts", new_rows)
-                total_facts += new_rows
-                if budget is not None and total_facts > budget:
-                    raise BudgetExceeded(
-                        "fixpoint chase", budget, predicted=predicted,
-                        hint="Lint finding CC002 predicts the chase-size "
-                        "bound; raise budget= or bound the run with "
-                        "max_rounds=.",
-                    )
-        facts: list[Atom] = []
-        for relation in sorted(arities):
-            facts.extend(session.read_facts(relation, relation))
-        return Instance(facts), rounds, not changed
-    finally:
-        session.close()
-
-
-# ------------------------------------------------- egd equalization round-trips
-
-
-class _CompiledEgd:
-    """An egd body compiled to a SELECT of the (left, right) pairs to merge."""
-
-    def __init__(self, egd: Egd):
-        clause_like = _CompiledClause(
-            SOClause(body=egd.body, equalities=(), head=())
-        )
-        left = clause_like.variable_columns[egd.left]
-        right = clause_like.variable_columns[egd.right]
-        from_clause = ", ".join(
-            f'"{relation}" AS {alias}'
-            for relation, alias in zip(clause_like.body_relations, clause_like.aliases)
-        )
-        conditions = clause_like.conditions + [f"{left} <> {right}"]
-        self.select = (
-            f"SELECT DISTINCT {left}, {right} FROM {from_clause} "
-            f"WHERE {' AND '.join(conditions)}"
-        )
-
-
-def sql_chase_egds(
-    instance: Instance,
-    egds: Sequence[Egd],
-    *,
-    allow_constant_merge: bool = False,
-) -> tuple[Instance, dict]:
-    """Chase *instance* with *egds* on SQLite by equalization round-trips.
-
-    Each round SELECTs the value pairs every egd forces equal, merges them in
-    a Python union-find (same representative policy as the tuple engine), and
-    pushes the resulting rewrite back as one ``UPDATE`` per (relation,
-    position) joined against a temporary merge table, followed by a
-    deduplication pass.  Differentially equal to
-    :func:`repro.engine.egd_chase.chase_egds`.
-    """
-    from repro.engine.egd_chase import UnionFind
-
-    compiled = [_CompiledEgd(egd) for egd in egds]
-    arities = _collect_arities(
-        instance,
-        [SOClause(body=egd.body, equalities=(), head=()) for egd in egds],
-    )
-    union_find = UnionFind()
-    session = _Session()
-    try:
-        for relation, arity in sorted(arities.items()):
-            session.create_table(relation, arity)
-            session.load_facts(relation, arity, instance.facts_of(relation))
-            session.create_indexes(relation, arity)
-        session.execute('CREATE TABLE "__merge" (old TEXT PRIMARY KEY, new TEXT)')
-        changed = True
-        while changed:
-            changed = False
-            perf.incr("chase.rounds")
-            touched: set = set()
-            for compiled_egd in compiled:
-                session.execute(compiled_egd.select)
-                for left_text, right_text in session.cursor.fetchall():
-                    session.decoded_rows += 2
-                    left, right = decode_value(left_text), decode_value(right_text)
-                    if left == right:
-                        continue
-                    if (
-                        not allow_constant_merge
-                        and not is_null(left)
-                        and not is_null(right)
-                    ):
-                        raise EgdViolation(left, right)
-                    if union_find.union(left, right):
-                        changed = True
-                        touched.add(left)
-                        touched.add(right)
-            if not changed:
-                break
-            rewrites = [
-                (encode_value(value), encode_value(root))
-                for value in touched
-                if (root := union_find.find(value)) != value
-            ]
-            session.execute('DELETE FROM "__merge"')
-            session.executemany('INSERT INTO "__merge" VALUES (?, ?)', rewrites)
-            for relation, arity in sorted(arities.items()):
-                for i in range(arity):
-                    session.execute(
-                        f'UPDATE "{relation}" SET c{i} = '
-                        f'(SELECT new FROM "__merge" WHERE old = c{i}) '
-                        f'WHERE c{i} IN (SELECT old FROM "__merge")'
-                    )
-                group = ", ".join(f"c{i}" for i in range(arity))
-                session.execute(
-                    f'DELETE FROM "{relation}" WHERE rowid NOT IN '
-                    f'(SELECT MIN(rowid) FROM "{relation}" GROUP BY {group})'
-                )
-        facts: list[Atom] = []
-        for relation in sorted(arities):
-            facts.extend(session.read_facts(relation, relation))
-        equalities = union_find.as_mapping(instance.active_domain())
-        return Instance(facts), equalities
     finally:
         session.close()
 
@@ -634,15 +384,6 @@ def sql_core_supported(
 
         blocks = _null_blocks(instance)
     return all(len(block) <= SQL_CORE_MAX_BLOCK for block in blocks)
-
-
-def _duckdb_connection() -> Any:
-    """An in-memory DuckDB connection, or None when the module is absent."""
-    try:
-        import duckdb
-    except ImportError:
-        return None
-    return duckdb.connect(":memory:")
 
 
 class _BlockQuery:
@@ -711,7 +452,6 @@ def sql_core(
     instance: Instance,
     *,
     blocks: Sequence[Sequence[Atom]] | None = None,
-    use_duckdb: bool | None = None,
 ) -> Instance:
     """Compute the core of *instance* with block eliminations pushed to SQL.
 
@@ -722,35 +462,20 @@ def sql_core(
     elimination is applied as exact-row DELETEs.  *blocks* are the
     instance's null f-blocks when the caller already computed them (as
     :func:`repro.engine.core_instance.core` does for
-    :func:`sql_core_supported`).
-
-    ``use_duckdb=None`` (the default) uses DuckDB when importable and falls
-    back to SQLite; ``True`` requires it; ``False`` forces SQLite.  Either
-    engine returns the same core up to isomorphism (and the identical fact
-    set on deterministic instances: candidate nulls are tried in repr order
-    and the SELECTs are ordered).
+    :func:`sql_core_supported`).  Candidate nulls are tried in repr order
+    and the SELECTs are ordered, so runs are reproducible.
     """
     from repro.engine.builder import InstanceBuilder
     from repro.engine.core_instance import _block_nulls, _null_blocks, _null_components
 
     arities = _collect_arities(instance, ())
-    connection = None
-    if use_duckdb or use_duckdb is None:
-        connection = _duckdb_connection()
-        if connection is None and use_duckdb:
-            raise ChaseError(
-                "use_duckdb=True but the duckdb module is not importable"
-            )
-    if connection is not None:
-        perf.incr("core.sql.duckdb_sessions")
-
     builder = InstanceBuilder(instance)
     if blocks is None:
         blocks = _null_blocks(instance)
     pending: "deque[Sequence[Atom]]" = deque(blocks)
     perf.incr("core.sql.blocks", len(blocks))
 
-    session = _Session(connection)
+    session = _Session()
     queries = 0
     try:
         for relation, arity in sorted(arities.items()):
@@ -816,7 +541,5 @@ __all__ = [
     "sql_core",
     "sql_core_supported",
     "sql_execute_exchange",
-    "sql_fixpoint_chase",
-    "sql_chase_egds",
     "check_sql_backend_supported",
 ]

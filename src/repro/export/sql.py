@@ -202,16 +202,13 @@ def execute_exchange(source: Instance, dependencies, *, backend: str = "sql") ->
       :mod:`repro.engine.columnar`;
     - ``"tuple"``: the reference :func:`repro.engine.chase.chase`;
     - ``"auto"``: :func:`repro.engine.dispatch.choose_backend` picks by
-      source size (single-pass exchanges always terminate, so certification
-      is not a concern).
+      source size.
     """
     from repro.engine.chase import chase, compile_clause_program
     from repro.engine.dispatch import choose_backend
 
     clauses = compile_clause_program(dependencies)
-    choice = choose_backend(
-        backend, input_size=len(source), clauses=clauses, certified=True
-    )
+    choice = choose_backend(backend, input_size=len(source), clauses=clauses)
     if choice.backend == "sql":
         from repro.engine.sql_backend import (
             check_sql_backend_supported,

@@ -47,7 +47,6 @@ Counter names are dotted strings, grouped by subsystem:
 ``core.sql.queries``      eliminating-homomorphism SELECT joins executed
 ``core.sql.eliminations``  eliminating retractions applied via SQL DELETEs
 ``core.sql.rigid_blocks``  blocks every SELECT proved rigid
-``core.sql.duckdb_sessions``  core sessions run on a DuckDB connection
 ``implies.patterns``      k-patterns checked by ``implies_tgd``
 ``implies.cache_hits``    chase-cache hits inside ``implies_tgd``
 ``implies.cache_misses``  chase-cache misses inside ``implies_tgd``
@@ -80,7 +79,8 @@ Counter names are dotted strings, grouped by subsystem:
 ``intern.misses``         hash-consing table misses (a new canonical object
                           was interned)
 ``backend.sql.statements``  SQL statements executed by the pushdown backend
-                          (DDL, loads, compiled INSERT...SELECTs, delta moves)
+                          (DDL, loads, compiled INSERT...SELECTs, core
+                          SELECTs and DELETEs)
 ``backend.sql.encoded_rows``  facts encoded into SQL rows (loads into SQLite)
 ``backend.sql.decoded_rows``  SQL rows decoded back into interned facts
 ``backend.columnar.joins``  index-seeded per-atom joins performed by the

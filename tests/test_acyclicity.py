@@ -17,7 +17,7 @@ from repro.engine.fixpoint_chase import fixpoint_chase
 from repro.errors import ChaseError
 from repro.logic.atoms import Atom
 from repro.logic.instances import Instance
-from repro.logic.parser import parse_egd, parse_tgd
+from repro.logic.parser import parse_egd, parse_so_tgd, parse_tgd
 from repro.logic.values import Constant
 
 
@@ -117,6 +117,17 @@ class TestClassification:
         first = classify_termination(SWA_NOT_JA_SET)
         second = classify_termination(SWA_NOT_JA_SET)
         assert first is second
+
+    def test_same_named_so_functions_are_renamed_apart(self):
+        # Two SO tgds that both name their function f: the chase runs them
+        # as two functions, so the analyses must classify two functions too.
+        deps = [
+            parse_so_tgd("E(y,x) -> F(x,f(x))"),
+            parse_so_tgd("F(x,x) -> E(x,f(x))"),
+        ]
+        functions = {sk.function for sk in dependency_graph_ir(deps).skolem_functions}
+        assert functions == {"d0_f", "d1_f"}
+        assert classify_termination(deps).cls is TerminationClass.JOINTLY_ACYCLIC
 
     def test_inconclusive_mfa_budget(self):
         verdict = classify_termination(

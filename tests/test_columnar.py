@@ -1,4 +1,4 @@
-"""Differential tests: columnar and SQL backends against the tuple engines.
+"""Differential tests: the columnar and SQL exchange backends against the tuple chase.
 
 The three backends must produce the *same facts* (not just isomorphic
 copies): they consume the same Skolemized clause programs and all label
@@ -11,35 +11,24 @@ from hypothesis import HealthCheck, given, settings
 
 from repro import perf
 from repro.engine.chase import chase, compile_clause_program
-from repro.engine.columnar import (
-    ColumnarInstance,
-    columnar_execute_exchange,
-    columnar_fixpoint_rounds,
-)
+from repro.engine.columnar import ColumnarInstance, columnar_execute_exchange
 from repro.engine.dispatch import (
     COLUMNAR_AUTO_THRESHOLD,
     SQL_AUTO_THRESHOLD,
     choose_backend,
 )
-from repro.engine.egd_chase import chase_egds
 from repro.engine.fixpoint_chase import _clauses_of, fixpoint_chase
 from repro.engine.hom_kernel import find_homomorphism_indexed
-from repro.engine.sql_backend import (
-    decode_value,
-    encode_value,
-    sql_chase_egds,
-    sql_execute_exchange,
-    sql_fixpoint_chase,
-)
-from repro.errors import BudgetExceeded, ChaseError, EgdViolation
+from repro.engine.sql_backend import decode_value, encode_value, sql_execute_exchange
+from repro.errors import BudgetExceeded, ChaseError
 from repro.export.sql import execute_exchange
 from repro.logic.atoms import Atom
 from repro.logic.instances import Instance
-from repro.logic.parser import parse_egd, parse_instance, parse_nested_tgd, parse_tgd
+from repro.logic.parser import parse_instance, parse_nested_tgd, parse_tgd
 from repro.logic.terms import FuncTerm
 from repro.logic.values import Constant, Null
 
-from tests.strategies import SOURCE_RELATIONS, instances, nested_tgds, same_schema_tgds
+from tests.strategies import SOURCE_RELATIONS, instances, nested_tgds
 
 CONSTANTS = [Constant(c) for c in "abc"]
 
@@ -125,89 +114,21 @@ class TestExchangeDifferential:
 
 
 class TestFixpointDifferential:
+    """The fixpoint chase has one engine; these pin its tuple-engine results."""
+
     def test_transitive_closure_all_backends(self):
         tc = parse_tgd("E(x,y) & E(y,z) -> E(x,z)")
         inst = parse_instance("E(a,b), E(b,c), E(c,d), E(d,a)")
-        base = fixpoint_chase(inst, [tc], backend="tuple")
-        for backend in ("columnar", "sql"):
-            result = fixpoint_chase(inst, [tc], backend=backend)
-            assert result.backend == backend
-            assert set(result.instance) == set(base.instance)
-            assert result.reached_fixpoint
-
-    @settings(max_examples=40, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(tgds=same_schema_tgds(), instance=instances(max_facts=5))
-    def test_bounded_rounds_tuple_vs_columnar_exact(self, tgds, instance):
-        # The columnar engine replays the tuple loop round for round, so even
-        # a bounded (possibly pre-fixpoint) run must agree exactly.
-        base = fixpoint_chase(instance, tgds, max_rounds=3, backend="tuple")
-        col = fixpoint_chase(instance, tgds, max_rounds=3, backend="columnar")
-        assert set(col.instance) == set(base.instance)
-        assert (col.rounds, col.reached_fixpoint) == (base.rounds, base.reached_fixpoint)
-
-    @settings(max_examples=40, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(tgds=same_schema_tgds(), instance=instances(max_facts=5))
-    def test_fixpoints_tuple_vs_sql_exact(self, tgds, instance):
-        # SQL rounds only see the previous round's facts, so compare at the
-        # (unique) fixpoint: whenever the tuple run converged within the
-        # bound, a generously bounded SQL run must land on the same set.
-        base = fixpoint_chase(instance, tgds, max_rounds=4, backend="tuple")
-        if not base.reached_fixpoint:
-            return
-        result, __, reached = sql_fixpoint_chase(
-            instance, _clauses_of(tgds), max_rounds=40
-        )
-        assert reached
-        assert set(result) == set(base.instance)
+        result = fixpoint_chase(inst, [tc])
+        assert result.reached_fixpoint
+        # A 4-cycle closes into the complete relation over its 4 nodes.
+        assert len(result.instance) == 16
 
     def test_budget_exceeded_on_every_backend(self):
         tc = parse_tgd("E(x,y) & E(y,z) -> E(x,z)")
         inst = parse_instance("E(a,b), E(b,c), E(c,d), E(d,a)")
-        for backend in ("tuple", "columnar", "sql"):
-            with pytest.raises(BudgetExceeded):
-                fixpoint_chase(inst, [tc], budget=5, backend=backend)
-
-    def test_sql_backend_rejects_fact_hook(self):
-        tc = parse_tgd("E(x,y) & E(y,z) -> E(x,z)")
-        inst = parse_instance("E(a,b), E(b,c)")
-        with pytest.raises(ChaseError):
-            fixpoint_chase(inst, [tc], backend="sql", fact_hook=lambda f: None)
-        # auto must route around the restriction, not trip over it
-        result = fixpoint_chase(inst, [tc], backend="auto", fact_hook=lambda f: None)
-        assert result.backend in ("tuple", "columnar")
-
-
-class TestEgdDifferential:
-    FUNCTIONAL = [parse_egd("R(x,y) & R(x,z) -> y = z")]
-
-    @settings(max_examples=40, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(instance=instances(max_facts=6))
-    def test_sql_egds_match_tuple_egds(self, instance):
-        try:
-            expected = chase_egds(instance, self.FUNCTIONAL)
-        except EgdViolation:
-            with pytest.raises(EgdViolation):
-                sql_chase_egds(instance, self.FUNCTIONAL)
-            return
-        result, merges = sql_chase_egds(instance, self.FUNCTIONAL)
-        assert set(result) == set(expected[0])
-        assert merges == expected[1]
-
-    def test_chained_merges(self):
-        inst = Instance([
-            Atom("R", (Null("x1"), Null("x2"))),
-            Atom("R", (Null("x2"), Null("x3"))),
-            Atom("Q", (Null("x1"),)),
-            Atom("Q", (Null("x3"),)),
-        ])
-        egds = [parse_egd("Q(x) & Q(y) -> x = y"), parse_egd("R(x,y) & R(y,z) -> x = z")]
-        expected_inst, expected_map = chase_egds(inst, egds)
-        got_inst, got_map = sql_chase_egds(inst, egds)
-        assert set(got_inst) == set(expected_inst)
-        assert got_map == expected_map
+        with pytest.raises(BudgetExceeded):
+            fixpoint_chase(inst, [tc], budget=5)
 
 
 class TestSkolemEncodingRegression:
@@ -266,16 +187,12 @@ class TestDispatch:
 
     def test_explicit_choices_respected(self):
         for backend in ("tuple", "columnar", "sql"):
-            choice = choose_backend(
-                backend, input_size=10, clauses=self._clauses(), certified=True
-            )
+            choice = choose_backend(backend, input_size=10, clauses=self._clauses())
             assert choice.backend == backend
             assert not choice.was_auto
 
     def test_auto_small_input_stays_tuple(self):
-        choice = choose_backend(
-            "auto", input_size=10, clauses=self._clauses(), certified=True
-        )
+        choice = choose_backend("auto", input_size=10, clauses=self._clauses())
         assert choice.backend == "tuple"
 
     def test_auto_medium_input_goes_columnar(self):
@@ -283,7 +200,6 @@ class TestDispatch:
             "auto",
             input_size=COLUMNAR_AUTO_THRESHOLD,
             clauses=self._clauses(),
-            certified=False,
         )
         assert choice.backend == "columnar"
 
@@ -292,34 +208,13 @@ class TestDispatch:
             "auto",
             input_size=SQL_AUTO_THRESHOLD,
             clauses=self._clauses(),
-            certified=True,
         )
         assert choice.backend == "sql"
-
-    def test_auto_large_uncertified_stays_off_sql(self):
-        choice = choose_backend(
-            "auto",
-            input_size=SQL_AUTO_THRESHOLD,
-            clauses=self._clauses(),
-            certified=False,
-        )
-        assert choice.backend == "columnar"
-
-    def test_auto_fact_stream_avoids_sql(self):
-        choice = choose_backend(
-            "auto",
-            input_size=SQL_AUTO_THRESHOLD,
-            clauses=self._clauses(),
-            certified=True,
-            needs_fact_stream=True,
-        )
-        assert choice.backend == "columnar"
+        assert choice.reason == "certified program, 5000 facts >= 5000"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ChaseError):
-            choose_backend(
-                "fortran", input_size=1, clauses=self._clauses(), certified=True
-            )
+            choose_backend("fortran", input_size=1, clauses=self._clauses())
 
 
 class TestPerfCounters:
@@ -337,12 +232,3 @@ class TestPerfCounters:
         assert stats.get("backend.columnar.joins") > 0
         assert stats.get("backend.columnar.encoded_rows") == 3
         assert stats.get("backend.columnar.decoded_rows") == 2
-
-    def test_columnar_fixpoint_counts_rounds(self):
-        tc = parse_tgd("E(x,y) & E(y,z) -> E(x,z)")
-        store = ColumnarInstance(parse_instance("E(a,b), E(b,c)"))
-        with perf.measuring() as stats:
-            rounds, reached = columnar_fixpoint_rounds(store, _clauses_of([tc]))
-        assert reached
-        assert stats.get("chase.fixpoint_rounds") == rounds
-        assert stats.get("chase.facts") == 1

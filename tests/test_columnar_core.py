@@ -34,7 +34,7 @@ from repro.engine.hom_kernel import (
     find_homomorphism_indexed,
 )
 from repro.engine.homomorphism import is_homomorphism
-from repro.engine.sql_backend import sql_core, sql_core_supported
+from repro.engine.sql_backend import sql_core_supported
 from repro.errors import ChaseError
 from repro.logic.parser import parse_instance
 
@@ -269,24 +269,6 @@ class TestSqlCore:
         assert len(result) == 65
         assert stats.get("core.columnar.blocks") == 65
         assert stats.get("core.sql.blocks") == 0
-
-    def test_duckdb_explicit_requires_module(self):
-        try:
-            import duckdb  # noqa: F401
-        except ModuleNotFoundError:
-            pass
-        else:
-            pytest.skip("duckdb installed; the graceful-absence path is moot")
-        with pytest.raises(ChaseError):
-            sql_core(parse_instance("R(a,_x), R(a,b)"), use_duckdb=True)
-
-    def test_duckdb_session_when_available(self):
-        pytest.importorskip("duckdb")
-        instance = parse_instance("R(a,_x), R(a,b), R(_y,b)")
-        with perf.measuring() as stats:
-            result = sql_core(instance, use_duckdb=True)
-        assert stats.get("core.sql.duckdb_sessions") == 1
-        assert result.isomorphic(core(instance, backend="tuple"))
 
 
 class TestAnalyzerBackends:

@@ -3,7 +3,8 @@
 Covers the triangular-guardedness certificate, the complexity-tier
 stratification with its per-relation degree witnesses, the stratified-MFA
 rung it builds on, the new lint codes (TD005-TD007, CC003/CC004), the
-``repro analyze`` CLI command, and the tier-aware engine gating.
+``repro analyze`` CLI command, and how the fixpoint chase consults the
+certificate.
 """
 
 import json
@@ -26,10 +27,8 @@ from repro.analysis.frontier import (
 )
 from repro.analysis.static import analyze
 from repro.cli import main
-from repro.engine import dispatch
-from repro.engine.dispatch import choose_backend
-from repro.engine.fixpoint_chase import _clauses_of, fixpoint_chase
-from repro.errors import BudgetExceeded, ChaseError
+from repro.engine.fixpoint_chase import fixpoint_chase
+from repro.errors import ChaseError
 from repro.logic.parser import parse_egd, parse_instance, parse_tgd
 from repro.workloads.families import (
     ladder_instance,
@@ -303,75 +302,24 @@ class TestAnalyzeCli:
 
 
 class TestTierAwareDispatch:
-    def ladder_clauses(self):
-        return _clauses_of(ladder_tgds(3))
+    """The fixpoint chase consults the frontier certificate only for ``budget=``."""
 
-    def test_ptime_tier_lowers_the_sql_threshold(self):
-        clauses = self.ladder_clauses()
-        between = (dispatch.SQL_AUTO_THRESHOLD_PTIME + dispatch.SQL_AUTO_THRESHOLD) // 2
-        with_tier = choose_backend(
-            "auto", input_size=between, clauses=clauses, certified=True,
-            tier=ComplexityTier.PTIME,
-        )
-        without_tier = choose_backend(
-            "auto", input_size=between, clauses=clauses, certified=True,
-        )
-        assert with_tier.backend == "sql"
-        assert "PTIME-tier" in with_tier.reason
-        assert without_tier.backend == "columnar"
+    def test_non_auto_chase_skips_tier_computation(self, monkeypatch):
+        import repro.analysis.frontier as frontier
 
-    def test_non_ptime_tier_keeps_the_default_threshold(self):
-        choice = choose_backend(
-            "auto", input_size=2_000, clauses=self.ladder_clauses(),
-            certified=True, tier=ComplexityTier.TWO_EXPTIME,
-        )
-        assert choice.backend == "columnar"
-        assert choice.forced_budget is None
+        def refuse(*args, **kwargs):
+            raise AssertionError("frontier_report consulted without budget=")
 
-    def test_non_elementary_tier_forces_a_budget(self):
-        choice = choose_backend(
-            "auto", input_size=10, clauses=self.ladder_clauses(),
-            certified=False, tier=ComplexityTier.NON_ELEMENTARY,
-        )
-        assert choice.forced_budget == dispatch.NON_ELEMENTARY_AUTO_BUDGET
-
-    def test_explicit_backend_threads_the_tier_through(self):
-        choice = choose_backend(
-            "tuple", input_size=10, clauses=self.ladder_clauses(),
-            certified=True, tier=ComplexityTier.PTIME,
-        )
-        assert choice.backend == "tuple"
-        assert choice.tier is ComplexityTier.PTIME
-        assert choice.forced_budget is None
-
-    def test_auto_chase_records_tier_and_picks_sql(self):
-        result = fixpoint_chase(
-            ladder_instance(1_500), ladder_tgds(3), backend="auto"
-        )
-        assert result.backend == "sql"
-        assert result.tier is ComplexityTier.PTIME
-
-    def test_non_auto_chase_skips_tier_computation(self):
+        monkeypatch.setattr(frontier, "frontier_report", refuse)
         result = fixpoint_chase(ladder_instance(5), ladder_tgds(3))
-        assert result.backend == "tuple"
-        assert result.tier is None
+        assert result.reached_fixpoint
 
-    def test_forced_budget_trips_on_auto_bounded_divergence(self, monkeypatch):
-        monkeypatch.setattr(dispatch, "NON_ELEMENTARY_AUTO_BUDGET", 6)
-        with pytest.raises(BudgetExceeded):
-            fixpoint_chase(
-                parse_instance("E(a,b)"), tgds(DIVERGING),
-                backend="auto", max_rounds=10,
-            )
-
-    def test_explicit_budget_overrides_the_forced_one(self, monkeypatch):
-        monkeypatch.setattr(dispatch, "NON_ELEMENTARY_AUTO_BUDGET", 6)
+    def test_explicit_budget_overrides_the_forced_one(self):
+        # A bounded run of a diverging set stops at max_rounds, inside budget.
         result = fixpoint_chase(
-            parse_instance("E(a,b)"), tgds(DIVERGING),
-            backend="auto", max_rounds=3, budget=100,
+            parse_instance("E(a,b)"), tgds(DIVERGING), max_rounds=3, budget=100,
         )
         assert not result.reached_fixpoint
-        assert result.tier is ComplexityTier.NON_ELEMENTARY
 
 
 class TestFrontierReportPlumbing:
