@@ -34,6 +34,14 @@ Two further axes compare the columnar/SQL backends of the core stack:
   (the paper's counterexample to [FK12, Thm 5.2]) -- with wall time and
   kernel calls on the tuple and columnar engines.  The first failed
   retraction puts every null in its orbit, so the rest are skipped.
+- **core dispatch** (``core_auto`` key): tuple, columnar and SQL core wall
+  times (SQL only where :func:`~repro.engine.sql_backend.sql_core_supported`
+  holds) on the solutions the ``fblock-core`` and ``exchange-core`` e2e
+  workloads core: Ex 4.8 even and odd cycles and paths (10-80 facts), the
+  introduction's nested tgd over stars (400-19.6k facts) and the flat shop
+  exchange (30k facts).  Core sizes are asserted against their closed forms
+  and the cores of all engines against each other.  This is the data behind
+  ``core(backend="auto")`` running the columnar engine at every size.
 
 Run as a script to record the comparison in ``BENCH_hom.json``::
 
@@ -60,11 +68,13 @@ from repro.engine.hom_kernel import (
 )
 from repro.engine.homomorphism import find_homomorphism, is_homomorphism
 from repro.engine.naive import core_naive, find_homomorphism_naive
+from repro.engine.sql_backend import sql_core_supported
 from repro.logic.atoms import Atom
 from repro.logic.instances import Instance
 from repro.logic.parser import parse_nested_tgd, parse_so_tgd
 from repro.logic.values import Constant, Null
-from repro.workloads import cycle_instance
+from repro.workloads import cycle_instance, successor_instance
+from repro.workloads.scenarios import ALL_SCENARIOS
 
 NESTED = parse_nested_tgd("S(x1,x2) -> exists y . (R(y,x2) & (S(x1,x3) -> R(y,x3)))")
 EX48 = parse_so_tgd("S(x,y) -> R(f(x), f(y)) & R(f(y), f(x))")
@@ -75,6 +85,24 @@ CORE_SIZES = [6, 9, 12]
 SMOKE_CORE_SIZES = [4, 6, 8]
 RIGID_SIZES = [11, 21, 31]
 SMOKE_RIGID_SIZES = [7, 11]
+
+#: (shape, n) pairs of the core dispatch row; shapes as in the e2e decks.
+#: The SQL core tries every null of a rigid odd cycle with one join over
+#: the whole block, and its time grows about 5x per two more nulls
+#: (n = 11, 13, 15, 17: 0.23, 1.3, 6.9, 41 s on a 2-core VM), so below the
+#: 64-fact SQL limit the odd cycles stop at n = 15; n = 39 (78 facts) runs
+#: on the tuple and columnar engines only.
+CORE_AUTO_CASES = (
+    [("ex48-odd", n) for n in (5, 11, 15, 39)]
+    + [("ex48-even", n) for n in (6, 20, 40)]
+    + [("ex48-path", n) for n in (5, 20, 40)]
+    + [("intro-star", n) for n in (20, 60, 100, 140)]
+    + [("shop-flat", 5000)]
+)
+SMOKE_CORE_AUTO_CASES = [
+    ("ex48-odd", 5), ("ex48-odd", 11), ("ex48-even", 6), ("ex48-path", 5),
+    ("intro-star", 20), ("shop-flat", 200),
+]
 
 HUB_SPOKES = 10
 
@@ -201,6 +229,50 @@ def compare_core_rigid(n: int) -> dict:
     return row
 
 
+def core_auto_solution(shape: str, n: int) -> tuple[Instance, int]:
+    """The solution a core dispatch case cores, and its closed-form core size."""
+    if shape == "ex48-odd":  # an odd cycle is a core: nothing folds
+        return chase_so_tgd(cycle_instance(n), EX48), 2 * n
+    if shape == "ex48-even":  # bipartite: folds onto one edge
+        return chase_so_tgd(cycle_instance(n), EX48), 2
+    if shape == "ex48-path":
+        return chase_so_tgd(successor_instance(n), EX48), 2
+    if shape == "intro-star":  # n isomorphic blocks of n facts fold to one
+        return star_chase(n), n
+    if shape == "shop-flat":  # two facts per order survive
+        shop = next(s for s in ALL_SCENARIOS if s.name == "shop")
+        orders = sum(2 + customer % 2 for customer in range(n))
+        return chase(shop.source(n), list(shop.flat)), 2 * orders
+    raise ValueError(shape)
+
+
+def _same_core(left: Instance, right: Instance) -> bool:
+    """Cores are isomorphic iff homomorphically equivalent."""
+    return left == right or (
+        len(left) == len(right)
+        and find_homomorphism(left, right) is not None
+        and find_homomorphism(right, left) is not None
+    )
+
+
+def compare_core_auto(shape: str, n: int) -> dict:
+    """Core wall time per engine on one solution; SQL only where it loads."""
+    solution, expected = core_auto_solution(shape, n)
+    engines = ["tuple", "columnar"]
+    if sql_core_supported(solution):
+        engines.append("sql")
+    row: dict = {"shape": shape, "n": n, "solution_facts": len(solution),
+                 "core_facts": expected, "sql_s": None}
+    results: dict[str, Instance] = {}
+    for backend in engines:
+        row[f"{backend}_s"], results[backend] = _best_of(core, solution, backend=backend)
+        assert len(results[backend]) == expected, (shape, n, backend)
+    for backend in engines[1:]:
+        assert _same_core(results[backend], results["tuple"]), (shape, n, backend)
+    row["fastest"] = min(engines, key=lambda backend: row[f"{backend}_s"])
+    return row
+
+
 def compare_core(n: int) -> dict:
     """Time the worklist core engine against the seed elimination loop."""
     chased = star_chase(n)
@@ -276,6 +348,7 @@ def main(argv=None) -> dict:
     hom_sizes = SMOKE_HOM_SIZES if args.smoke else HOM_SIZES
     core_sizes = SMOKE_CORE_SIZES if args.smoke else CORE_SIZES
     rigid_sizes = SMOKE_RIGID_SIZES if args.smoke else RIGID_SIZES
+    core_auto_cases = SMOKE_CORE_AUTO_CASES if args.smoke else CORE_AUTO_CASES
     report = {
         "benchmark": "scale-hom-kernel",
         "smoke": args.smoke,
@@ -290,6 +363,7 @@ def main(argv=None) -> dict:
                                for n in hom_sizes],
         "core_backends": [compare_core_backends(n) for n in core_sizes],
         "core_rigid": [compare_core_rigid(n) for n in rigid_sizes],
+        "core_auto": [compare_core_auto(shape, n) for shape, n in core_auto_cases],
     }
     report["largest_pinpoint_speedup"] = report["pinpoint"][-1]["speedup"]
     report["largest_hub_speedup"] = report["hub"][-1]["speedup"]
@@ -319,6 +393,11 @@ def main(argv=None) -> dict:
               f"tuple {row['tuple_s']:.4f}s ({row['tuple_kernel_calls']} kernel call)  "
               f"columnar {row['columnar_s']:.4f}s "
               f"({row['columnar_kernel_calls']} kernel call)")
+    for row in report["core_auto"]:
+        sql = "-" if row["sql_s"] is None else f"{row['sql_s']:.4f}s"
+        print(f"core_auto {row['shape']:10s} n={row['n']:4d} "
+              f"({row['solution_facts']:5d} facts)  tuple {row['tuple_s']:.4f}s  "
+              f"columnar {row['columnar_s']:.4f}s  sql {sql}")
     print(f"wrote {args.json}")
     # The columnar-kernel hub gate holds at every size tier (smoke included:
     # the perf-smoke CI job runs this script with --smoke).

@@ -146,7 +146,7 @@ def cmd_core(args) -> int:
 
     from repro import perf
     from repro.engine.core_instance import core
-    from repro.engine.dispatch import CORE_SQL_AUTO_THRESHOLD, choose_core_backend
+    from repro.engine.dispatch import choose_core_backend
 
     instance = parse_instance(args.instance)
     if args.dep:
@@ -155,9 +155,7 @@ def cmd_core(args) -> int:
         instance = chase(instance, [parse_dependency(text) for text in args.dep])
     size = len(instance)
     sql_supported = False
-    if args.backend == "sql" or (
-        args.backend == "auto" and size >= CORE_SQL_AUTO_THRESHOLD
-    ):
+    if args.backend == "sql":
         from repro.engine.sql_backend import sql_core_supported
 
         sql_supported = sql_core_supported(instance)

@@ -34,7 +34,7 @@ crossing the object/array boundary), ``backend.columnar.probe_hits``
 without re-materializing an atom list).
 
 The store also supports **tombstone deletion** (:meth:`ColumnarInstance.
-discard_row` / :meth:`~ColumnarInstance.discard_fact`): a discarded row is
+discard_row`): a discarded row is
 removed from the dedup map and the inverted index and recorded in the
 group's ``dead`` set, so full-scan fallbacks skip it while the columns keep
 their dense layout.  The chase engines never delete; the columnar core
@@ -226,26 +226,6 @@ class ColumnarInstance:
         if group.discard(row):
             self._count -= 1
             return True
-        return False
-
-    def discard_fact(self, fact: Atom) -> bool:
-        """Tombstone the row holding *fact*, if present."""
-        groups = self._groups.get(fact.relation)
-        if not groups:
-            return False
-        lookup = self.values.lookup
-        ids = []
-        for arg in fact.args:
-            vid = lookup(arg)
-            if vid is None:
-                return False
-            ids.append(vid)
-        key = tuple(ids)
-        for group in groups:
-            if group.arity == len(key):
-                row = group.row_of.get(key)
-                if row is not None:
-                    return self.discard_row(group, row)
         return False
 
     # ------------------------------------------------------------------ decode

@@ -73,8 +73,10 @@ id tuples via :func:`~repro.cache.fingerprint.encode_atom_parts` /
 :func:`~repro.cache.fingerprint.fingerprint_encoded_sequence` -- byte-equal
 to the tuple path's ``fingerprint_fact_sequence``.  ``backend="sql"``
 pushes each candidate elimination down to one SELECT join
-(:func:`repro.engine.sql_backend.sql_core`); ``backend="auto"`` resolves
-through :func:`repro.engine.dispatch.choose_core_backend`.  All backends
+(:func:`repro.engine.sql_backend.sql_core`); ``backend="auto"`` runs the
+id-space engine at every size (:func:`repro.engine.dispatch.
+choose_core_backend`), while the default stays the tuple engine, the
+reference the differential tests compare against.  All backends
 return the same core up to isomorphism (exactly: same fact count, same
 constants, isomorphic null structure); the retraction each engine picks for
 a symmetric block may differ, which is why cross-engine agreement is stated
@@ -802,23 +804,23 @@ def core(instance: Instance, *, backend: str = "tuple") -> Instance:
     ``backend`` selects the execution engine: ``"tuple"`` (this module's
     object worklist -- the reference), ``"columnar"`` (id-space over a
     :class:`~repro.engine.columnar.ColumnarInstance`), ``"sql"`` (per-block
-    eliminating homomorphisms as SELECT joins), or ``"auto"``
-    (:func:`~repro.engine.dispatch.choose_core_backend` by instance size).
-    All backends return the same core up to isomorphism.
+    eliminating homomorphisms as SELECT joins), or ``"auto"``, which
+    :func:`~repro.engine.dispatch.choose_core_backend` resolves to
+    ``"columnar"`` at every size.  All backends return the same core up to
+    isomorphism.
     """
     if backend != "tuple":
-        from repro.engine.dispatch import CORE_SQL_AUTO_THRESHOLD, choose_core_backend
+        from repro.engine.dispatch import choose_core_backend
 
-        size = len(instance)
         sql_supported = False
         blocks = None
-        if backend == "sql" or (backend == "auto" and size >= CORE_SQL_AUTO_THRESHOLD):
+        if backend == "sql":
             from repro.engine.sql_backend import sql_core_supported
 
             blocks = _null_blocks(instance)
             sql_supported = sql_core_supported(instance, blocks)
         choice = choose_core_backend(
-            backend, input_size=size, sql_supported=sql_supported
+            backend, input_size=len(instance), sql_supported=sql_supported
         )
         if choice.backend == "sql":
             from repro.engine.sql_backend import sql_core

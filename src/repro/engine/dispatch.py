@@ -25,6 +25,18 @@ dispatch.)
 decides whether the per-fact savings amortize each backend's setup cost.
 The crossover points below were measured by
 ``benchmarks/bench_backend_chase.py`` on the scaling workloads.
+
+Cores have no crossover: :func:`choose_core_backend` resolves ``"auto"`` to
+the columnar (id-space) core engine at every size.  The data behind that is
+the ``core_auto`` row of ``BENCH_hom.json``
+(``benchmarks/bench_scaling_hom.py``): tuple, columnar and SQL core wall
+times on Ex 4.8 cycles and paths (10-80 facts), the introduction's nested
+tgd over stars (400-19.6k facts) and the flat shop exchange (30k facts).
+The columnar core beats the tuple core on every one of them (1.1x to
+9.5x).  SQL is ahead only on the two 10-fact cases, by 3.3 ms or less, and
+level with columnar at 30k facts; it is about 40x to 900x slower on the
+Ex 4.8 shapes of 22-40 facts and cannot load the five solutions with
+f-blocks over 64 facts.  No size threshold separates those cases.
 """
 
 from __future__ import annotations
@@ -46,15 +58,8 @@ COLUMNAR_AUTO_THRESHOLD = 500
 #: connection setup + encode/decode round-trips dominate).
 SQL_AUTO_THRESHOLD = 5_000
 
-#: Minimum input facts before core's "auto" prefers the columnar engine.
-#: Lower than the chase crossover: the core worklist re-probes the same
-#: blocks many times, so the one-shot encode pass amortizes sooner.
-CORE_COLUMNAR_AUTO_THRESHOLD = 300
-
-#: Minimum input facts before core's "auto" pushes per-block eliminating
-#: homomorphisms down to SQL (per-block SELECT joins; session setup and
-#: encode/decode round-trips dominate below this).
-CORE_SQL_AUTO_THRESHOLD = 20_000
+#: The reason every "auto" core choice reports.
+CORE_AUTO_REASON = "id-space core engine at every size"
 
 
 @dataclass(frozen=True)
@@ -120,17 +125,14 @@ def choose_core_backend(
 ) -> BackendChoice:
     """Resolve a core-computation ``backend=`` argument to a concrete backend.
 
-    Core computation has its own crossover points: the block worklist
-    re-probes the shrinking instance many times per null, so the columnar
-    encode pass amortizes earlier than in a chase, while the SQL pushdown
-    (one SELECT join per candidate elimination) only wins once blocks are
-    large enough to drown the per-query compile/decode cost.
+    ``"auto"`` is the columnar (id-space) engine whatever the size, so
+    *input_size* and *sql_supported* no longer decide anything for it (see
+    the module docstring for the data).
 
     *sql_supported* reports whether the instance can be loaded into a SQL
     core session (:func:`repro.engine.sql_backend.sql_core_supported`);
-    callers probe it lazily, only when SQL is actually in play.  An explicit
-    ``"sql"`` request on an unsupported instance raises, while ``"auto"``
-    falls back to the columnar engine.
+    callers probe it only for an explicit ``"sql"`` request, which raises
+    on an unsupported instance.
     """
     validate_backend(requested)
     if requested == "sql":
@@ -146,25 +148,14 @@ def choose_core_backend(
         return BackendChoice("sql", requested, "requested explicitly")
     if requested != "auto":
         return BackendChoice(requested, requested, "requested explicitly")
-    if sql_supported and input_size >= CORE_SQL_AUTO_THRESHOLD:
-        return BackendChoice(
-            "sql", requested, f"{input_size} facts >= {CORE_SQL_AUTO_THRESHOLD}"
-        )
-    if input_size >= CORE_COLUMNAR_AUTO_THRESHOLD:
-        return BackendChoice(
-            "columnar",
-            requested,
-            f"{input_size} facts >= {CORE_COLUMNAR_AUTO_THRESHOLD}",
-        )
-    return BackendChoice("tuple", requested, f"small input ({input_size} facts)")
+    return BackendChoice("columnar", requested, CORE_AUTO_REASON)
 
 
 __all__ = [
     "BACKENDS",
     "BackendChoice",
     "COLUMNAR_AUTO_THRESHOLD",
-    "CORE_COLUMNAR_AUTO_THRESHOLD",
-    "CORE_SQL_AUTO_THRESHOLD",
+    "CORE_AUTO_REASON",
     "SQL_AUTO_THRESHOLD",
     "choose_backend",
     "choose_core_backend",

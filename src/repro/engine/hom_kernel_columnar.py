@@ -84,20 +84,28 @@ class EncodedFact:
     for a ground (or pre-bound) value id, ``(_VAR, key)`` for a free
     variable.  ``var_positions`` lists the first occurrence of each distinct
     variable -- the positions whose candidate columns define its domain.
+    ``repeats`` pairs each later occurrence of a variable with its first
+    position: a candidate row must hold equal values in both columns.
     """
 
-    __slots__ = ("group", "args", "var_positions")
+    __slots__ = ("group", "args", "var_positions", "repeats")
 
     def __init__(self, group: _RelGroup, args: tuple[tuple[int, object], ...]):
         self.group = group
         self.args = args
-        seen: set[object] = set()
+        first: dict[object, int] = {}
         positions: list[tuple[int, object]] = []
+        repeats: list[tuple[int, int]] = []
         for pos, (kind, key) in enumerate(args):
-            if kind == _VAR and key not in seen:
-                seen.add(key)
+            if kind != _VAR:
+                continue
+            if key in first:
+                repeats.append((pos, first[key]))
+            else:
+                first[key] = pos
                 positions.append((pos, key))
         self.var_positions = tuple(positions)
+        self.repeats = tuple(repeats)
 
 
 def encode_facts(
@@ -200,54 +208,36 @@ def _split_components(
 def _seed_rows(
     fact: EncodedFact, forbidden: dict[_RelGroup, set[int]] | None
 ) -> list[int]:
-    """Candidate rows for *fact* from its most selective constant position."""
+    """Candidate rows for *fact*: the bucket of its most selective constant
+    position, narrowed by every other constant position.
+
+    This is the only constant check: candidate lists only ever shrink, so
+    AC-3 revisions filter variable positions alone.
+    """
     group = fact.group
     best: list[int] | None = None
+    best_pos = -1
+    constants: list[tuple[int, object]] = []
     for pos, (kind, key) in enumerate(fact.args):
         if kind != _CONST:
             continue
         bucket = group.index[pos].get(key)
         if bucket is None:
             return []
+        constants.append((pos, key))
         if best is None or len(bucket) < len(best):
-            best = bucket
+            best, best_pos = bucket, pos
     rows: Iterable[int] = group.live_rows() if best is None else best
     if forbidden:
         blocked = forbidden.get(group)
         if blocked:
-            return [row for row in rows if row not in blocked]
+            rows = [row for row in rows if row not in blocked]
+    columns = group.columns
+    for pos, key in constants:
+        if pos != best_pos:
+            column = columns[pos]
+            rows = [row for row in rows if column[row] == key]
     return list(rows)
-
-
-def _consistent(
-    fact: EncodedFact,
-    row: int,
-    bound: Mapping[object, int],
-    domains: Mapping[object, set[int]],
-) -> bool:
-    """Is target row *row* compatible with *fact* under bounds and domains?"""
-    columns = fact.group.columns
-    seen: dict[object, int] = {}
-    for pos, (kind, key) in enumerate(fact.args):
-        value = columns[pos][row]
-        if kind == _CONST:
-            if value != key:
-                return False
-            continue
-        fixed_value = bound.get(key)
-        if fixed_value is not None:
-            if fixed_value != value:
-                return False
-            continue
-        previous = seen.get(key)
-        if previous is None:
-            domain = domains.get(key)
-            if domain is not None and value not in domain:
-                return False
-            seen[key] = value
-        elif previous != value:
-            return False
-    return True
 
 
 def _propagate(
@@ -255,11 +245,16 @@ def _propagate(
     facts_of_var: dict[object, list[int]],
     candidates: list[list[int]],
     domains: dict[object, set[int]],
-    bound: Mapping[object, int],
     queue: Iterable[int],
     stats: _Stats,
 ) -> bool:
-    """AC-3 style propagation; return False on a domain or candidate wipeout."""
+    """AC-3 style propagation; return False on a domain or candidate wipeout.
+
+    A revision filters a fact's candidate rows one column at a time: the
+    value at each variable's first position must lie in that variable's
+    domain, and repeated positions must agree.  A bound variable's domain is
+    the singleton of its value, so bindings need no check of their own.
+    """
     pending: deque[int] = deque(queue)
     queued = set(pending)
     while pending:
@@ -267,14 +262,18 @@ def _propagate(
         queued.discard(index)
         stats.revisions += 1
         fact = facts[index]
-        filtered = [
-            row for row in candidates[index] if _consistent(fact, row, bound, domains)
-        ]
+        columns = fact.group.columns
+        filtered = candidates[index]
+        for pos, var in fact.var_positions:
+            column, domain = columns[pos], domains[var]
+            filtered = [row for row in filtered if column[row] in domain]
+        for pos, first in fact.repeats:
+            column, other = columns[pos], columns[first]
+            filtered = [row for row in filtered if column[row] == other[row]]
         candidates[index] = filtered
         if not filtered:
             stats.wipeouts += 1
             return False
-        columns = fact.group.columns
         for pos, var in fact.var_positions:
             column = columns[pos]
             supported = {column[row] for row in filtered}
@@ -314,7 +313,7 @@ def _search(
         child_domains[var] = {value}
         child_candidates = [list(c) for c in candidates]
         if _propagate(
-            facts, facts_of_var, child_candidates, child_domains, child_bound,
+            facts, facts_of_var, child_candidates, child_domains,
             facts_of_var[var], stats,
         ):
             # Propagation can pin further variables to singletons; adopt them.
@@ -358,7 +357,7 @@ def _solve_component(
                 return None
     bound: dict[object, int] = {}
     if not _propagate(
-        facts, facts_of_var, candidates, domains, bound, range(len(facts)), stats
+        facts, facts_of_var, candidates, domains, range(len(facts)), stats
     ):
         return None
     for var, domain in domains.items():

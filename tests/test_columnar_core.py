@@ -7,36 +7,38 @@ of representative facts), so the correctness bar is: **verdicts agree exactly**
 (homomorphism existence, witness validity) and **cores agree up to
 isomorphism** (the core is unique up to isomorphism; sizes agree exactly).
 
-Also covered here: the single search per canonicalizable block, the
-``facts_of`` / ``facts_with`` decode memo counter, the ``choose_core_backend``
-dispatch policy, the SQL core's 64-fact block limit, and the ``repro core``
-CLI.
+Also covered here: the block kernels under pre-bound nulls and forbidden
+facts, the pinned ``hom.columnar.*`` counts of Ex 4.8 cores, the single
+search per canonicalizable block, the ``facts_of`` / ``facts_with`` decode
+memo counter, the ``choose_core_backend`` dispatch policy, the SQL core's
+64-fact block limit, and the ``repro core`` CLI.
 """
 
 from __future__ import annotations
 
 import json
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro import perf
 from repro.engine.columnar import ColumnarInstance
 from repro.engine.core_instance import core, is_core
-from repro.engine.dispatch import (
-    CORE_COLUMNAR_AUTO_THRESHOLD,
-    CORE_SQL_AUTO_THRESHOLD,
-    choose_core_backend,
-)
+from repro.engine.dispatch import CORE_AUTO_REASON, choose_core_backend
 from repro.engine.hom_kernel import (
     block_homomorphism,
     block_homomorphism_generic,
     find_homomorphism_indexed,
 )
+from repro.engine.hom_kernel_columnar import block_homomorphism_columnar
 from repro.engine.homomorphism import is_homomorphism
 from repro.engine.sql_backend import sql_core_supported
 from repro.errors import ChaseError
+from repro.logic.atoms import Atom
+from repro.logic.instances import Instance
 from repro.logic.parser import parse_instance
+from repro.logic.values import Constant, Null
 
 from tests.strategies import instances
 
@@ -90,6 +92,76 @@ class TestHomKernelDifferential:
         assert fast is not None and slow is not None
         assert stats.get("hom.columnar.kernel_calls") == 1
         assert stats.get("hom.kernel_calls") == 1
+
+
+_NULLS = [Null(f"n{i}") for i in range(3)]
+_CONSTANTS = [Constant(name) for name in "abc"]
+_ARITY = {"R": 3, "S": 2}
+
+
+def _fact(relation: str, args) -> Atom:
+    return Atom(relation, tuple(args))
+
+
+@st.composite
+def _kernel_inputs(draw):
+    """(source facts, target, fixed, forbidden) for the block kernels.
+
+    The source always holds a fact with a repeated null and a fact with two
+    constants and a null, so both the repeat filter of an AC-3 revision and
+    the constant positions checked when candidates are seeded get exercised;
+    *fixed* turns one or two of the other nulls into constants as well.
+    """
+    values = _NULLS + _CONSTANTS
+    null, other = draw(st.sampled_from(_NULLS)), draw(st.sampled_from(values))
+    repeated = draw(st.permutations([null, null, other]))
+    first, second = draw(st.lists(st.sampled_from(_CONSTANTS), min_size=2, max_size=2))
+    constants = draw(st.permutations([first, second, draw(st.sampled_from(_NULLS))]))
+    source = [_fact("R", repeated), _fact("R", constants)]
+    relations = st.sampled_from(sorted(_ARITY))
+    for relation in draw(st.lists(relations, max_size=2)):
+        args = draw(st.lists(st.sampled_from(values),
+                             min_size=_ARITY[relation], max_size=_ARITY[relation]))
+        source.append(_fact(relation, args))
+    target_values = _CONSTANTS + [Null("t0")]
+    target = Instance(
+        _fact(relation, draw(st.lists(st.sampled_from(target_values),
+                                      min_size=_ARITY[relation],
+                                      max_size=_ARITY[relation])))
+        for relation in draw(st.lists(relations, min_size=1, max_size=24))
+    )
+    others = [n for n in _NULLS if n != null]
+    fixed_nulls = draw(st.lists(st.sampled_from(others), unique=True,
+                                min_size=1, max_size=2))
+    fixed = {n: draw(st.sampled_from(target_values)) for n in fixed_nulls}
+    facts = sorted(target, key=repr)
+    forbidden = frozenset(draw(st.lists(st.sampled_from(facts), min_size=1,
+                                        max_size=3)))
+    return source, target, fixed, forbidden
+
+
+class TestBlockKernelDifferential:
+    """block_homomorphism_columnar agrees with block_homomorphism_generic
+    under pre-bound nulls and forbidden facts."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(_kernel_inputs())
+    def test_fixed_and_forbidden_agree(self, inputs):
+        source, target, fixed, forbidden = inputs
+        generic = block_homomorphism_generic(source, target, fixed, forbidden)
+        columnar = block_homomorphism_columnar(
+            source, ColumnarInstance(target), fixed, forbidden)
+        assert (generic is None) == (columnar is None)
+        if columnar is None:
+            return
+        free = {arg for fact in source for arg in fact.args
+                if isinstance(arg, Null) and arg not in fixed}
+        assert set(columnar) == free
+        mapping = {**fixed, **columnar}
+        for fact in source:
+            image = fact.rename_values(mapping)
+            assert image in target and image not in forbidden
 
 
 class TestCoreDifferential:
@@ -203,21 +275,27 @@ class TestDecodeMemoCounter:
 
 
 class TestChooseCoreBackend:
-    def test_auto_small_is_tuple(self):
-        choice = choose_core_backend("auto", input_size=10)
-        assert choice.backend == "tuple" and choice.was_auto
+    def test_auto_small_is_columnar(self):
+        for size in (0, 10):
+            for sql_supported in (False, True):
+                choice = choose_core_backend(
+                    "auto", input_size=size, sql_supported=sql_supported)
+                assert choice.backend == "columnar" and choice.was_auto
+                assert choice.reason == CORE_AUTO_REASON
 
     def test_auto_medium_is_columnar(self):
-        choice = choose_core_backend(
-            "auto", input_size=CORE_COLUMNAR_AUTO_THRESHOLD)
-        assert choice.backend == "columnar"
+        for sql_supported in (False, True):
+            choice = choose_core_backend(
+                "auto", input_size=300, sql_supported=sql_supported)
+            assert choice.backend == "columnar"
+            assert choice.reason == CORE_AUTO_REASON
 
-    def test_auto_large_needs_sql_support(self):
-        size = CORE_SQL_AUTO_THRESHOLD
-        assert choose_core_backend(
-            "auto", input_size=size, sql_supported=True).backend == "sql"
-        assert choose_core_backend(
-            "auto", input_size=size, sql_supported=False).backend == "columnar"
+    def test_auto_large_ignores_sql_support(self):
+        for sql_supported in (False, True):
+            choice = choose_core_backend(
+                "auto", input_size=20_000, sql_supported=sql_supported)
+            assert choice.backend == "columnar"
+            assert choice.reason == CORE_AUTO_REASON
 
     def test_explicit_passthrough(self):
         for backend in BACKENDS:
@@ -232,6 +310,35 @@ class TestChooseCoreBackend:
     def test_unknown_backend_raises(self):
         with pytest.raises(ChaseError):
             choose_core_backend("vectorized", input_size=1)
+
+
+class TestPinnedKernelCounts:
+    """The column-wise AC-3 revision keeps every ``hom.columnar.*`` count.
+
+    The figures are the ones the per-row revision recorded on Ex 4.8 cores.
+    The store is built from the repr-sorted chase so value ids, and with
+    them the propagation order, do not depend on the string hash seed.
+    """
+
+    EX48 = "S(x,y) -> R(f(x), f(y)) & R(f(y), f(x))"
+
+    @pytest.mark.parametrize("n, counts", [
+        pytest.param(21, {"kernel_calls": 1, "ac3_revisions": 862, "search_nodes": 1,
+                          "backtracks": 20, "ac3_wipeouts": 20}, id="odd-21"),
+        pytest.param(40, {"kernel_calls": 2, "ac3_revisions": 604, "search_nodes": 34,
+                          "backtracks": 0, "ac3_wipeouts": 1}, id="even-40"),
+    ])
+    def test_ex48_cycle_counts(self, n, counts):
+        from repro.engine.chase import chase_so_tgd
+        from repro.logic.parser import parse_so_tgd
+        from repro.workloads import cycle_instance
+
+        chased = chase_so_tgd(cycle_instance(n), parse_so_tgd(self.EX48))
+        store = ColumnarInstance(sorted(chased, key=repr))
+        with perf.measuring() as stats:
+            result = core(store, backend="columnar")
+        assert len(result) == (2 * n if n % 2 else 2)
+        assert {key: stats.get(f"hom.columnar.{key}") for key in counts} == counts
 
 
 def _intro_star_chase(n: int):
@@ -256,14 +363,18 @@ class TestSqlCore:
         assert len(core(chased, backend="sql")) == 64
 
     def test_block_of_65_facts_exceeds_the_join_limit(self, monkeypatch):
-        from repro.engine import dispatch
+        from repro.engine import sql_backend
 
         chased = _intro_star_chase(65)
         assert not sql_core_supported(chased)
         with pytest.raises(ChaseError, match="more than 64 facts"):
             core(chased, backend="sql")
-        # "auto" above the SQL threshold falls back to columnar.
-        monkeypatch.setattr(dispatch, "CORE_SQL_AUTO_THRESHOLD", len(chased))
+
+        # "auto" runs the columnar engine without probing SQL support.
+        def unexpected_probe(*args, **kwargs):
+            raise AssertionError("auto probed sql_core_supported")
+
+        monkeypatch.setattr(sql_backend, "sql_core_supported", unexpected_probe)
         with perf.measuring() as stats:
             result = core(chased, backend="auto")
         assert len(result) == 65
@@ -297,9 +408,10 @@ class TestCoreCli:
         code, report = self._run(
             "core", "--instance", "R(a,_x), R(a,b), R(_y,b)", capsys=capsys)
         assert code == 0
-        assert report["backend"] == "tuple" and report["requested"] == "auto"
+        assert report["backend"] == "columnar" and report["requested"] == "auto"
+        assert report["reason"] == CORE_AUTO_REASON
         assert report["input_facts"] == 3 and report["core_facts"] == 1
-        assert "reason" in report and "facts" not in report
+        assert "facts" not in report
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_core_size_backend_independent(self, backend, capsys):
