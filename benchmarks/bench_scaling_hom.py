@@ -21,12 +21,8 @@ Three workloads, each with a predictable asymptotic gap:
   :func:`~repro.engine.naive.find_homomorphism_naive` in repr fact order,
   restart per elimination).
 
-Two further axes compare the columnar/SQL backends of the core stack:
+Further axes compare the core engines:
 
-- **columnar kernel** (``columnar_*`` keys): the id-space kernel
-  (:mod:`repro.engine.hom_kernel_columnar`) against the generic kernel
-  decoding the *same* :class:`ColumnarInstance` target through the
-  ``FactIndex`` protocol, on every hom workload above.
 - **core backends** (``core_backends`` key):
   ``core(backend="tuple"/"columnar"/"sql")`` wall times on the star chase.
 - **rigid cores** (``core_rigid`` key): the core of Ex 4.8's SO tgd chased
@@ -48,10 +44,8 @@ Run as a script to record the comparison in ``BENCH_hom.json``::
     PYTHONPATH=src python benchmarks/bench_scaling_hom.py [--smoke] [--json PATH]
 
 Acceptance: the pinpoint workload must show a >= 10x kernel-vs-naive speedup
-at the largest size, and the id-space kernel must be at least as fast as
-decode-through on the hub workload at the largest size, and each rigid odd
-cycle must cost one kernel call per engine (both asserted in smoke runs
-too -- the perf-smoke CI gate).
+at the largest size, and each rigid odd cycle must cost one kernel call per
+engine (asserted in smoke runs too -- the perf-smoke CI gate).
 """
 
 import time
@@ -60,12 +54,7 @@ import pytest
 
 from repro import perf
 from repro.engine.chase import chase, chase_so_tgd
-from repro.engine.columnar import ColumnarInstance
 from repro.engine.core_instance import core
-from repro.engine.hom_kernel import (
-    block_homomorphism_generic,
-    find_homomorphism_indexed,
-)
 from repro.engine.homomorphism import find_homomorphism, is_homomorphism
 from repro.engine.naive import core_naive, find_homomorphism_naive
 from repro.engine.sql_backend import sql_core_supported
@@ -175,28 +164,6 @@ def _hom_workload(workload: str, n: int) -> tuple[Instance, Instance, bool]:
     raise ValueError(workload)
 
 
-def compare_hom_columnar(workload: str, n: int) -> dict:
-    """Time the id-space kernel against decode-through on a columnar target.
-
-    Both contestants see the *same* :class:`ColumnarInstance`:
-    ``find_homomorphism_indexed`` dispatches to the integer-domain kernel,
-    while ``block_homomorphism_generic`` decodes rows through the
-    ``FactIndex`` protocol (``facts_of`` / ``facts_with``) -- the cost the
-    id-space kernel exists to avoid.
-    """
-    source, target, expect = _hom_workload(workload, n)
-    store = ColumnarInstance(target)
-    idspace_s, idspace_map = _best_of(find_homomorphism_indexed, source, store)
-    decode_s, decode_map = _best_of(block_homomorphism_generic, source, store)
-    assert (idspace_map is not None) == expect, workload
-    assert (decode_map is not None) == expect, workload
-    if expect:
-        assert is_homomorphism(idspace_map, source, target)
-        assert is_homomorphism(decode_map, source, target)
-    return {"workload": workload, "n": n, "idspace_s": idspace_s,
-            "decode_s": decode_s, "speedup": decode_s / idspace_s}
-
-
 def compare_core_backends(n: int) -> dict:
     """Core wall times across the three backends on the star chase."""
     chased = star_chase(n)
@@ -219,12 +186,11 @@ def compare_core_rigid(n: int) -> dict:
     """
     chased = chase_so_tgd(cycle_instance(n), EX48)
     row: dict = {"n": n, "chase_facts": len(chased)}
-    for backend, counter in (("tuple", "hom.kernel_calls"),
-                             ("columnar", "hom.columnar.kernel_calls")):
+    for backend in ("tuple", "columnar"):
         with perf.measuring() as stats:
             result = core(chased, backend=backend)
         assert result == chased, backend  # an odd cycle is its own core
-        row[f"{backend}_kernel_calls"] = stats.get(counter)
+        row[f"{backend}_kernel_calls"] = stats.get("hom.kernel_calls")
         row[f"{backend}_s"], __ = _best_of(core, chased, backend=backend)
     return row
 
@@ -312,14 +278,6 @@ def test_hom_kernel_speedup():
     assert row["speedup"] >= 10.0, row
 
 
-def test_columnar_kernel_hub_gate():
-    """Acceptance: the id-space kernel is at least as fast as decoding the
-    same columnar target through the FactIndex protocol, on the hub workload
-    at the largest smoke size (the perf-smoke CI gate)."""
-    row = compare_hom_columnar("hub", SMOKE_HOM_SIZES[-1])
-    assert row["speedup"] >= 1.0, row
-
-
 def test_core_rigid_gate():
     """Acceptance: a rigid odd cycle costs one kernel call on each engine."""
     row = compare_core_rigid(SMOKE_RIGID_SIZES[-1])
@@ -356,11 +314,6 @@ def main(argv=None) -> dict:
         "hub": [compare_hom("hub", n) for n in hom_sizes],
         "hub_unsat": [compare_hom("hub_unsat", n) for n in hom_sizes],
         "core": [compare_core(n) for n in core_sizes],
-        "columnar_pinpoint": [compare_hom_columnar("pinpoint", n)
-                              for n in hom_sizes],
-        "columnar_hub": [compare_hom_columnar("hub", n) for n in hom_sizes],
-        "columnar_hub_unsat": [compare_hom_columnar("hub_unsat", n)
-                               for n in hom_sizes],
         "core_backends": [compare_core_backends(n) for n in core_sizes],
         "core_rigid": [compare_core_rigid(n) for n in rigid_sizes],
         "core_auto": [compare_core_auto(shape, n) for shape, n in core_auto_cases],
@@ -368,8 +321,6 @@ def main(argv=None) -> dict:
     report["largest_pinpoint_speedup"] = report["pinpoint"][-1]["speedup"]
     report["largest_hub_speedup"] = report["hub"][-1]["speedup"]
     report["largest_core_speedup"] = report["core"][-1]["speedup"]
-    report["largest_hub_columnar_speedup"] = \
-        report["columnar_hub"][-1]["speedup"]
 
     with open(args.json, "w") as handle:
         json.dump(report, handle, indent=2)
@@ -380,10 +331,6 @@ def main(argv=None) -> dict:
     for row in report["core"]:
         print(f"core      n={row['n']:4d}  kernel {row['kernel_s']:.4f}s  "
               f"naive {row['naive_s']:.4f}s  speedup {row['speedup']:.1f}x")
-    for key in ("columnar_pinpoint", "columnar_hub", "columnar_hub_unsat"):
-        for row in report[key]:
-            print(f"{key:18s} n={row['n']:4d}  id-space {row['idspace_s']:.4f}s  "
-                  f"decode {row['decode_s']:.4f}s  speedup {row['speedup']:.1f}x")
     for row in report["core_backends"]:
         print(f"core_backends      n={row['n']:4d}  "
               f"tuple {row['tuple_s']:.4f}s  columnar {row['columnar_s']:.4f}s  "
@@ -399,9 +346,8 @@ def main(argv=None) -> dict:
               f"({row['solution_facts']:5d} facts)  tuple {row['tuple_s']:.4f}s  "
               f"columnar {row['columnar_s']:.4f}s  sql {sql}")
     print(f"wrote {args.json}")
-    # The columnar-kernel hub gate holds at every size tier (smoke included:
-    # the perf-smoke CI job runs this script with --smoke).
-    assert report["largest_hub_columnar_speedup"] >= 1.0
+    # The rigid-core gate holds at every size tier (smoke included: the
+    # perf-smoke CI job runs this script with --smoke).
     for row in report["core_rigid"]:
         assert row["tuple_kernel_calls"] == row["columnar_kernel_calls"] == 1, row
     if not args.smoke:

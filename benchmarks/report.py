@@ -299,23 +299,6 @@ def engine_counters() -> None:
         f"backtracks = {stats.get('hom.backtracks')}"
     )
 
-    # The same pinned hub against a columnar target: the id-space kernel
-    # runs AC-3 and search over integer ids with no atom decode on the hot
-    # path (the hom.columnar.* counters mirror their hom.* twins).
-    from repro.engine.columnar import ColumnarInstance
-    from repro.engine.hom_kernel import find_homomorphism_indexed
-
-    store = ColumnarInstance(hom_target)
-    with perf.measuring() as stats:
-        assert find_homomorphism_indexed(hom_source, store) is not None
-    print(
-        f"id-space kernel (same hub, columnar target): "
-        f"kernel calls = {stats.get('hom.columnar.kernel_calls')}, "
-        f"ac3 revisions = {stats.get('hom.columnar.ac3_revisions')}, "
-        f"search nodes = {stats.get('hom.columnar.search_nodes')}, "
-        f"decoded rows = {stats.get('backend.columnar.decoded_rows')}"
-    )
-
     # The chase of the star has n isomorphic blocks: the core engine keeps
     # one and drops the other n - 1 by canonical-form deduplication.
     chased_star = chase(star, INTRO)
@@ -330,15 +313,17 @@ def engine_counters() -> None:
     )
 
     # The same core in id-space: canonical-block fingerprints are
-    # byte-identical to the tuple engine's.
+    # byte-identical to the tuple engine's, and the id-space kernel runs
+    # AC-3 and search over integer ids, decoding only the core itself.
     with perf.measuring() as stats:
         folded = core(chased_star, backend="columnar")
     print(
         f"columnar core (same star): "
-        f"blocks = {stats.get('core.columnar.blocks')}, "
-        f"iso folds = {stats.get('core.columnar.iso_folds')}, "
-        f"eliminations = {stats.get('core.columnar.eliminations')}, "
-        f"probe memo hits = {stats.get('backend.columnar.probe_hits')} "
+        f"blocks = {stats.get('core.blocks')}, "
+        f"iso folds = {stats.get('core.iso_folds')}, "
+        f"eliminations = {stats.get('core.eliminations')}, "
+        f"kernel calls = {stats.get('hom.kernel_calls')}, "
+        f"decoded rows = {stats.get('backend.columnar.decoded_rows')} "
         f"(core size {len(folded)})"
     )
 
@@ -347,10 +332,10 @@ def engine_counters() -> None:
     with perf.measuring() as stats:
         folded = core(chased_star, backend="sql")
     print(
-        f"sql core (same star): blocks = {stats.get('core.sql.blocks')}, "
+        f"sql core (same star): blocks = {stats.get('core.blocks')}, "
         f"queries = {stats.get('core.sql.queries')}, "
-        f"eliminations = {stats.get('core.sql.eliminations')}, "
-        f"rigid blocks = {stats.get('core.sql.rigid_blocks')} "
+        f"eliminations = {stats.get('core.eliminations')}, "
+        f"rigid blocks = {stats.get('core.rigid_blocks')} "
         f"(core size {len(folded)})"
     )
 

@@ -164,18 +164,15 @@ def cmd_core(args) -> int:
     )
     with perf.measuring() as stats:
         result = core(instance, backend=choice.backend)
-    prefix = {"tuple": "core.", "columnar": "core.columnar.", "sql": "core.sql."}[
-        choice.backend
-    ]
     report: dict = {
         "backend": choice.backend,
         "requested": args.backend,
         "reason": choice.reason,
         "input_facts": size,
         "core_facts": len(result),
-        "blocks": stats.get(prefix + "blocks"),
-        "eliminations": stats.get(prefix + "eliminations"),
-        "rigid_blocks": stats.get(prefix + "rigid_blocks"),
+        "blocks": stats.get("core.blocks"),
+        "eliminations": stats.get("core.eliminations"),
+        "rigid_blocks": stats.get("core.rigid_blocks"),
         "orbit_skips": stats.get("core.orbit_skips"),
         "sql_queries": stats.get("core.sql.queries"),
     }

@@ -65,7 +65,6 @@ def cq_refute(
     mapping_b,
     sources: Iterable[Instance],
     source_egds: Sequence[Egd] = (),
-    backend: str = "tuple",
 ) -> Instance | None:
     """Return a source instance separating the mappings' core solutions, or None.
 
@@ -73,16 +72,14 @@ def cq_refute(
     CQ-equivalent: their cores are not hom-equivalent on I, so some CQ has
     different certain answers.  Both chases go through the IMPLIES chase
     cache: the canonical test family deliberately repeats sources across the
-    two mappings and across calls.  *backend* selects the core engine
-    (:func:`repro.engine.core_instance.core`); the verdict is backend-
-    independent because hom-equivalence is isomorphism-invariant.
+    two mappings and across calls.
     """
     deps_a, deps_b = _normalize(mapping_a), _normalize(mapping_b)
     for source in sources:
         if source_egds and not satisfies_egds(source, list(source_egds)):
             continue
-        core_a = core(cached_chase(source, deps_a), backend=backend)
-        core_b = core(cached_chase(source, deps_b), backend=backend)
+        core_a = core(cached_chase(source, deps_a))
+        core_b = core(cached_chase(source, deps_b))
         if not homomorphically_equivalent(core_a, core_b):
             return source
     return None
@@ -93,7 +90,6 @@ def cq_equivalent_on(
     mapping_b,
     sources: Iterable[Instance],
     source_egds: Sequence[Egd] = (),
-    backend: str = "tuple",
 ) -> CQComparison:
     """Check CQ-equivalence over a batch of sources (bounded verifier).
 
@@ -104,9 +100,7 @@ def cq_equivalent_on(
         True
     """
     sources = list(sources)
-    witness = cq_refute(
-        mapping_a, mapping_b, sources, source_egds=source_egds, backend=backend
-    )
+    witness = cq_refute(mapping_a, mapping_b, sources, source_egds=source_egds)
     return CQComparison(
         equivalent_on_batch=witness is None,
         checked=len(sources),
@@ -148,7 +142,6 @@ def cq_equivalent(
     mapping_b,
     max_pattern_nodes: int = 3,
     source_egds: Sequence[Egd] = (),
-    backend: str = "tuple",
 ) -> CQComparison:
     """Check CQ-equivalence on the canonical test family of both mappings.
 
@@ -161,9 +154,7 @@ def cq_equivalent(
         mapping_a, mapping_b, max_pattern_nodes=max_pattern_nodes,
         source_egds=source_egds,
     )
-    return cq_equivalent_on(
-        mapping_a, mapping_b, sources, source_egds=source_egds, backend=backend
-    )
+    return cq_equivalent_on(mapping_a, mapping_b, sources, source_egds=source_egds)
 
 
 __all__ = [

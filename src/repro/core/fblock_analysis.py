@@ -70,18 +70,14 @@ def _self_bound(tgd: NestedTgd) -> int:
     return tgd.skolem_function_count() * tgd.universal_variable_count() + 1
 
 
-def _core_fblock_size(
-    source: Instance, dependencies: Sequence, backend: str = "tuple"
-) -> int:
+def _core_fblock_size(source: Instance, dependencies: Sequence) -> int:
     """``fact_block_size(core(chase(source, M)))`` -- the growth-test probe.
 
     The chase goes through the IMPLIES chase cache (clone rounds re-derive
-    the same canonical sources constantly) and the core computation can run
-    on another *backend* (the f-block size multiset is isomorphism-invariant,
-    so the probe is backend-independent).
+    the same canonical sources constantly).
     """
     chased = cached_chase(source, list(dependencies))
-    return fact_block_size(core(chased, backend=backend))
+    return fact_block_size(core(chased))
 
 
 def _paths_of(pattern: Pattern) -> Iterator[tuple[int, ...]]:
@@ -117,7 +113,6 @@ def decide_bounded_fblock_size(
     source_egds: Sequence[Egd] = (),
     clone_limit: int | None = None,
     max_patterns: int | None = 100_000,
-    backend: str = "tuple",
 ) -> FBlockVerdict:
     """Decide whether a nested GLAV mapping has bounded f-block size.
 
@@ -128,9 +123,6 @@ def decide_bounded_fblock_size(
     instance of the cloned pattern.  Strictly monotone growth through the
     whole range witnesses unboundedness (the extension argument of Theorem
     4.4); otherwise the maximum observed size is an effective bound.
-
-    ``backend=`` selects the core engine; the verdict is identical on every
-    backend.
 
         >>> from repro.logic.parser import parse_nested_tgd, parse_tgd
         >>> decide_bounded_fblock_size([parse_tgd("S(x,y) -> R(x,z)")]).bounded
@@ -152,7 +144,7 @@ def decide_bounded_fblock_size(
         limit = clone_limit if clone_limit is not None else _self_bound(tgd) + 1
         for pattern in one_patterns(tgd, max_patterns=max_patterns):
             base_size = _core_fblock_size(
-                _canonical_source(pattern, tgd, source_egds), all_deps, backend
+                _canonical_source(pattern, tgd, source_egds), all_deps
             )
             best_bound = max(best_bound, base_size)
             tried_subtrees: set[tuple] = set()
@@ -167,8 +159,7 @@ def decide_bounded_fblock_size(
                 for copies in range(1, limit + 1):
                     cloned = pattern.with_clones(path, copies)
                     size = _core_fblock_size(
-                        _canonical_source(cloned, tgd, source_egds), all_deps,
-                        backend,
+                        _canonical_source(cloned, tgd, source_egds), all_deps
                     )
                     sizes.append(size)
                     best_bound = max(best_bound, size)

@@ -32,13 +32,8 @@ from repro.core.implication import implies
 from repro.core.patterns import patterns_up_to_size
 
 
-def is_equivalent_to_glav(
-    dependencies, source_egds: Sequence[Egd] = (), backend: str = "tuple"
-) -> bool:
+def is_equivalent_to_glav(dependencies, source_egds: Sequence[Egd] = ()) -> bool:
     """Decide whether a nested GLAV mapping is logically equivalent to a GLAV mapping.
-
-    ``backend=`` is forwarded to the boundedness analysis's core engine (same
-    verdict on every backend).
 
         >>> from repro.logic.parser import parse_nested_tgd
         >>> sigma = parse_nested_tgd(
@@ -46,9 +41,7 @@ def is_equivalent_to_glav(
         >>> is_equivalent_to_glav([sigma])   # the paper's running counterexample
         False
     """
-    verdict = decide_bounded_fblock_size(
-        dependencies, source_egds=source_egds, backend=backend
-    )
+    verdict = decide_bounded_fblock_size(dependencies, source_egds=source_egds)
     return verdict.bounded
 
 
@@ -90,15 +83,12 @@ def to_glav(
     dependencies,
     source_egds: Sequence[Egd] = (),
     max_pattern_nodes: int = 8,
-    backend: str = "tuple",
 ) -> list[STTgd]:
     """Construct a GLAV mapping logically equivalent to the given nested GLAV mapping.
 
     Raises :class:`UndecidedError` when the mapping has unbounded f-block size
     (no equivalent GLAV mapping exists, Theorem 4.1) or when the search bound
     *max_pattern_nodes* is exhausted before the implication closes.
-    ``backend=`` is forwarded to the boundedness analysis's core engine; the
-    construction is unchanged for every backend.
 
         >>> from repro.logic.parser import parse_nested_tgd
         >>> sigma = parse_nested_tgd("S1(x1) -> (S2(x2) -> T(x1, x2))")
@@ -107,9 +97,7 @@ def to_glav(
         1
     """
     nested = nested_tgds_from(dependencies)
-    verdict: FBlockVerdict = decide_bounded_fblock_size(
-        nested, source_egds=source_egds, backend=backend
-    )
+    verdict: FBlockVerdict = decide_bounded_fblock_size(nested, source_egds=source_egds)
     if not verdict.bounded:
         raise UndecidedError(
             "the mapping has unbounded f-block size and is therefore not logically "
@@ -137,18 +125,14 @@ def to_glav(
     )
 
 
-def glav_distance_report(
-    dependencies, source_egds: Sequence[Egd] = (), backend: str = "tuple"
-) -> dict:
+def glav_distance_report(dependencies, source_egds: Sequence[Egd] = ()) -> dict:
     """A structured report for the GLAV-equivalence question.
 
     Returns a dict with the boundedness verdict, the witnessing growth
     sequence when unbounded, and (when bounded and small enough) the
     constructed equivalent GLAV mapping.
     """
-    verdict = decide_bounded_fblock_size(
-        dependencies, source_egds=source_egds, backend=backend
-    )
+    verdict = decide_bounded_fblock_size(dependencies, source_egds=source_egds)
     report: dict = {
         "bounded_fblock_size": verdict.bounded,
         "fblock_bound": verdict.bound,
@@ -158,9 +142,7 @@ def glav_distance_report(
     }
     if verdict.bounded:
         try:
-            report["equivalent_glav"] = to_glav(
-                dependencies, source_egds=source_egds, backend=backend
-            )
+            report["equivalent_glav"] = to_glav(dependencies, source_egds=source_egds)
         except UndecidedError:
             report["equivalent_glav"] = None
     return report

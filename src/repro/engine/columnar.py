@@ -13,11 +13,12 @@ encode/decode boundary and when a *new* Skolem term is first created.
 
 Three layers:
 
-- :class:`ColumnarInstance` -- the store.  It implements the read API of
-  the :class:`~repro.engine.hom_kernel.FactIndex` protocol (``facts_of`` /
-  ``facts_with`` / ``__contains__`` / iteration), decoding rows to interned
-  :class:`Atom` objects lazily and caching them, so the homomorphism kernel
-  and the generic matching engine run over it unchanged.
+- :class:`ColumnarInstance` -- the store.  It serves two engines only: the
+  single-pass exchange below and the id-space core engine
+  (:mod:`repro.engine.core_instance`), which reads its groups, columns and
+  inverted indexes directly.  Rows decode to interned :class:`Atom` objects
+  only through :meth:`~ColumnarInstance.decode_row`, iteration and
+  :meth:`~ColumnarInstance.to_instance`.
 - :class:`_ClausePlan` -- one Skolemized clause compiled against the store:
   a greedy join order (most bound variables first), per-atom bind/check
   position lists resolved to environment *slots*, and head/equality term
@@ -29,9 +30,7 @@ Three layers:
 
 Perf counters: ``backend.columnar.joins`` (per-atom index joins performed),
 ``backend.columnar.encoded_rows`` / ``backend.columnar.decoded_rows`` (facts
-crossing the object/array boundary), ``backend.columnar.probe_hits``
-(``facts_of`` / ``facts_with`` probes answered by the per-group decode memo
-without re-materializing an atom list).
+crossing the object/array boundary).
 
 The store also supports **tombstone deletion** (:meth:`ColumnarInstance.
 discard_row`): a discarded row is
@@ -46,7 +45,7 @@ guard, keeping the append-only hot paths unchanged.
 from __future__ import annotations
 
 from array import array
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro import perf
 from repro.errors import ChaseError
@@ -55,8 +54,6 @@ from repro.logic.instances import Instance
 from repro.logic.sotgd import SOClause
 from repro.logic.terms import FuncTerm, is_ground
 from repro.logic.values import Variable
-
-_EMPTY: tuple = ()
 
 
 class ValueTable:
@@ -83,10 +80,6 @@ class ValueTable:
             self._values.append(value)
         return vid
 
-    def lookup(self, value: object) -> int | None:
-        """The id of *value*, or None if it was never interned."""
-        return self._id_of.get(value)
-
     def value(self, vid: int) -> object:
         return self._values[vid]
 
@@ -97,10 +90,7 @@ class ValueTable:
 class _RelGroup:
     """The fact table of one (relation, arity): columns, dedup map, index."""
 
-    __slots__ = (
-        "relation", "arity", "columns", "row_of", "index", "atoms",
-        "dead", "probe", "facts_cache",
-    )
+    __slots__ = ("relation", "arity", "columns", "row_of", "index", "atoms", "dead")
 
     def __init__(self, relation: str, arity: int) -> None:
         self.relation = relation
@@ -111,10 +101,6 @@ class _RelGroup:
         self.atoms: list[Atom | None] = []
         #: Tombstoned row indexes (usually empty; see module docstring).
         self.dead: set[int] = set()
-        #: Probe memo: (position, vid) -> decoded atom list, dropped on mutation.
-        self.probe: dict[tuple[int, int], list[Atom]] = {}
-        #: ``facts_of`` memo for this group, dropped on mutation.
-        self.facts_cache: list[Atom] | None = None
 
     def __len__(self) -> int:
         return len(self.atoms) - len(self.dead)
@@ -133,10 +119,6 @@ class _RelGroup:
         row = len(self.atoms)
         self.row_of[ids] = row
         self.atoms.append(None)
-        if self.probe:
-            for position, vid in enumerate(ids):
-                self.probe.pop((position, vid), None)
-        self.facts_cache = None
         for position, vid in enumerate(ids):
             self.columns[position].append(vid)
             bucket = self.index[position].get(vid)
@@ -156,7 +138,6 @@ class _RelGroup:
         del self.row_of[ids]
         self.dead.add(row)
         self.atoms[row] = None
-        self.facts_cache = None
         for position, vid in enumerate(ids):
             bucket = self.index[position].get(vid)
             if bucket is not None:
@@ -166,12 +147,11 @@ class _RelGroup:
                     pass
                 if not bucket:
                     del self.index[position][vid]
-            self.probe.pop((position, vid), None)
         return True
 
 
 class ColumnarInstance:
-    """A mutable columnar fact store satisfying the ``FactIndex`` protocol."""
+    """A mutable columnar fact store: id-row groups plus a shared ValueTable."""
 
     __slots__ = ("values", "_groups", "_count")
 
@@ -246,113 +226,7 @@ class ColumnarInstance:
         perf.incr("backend.columnar.decoded_rows", self._count)
         return Instance(self)
 
-    # --------------------------------------------------- FactIndex / read API
-
-    def _group_facts(self, group: _RelGroup) -> list[Atom]:
-        """All live facts of *group*, through the per-group decode memo."""
-        cached = group.facts_cache
-        if cached is None:
-            decode = self.decode_row
-            cached = [decode(group, row) for row in group.live_rows()]
-            group.facts_cache = cached
-        else:
-            perf.incr("backend.columnar.probe_hits")
-        return cached
-
-    def facts_of(self, relation: str) -> Collection[Atom]:
-        groups = self._groups.get(relation)
-        if not groups:
-            return _EMPTY
-        if len(groups) == 1:
-            return self._group_facts(groups[0])
-        out: list[Atom] = []
-        for group in groups:
-            out.extend(self._group_facts(group))
-        return out
-
-    def facts_with(self, relation: str, position: int, value: object) -> Collection[Atom]:
-        groups = self._groups.get(relation)
-        if not groups:
-            return _EMPTY
-        vid = self.values.lookup(value)
-        if vid is None:
-            return _EMPTY
-        out: list[Atom] | None = None
-        single: list[Atom] | None = None
-        for group in groups:
-            if position >= group.arity:
-                continue
-            cached = group.probe.get((position, vid))
-            if cached is None:
-                decode = self.decode_row
-                cached = [
-                    decode(group, row)
-                    for row in group.index[position].get(vid, _EMPTY)
-                ]
-                group.probe[(position, vid)] = cached
-            else:
-                perf.incr("backend.columnar.probe_hits")
-            if single is None and out is None:
-                single = cached
-            else:
-                if out is None:
-                    out = list(single) if single else []
-                    single = None
-                out.extend(cached)
-        if out is not None:
-            return out
-        return single if single is not None else _EMPTY
-
-    def facts_containing(self, value: object) -> Collection[Atom]:
-        """The live facts in which *value* occurs (at any position)."""
-        vid = self.values.lookup(value)
-        if vid is None:
-            return _EMPTY
-        decode = self.decode_row
-        out: list[Atom] = []
-        for groups in self._groups.values():
-            for group in groups:
-                rows: set[int] = set()
-                for position_index in group.index:
-                    rows.update(position_index.get(vid, _EMPTY))
-                for row in sorted(rows):
-                    out.append(decode(group, row))
-        return out
-
-    def active_domain(self) -> frozenset:
-        """The values occurring in some live fact."""
-        value = self.values.value
-        vids: set[int] = set()
-        for groups in self._groups.values():
-            for group in groups:
-                for position_index in group.index:
-                    vids.update(position_index)
-        return frozenset(value(vid) for vid in vids)
-
-    def nulls(self) -> frozenset:
-        """The null values (labeled nulls, ground Skolem terms) of the store."""
-        from repro.logic.values import is_null
-
-        return frozenset(v for v in self.active_domain() if is_null(v))
-
-    def __contains__(self, fact: Atom) -> bool:
-        groups = self._groups.get(fact.relation)
-        if not groups:
-            return False
-        lookup = self.values.lookup
-        ids = []
-        for arg in fact.args:
-            vid = lookup(arg)
-            if vid is None:
-                return False
-            ids.append(vid)
-        key = tuple(ids)
-        return any(
-            group.arity == len(key) and key in group.row_of for group in groups
-        )
-
-    def relations(self) -> frozenset[str]:
-        return frozenset(self._groups)
+    # ------------------------------------------------------------- iteration
 
     def __len__(self) -> int:
         return self._count

@@ -68,8 +68,9 @@ components of a union-find over integer value ids, canonical labelings
 permute null *ids* and compare memoized repr strings, eliminating
 homomorphisms go through :func:`~repro.engine.hom_kernel_columnar.
 solve_encoded` with per-group forbidden row sets, and eliminations are
-tombstone row discards.  Canonical-block fingerprints are computed from the
-id tuples via :func:`~repro.cache.fingerprint.encode_atom_parts` /
+tombstone row discards.  All engines record the same ``core.*`` counters.
+Canonical-block fingerprints are computed from the id tuples via
+:func:`~repro.cache.fingerprint.encode_atom_parts` /
 :func:`~repro.cache.fingerprint.fingerprint_encoded_sequence` -- byte-equal
 to the tuple path's ``fingerprint_fact_sequence``.  ``backend="sql"``
 pushes each candidate elimination down to one SELECT join
@@ -737,9 +738,9 @@ class _ColumnarCore:
             block = pending.popleft()
             mapping = self.eliminating_hom(store, block)
             if mapping is None:
-                perf.incr("core.columnar.rigid_blocks")
+                perf.incr("core.rigid_blocks")
                 continue
-            perf.incr("core.columnar.eliminations")
+            perf.incr("core.eliminations")
             images: set[tuple[_RelGroup, tuple[int, ...]]] = set()
             for group, row in block:
                 image = tuple(
@@ -757,22 +758,18 @@ class _ColumnarCore:
                 pending.extend(self.null_components(survivors))
 
 
-def _core_columnar(instance: "Instance | ColumnarInstance") -> Instance:
+def _core_columnar(instance: Instance) -> Instance:
     """Compute the core in id-space over a columnar store.
 
-    Accepts either representation; an :class:`Instance` is encoded once, a
-    :class:`ColumnarInstance` is *consumed* (eliminations tombstone its rows
-    in place).  Same structure as the tuple path in :func:`core`: split into
-    f-blocks, drop isomorphic duplicates, then drain the global worklist.
+    *instance* is encoded once into a :class:`ColumnarInstance`, whose rows
+    eliminations then tombstone in place.  Same structure as the tuple path
+    in :func:`core`: split into f-blocks, drop isomorphic duplicates, then
+    drain the global worklist.
     """
-    store = (
-        instance
-        if isinstance(instance, ColumnarInstance)
-        else ColumnarInstance(instance)
-    )
+    store = ColumnarInstance(instance)
     engine = _ColumnarCore(store.values)
     blocks = engine.null_blocks(store)
-    perf.incr("core.columnar.blocks", len(blocks))
+    perf.incr("core.blocks", len(blocks))
 
     pending: deque[list[_Row]] = deque()
     seen: set[str] = set()
@@ -780,7 +777,7 @@ def _core_columnar(instance: "Instance | ColumnarInstance") -> Instance:
         fingerprint = engine.block_fingerprint(block)
         if fingerprint is not None:
             if fingerprint in seen:
-                perf.incr("core.columnar.iso_folds")
+                perf.incr("core.iso_folds")
                 for group, row in block:
                     store.discard_row(group, row)
                 continue
@@ -860,7 +857,4 @@ def is_core(instance: Instance) -> bool:
     )
 
 
-__all__ = ["core", "is_core", "core_columnar"]
-
-#: Public alias: the id-space engine, callable directly (benchmarks, tests).
-core_columnar = _core_columnar
+__all__ = ["core", "is_core"]

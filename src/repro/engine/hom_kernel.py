@@ -42,8 +42,6 @@ from collections.abc import Set as AbstractSet
 from typing import Protocol
 
 from repro import perf
-from repro.engine.columnar import ColumnarInstance
-from repro.engine.hom_kernel_columnar import block_homomorphism_columnar
 from repro.logic.atoms import Atom
 from repro.logic.values import is_null
 
@@ -326,28 +324,6 @@ def block_homomorphism(
     *fixed* pre-binds some nulls (the bindings are honored but not returned);
     facts in *forbidden* count as absent from the target.  The returned dict
     binds exactly the free nulls of *facts*.
-
-    Dispatches by target type: a :class:`~repro.engine.columnar.
-    ColumnarInstance` target runs on the integer-domain kernel of
-    :mod:`repro.engine.hom_kernel_columnar` (no atom decode on the hot
-    path); everything else runs the generic kernel below over the
-    ``FactIndex`` protocol.
-    """
-    if isinstance(target, ColumnarInstance):
-        return block_homomorphism_columnar(facts, target, fixed, forbidden)
-    return block_homomorphism_generic(facts, target, fixed, forbidden)
-
-
-def block_homomorphism_generic(
-    facts: Iterable[Atom],
-    target: FactIndex,
-    fixed: Mapping[object, object] | None = None,
-    forbidden: AbstractSet[Atom] = _EMPTY_FORBIDDEN,
-) -> dict[object, object] | None:
-    """The generic (decode-through) kernel over any ``FactIndex`` target.
-
-    Kept callable directly so the benchmarks can compare the id-space kernel
-    against decoding columnar rows through ``facts_of`` / ``facts_with``.
     """
     fixed = fixed or {}
     stats = _Stats()
@@ -392,6 +368,5 @@ def find_homomorphism_indexed(
 __all__ = [
     "FactIndex",
     "block_homomorphism",
-    "block_homomorphism_generic",
     "find_homomorphism_indexed",
 ]

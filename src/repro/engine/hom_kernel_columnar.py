@@ -1,96 +1,59 @@
-"""Integer-domain homomorphism kernel over the columnar backend.
+"""Integer-domain homomorphism kernel for the columnar core engine.
 
-This is the CSP kernel of :mod:`repro.engine.hom_kernel` re-based onto
-:class:`~repro.engine.columnar.ColumnarInstance`: candidate domains are row
-ids read straight out of the per-(position, value-id) inverted index,
-AC-3 propagation and the most-constrained-variable search compare machine
-integers from the ``array('q')`` columns, and connected-component
-decomposition runs over variable keys -- no :class:`~repro.logic.atoms.Atom`
-is decoded anywhere on the hot path.  Interned value objects appear only at
-the boundary: when a source fact is *encoded* against the target's
-:class:`~repro.engine.columnar.ValueTable` and when a found solution is
-decoded back into the ``null -> value`` mapping the tuple kernel returns.
+This is the CSP kernel of :mod:`repro.engine.hom_kernel` re-based onto the
+fact tables of a :class:`~repro.engine.columnar.ColumnarInstance`: candidate
+domains are row ids read straight out of the per-(position, value-id)
+inverted index, AC-3 propagation and the most-constrained-variable search
+compare machine integers from the ``array('q')`` columns, and
+connected-component decomposition runs over variable keys -- no
+:class:`~repro.logic.atoms.Atom` is decoded anywhere.
 
-Two entry layers:
-
-- :func:`block_homomorphism_columnar` -- drop-in for
-  :func:`repro.engine.hom_kernel.block_homomorphism` when the target is a
-  ``ColumnarInstance`` (``hom_kernel`` dispatches here by instance type, so
-  ``find_homomorphism`` / ``model_check`` callers never change).  Source
-  facts arrive as atoms; *fixed* bindings are folded into constant ids at
-  encode time, *forbidden* atoms are resolved to per-group row-id sets.
-- :func:`solve_encoded` -- the id-space core: a block of
-  :class:`EncodedFact` rows (built by this module or directly from group
-  columns by the columnar core engine) is split into components and solved.
-  Variable keys are opaque hashables (interned nulls from the atom path,
-  integer value ids from the core engine); domain elements are always
-  integer value ids.
+One entry, :func:`solve_encoded`: the columnar core engine
+(:mod:`repro.engine.core_instance`) builds a block of :class:`EncodedFact`
+rows directly from group columns, with the block's null value ids as the
+variables, and passes "the store minus the rows containing null x" as
+per-group ``forbidden`` row sets, so nothing is copied per candidate null.
+Variable keys and domain elements are both value ids; a solution maps each
+variable id to the id of its image.
 
 The semantics match the tuple kernel exactly -- same candidate seeding from
 the most selective bound position, same generalized arc consistency, same
 most-constrained-first search with full look-ahead -- so verdicts agree on
 every input; only the found witness may differ (both are valid
-homomorphisms).  ``forbidden`` rows are how the core engine expresses
-"the instance minus the facts containing null x" without copying anything.
+homomorphisms).
 
-Perf counters: ``hom.columnar.kernel_calls``, ``hom.columnar.ac3_revisions``,
-``hom.columnar.ac3_wipeouts``, ``hom.columnar.search_nodes``,
-``hom.columnar.backtracks`` (same meanings as their ``hom.*`` twins).
+Perf counters: the ``hom.*`` family of the tuple kernel (``kernel_calls``,
+``ac3_revisions``, ``ac3_wipeouts``, ``search_nodes``, ``backtracks``),
+recorded through its :class:`~repro.engine.hom_kernel._Stats`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Mapping
-from collections.abc import Set as AbstractSet
+from collections.abc import Iterable
 
-from repro import perf
-from repro.engine.columnar import ColumnarInstance, _RelGroup
-from repro.logic.atoms import Atom
-from repro.logic.values import is_null
+from repro.engine.columnar import _RelGroup
+from repro.engine.hom_kernel import _Stats
 
 _CONST = 0
 _VAR = 1
-_EMPTY_FORBIDDEN: frozenset[Atom] = frozenset()
-
-
-class _Stats:
-    """Locally accumulated counters, flushed once per kernel call."""
-
-    __slots__ = ("revisions", "wipeouts", "nodes", "backtracks")
-
-    def __init__(self) -> None:
-        self.revisions = 0
-        self.wipeouts = 0
-        self.nodes = 0
-        self.backtracks = 0
-
-    def flush(self) -> None:
-        perf.incr("hom.columnar.kernel_calls")
-        if self.revisions:
-            perf.incr("hom.columnar.ac3_revisions", self.revisions)
-        if self.wipeouts:
-            perf.incr("hom.columnar.ac3_wipeouts", self.wipeouts)
-        if self.nodes:
-            perf.incr("hom.columnar.search_nodes", self.nodes)
-        if self.backtracks:
-            perf.incr("hom.columnar.backtracks", self.backtracks)
 
 
 class EncodedFact:
     """One source fact resolved against a target group.
 
-    ``args`` holds one ``(kind, key)`` pair per position: ``(_CONST, vid)``
-    for a ground (or pre-bound) value id, ``(_VAR, key)`` for a free
-    variable.  ``var_positions`` lists the first occurrence of each distinct
-    variable -- the positions whose candidate columns define its domain.
+    ``args`` holds one ``(kind, vid)`` pair per position: ``(_CONST, vid)``
+    for a constant, ``(_VAR, vid)`` for a null, the variable being the
+    null's own value id.  ``var_positions`` lists the first occurrence of
+    each distinct variable -- the positions whose candidate columns define
+    its domain.
     ``repeats`` pairs each later occurrence of a variable with its first
     position: a candidate row must hold equal values in both columns.
     """
 
     __slots__ = ("group", "args", "var_positions", "repeats")
 
-    def __init__(self, group: _RelGroup, args: tuple[tuple[int, object], ...]):
+    def __init__(self, group: _RelGroup, args: tuple[tuple[int, int], ...]):
         self.group = group
         self.args = args
         first: dict[object, int] = {}
@@ -106,73 +69,6 @@ class EncodedFact:
                 positions.append((pos, key))
         self.var_positions = tuple(positions)
         self.repeats = tuple(repeats)
-
-
-def encode_facts(
-    facts: Iterable[Atom],
-    target: ColumnarInstance,
-    fixed: Mapping[object, object],
-) -> list[EncodedFact] | None:
-    """Encode source atoms against *target*'s value table, or None on a
-    value/relation the target provably cannot match (fail fast)."""
-    lookup = target.values.lookup
-    groups = target._groups
-    encoded: list[EncodedFact] = []
-    for fact in facts:
-        group: _RelGroup | None = None
-        for candidate in groups.get(fact.relation, ()):
-            if candidate.arity == fact.arity:
-                group = candidate
-                break
-        if group is None:
-            return None
-        args: list[tuple[int, object]] = []
-        for arg in fact.args:
-            if is_null(arg):
-                bound_value = fixed.get(arg)
-                if bound_value is None:
-                    args.append((_VAR, arg))
-                    continue
-                arg = bound_value
-            vid = lookup(arg)
-            if vid is None:
-                # The required value was never interned by the target, so no
-                # target fact can contain it.
-                return None
-            args.append((_CONST, vid))
-        encoded.append(EncodedFact(group, tuple(args)))
-    return encoded
-
-
-def forbidden_rows_of(
-    target: ColumnarInstance, forbidden: AbstractSet[Atom]
-) -> dict[_RelGroup, set[int]] | None:
-    """Resolve an atom-level forbidden set to per-group row-id sets."""
-    if not forbidden:
-        return None
-    lookup = target.values.lookup
-    rows: dict[_RelGroup, set[int]] = {}
-    for fact in forbidden:
-        groups = target._groups.get(fact.relation)
-        if not groups:
-            continue
-        ids: list[int] = []
-        ok = True
-        for arg in fact.args:
-            vid = lookup(arg)
-            if vid is None:
-                ok = False
-                break
-            ids.append(vid)
-        if not ok:
-            continue
-        key = tuple(ids)
-        for group in groups:
-            if group.arity == len(key):
-                row = group.row_of.get(key)
-                if row is not None:
-                    rows.setdefault(group, set()).add(row)
-    return rows or None
 
 
 def _split_components(
@@ -373,9 +269,7 @@ def solve_encoded(
     """Map every variable key of *encoded* to a value id, or None.
 
     Grounded facts reduce to (live) row lookups; components solve
-    independently.  This is the entry the columnar core engine calls with
-    facts built directly from group columns (variable keys are the null
-    value ids themselves).
+    independently.  Rows in *forbidden* count as absent.
     """
     stats = _Stats()
     try:
@@ -383,7 +277,7 @@ def solve_encoded(
         components, grounded = _split_components(encoded)
         for fact in grounded:
             ids = tuple(key for __, key in fact.args)
-            row = fact.group.row_of.get(ids)  # type: ignore[arg-type]
+            row = fact.group.row_of.get(ids)
             if row is None:
                 return None
             if forbidden:
@@ -400,36 +294,4 @@ def solve_encoded(
         stats.flush()
 
 
-def block_homomorphism_columnar(
-    facts: Iterable[Atom],
-    target: ColumnarInstance,
-    fixed: Mapping[object, object] | None = None,
-    forbidden: AbstractSet[Atom] = _EMPTY_FORBIDDEN,
-) -> dict[object, object] | None:
-    """Map the free nulls of *facts* so every fact lands in *target*, or None.
-
-    Same contract as :func:`repro.engine.hom_kernel.block_homomorphism`
-    (which dispatches here when the target is columnar): *fixed* pre-binds
-    some nulls without returning them, *forbidden* facts count as absent,
-    and the returned dict binds exactly the free nulls of *facts*.
-    """
-    fixed = fixed or {}
-    encoded = encode_facts(facts, target, fixed)
-    if encoded is None:
-        # Unmatchable relation or value; still one kernel call for accounting.
-        perf.incr("hom.columnar.kernel_calls")
-        return None
-    solution = solve_encoded(encoded, forbidden_rows_of(target, forbidden))
-    if solution is None:
-        return None
-    value = target.values.value
-    return {null: value(vid) for null, vid in solution.items()}
-
-
-__all__ = [
-    "EncodedFact",
-    "block_homomorphism_columnar",
-    "encode_facts",
-    "forbidden_rows_of",
-    "solve_encoded",
-]
+__all__ = ["EncodedFact", "solve_encoded"]

@@ -34,9 +34,9 @@ and eliminations apply as exact-row DELETEs.
 
 Perf counters: ``backend.sql.statements`` (statements executed),
 ``backend.sql.encoded_rows`` / ``backend.sql.decoded_rows`` (rows crossing
-the boundary in each direction); for the core pushdown additionally
-``core.sql.blocks``, ``core.sql.queries`` (eliminating-hom SELECTs),
-``core.sql.eliminations`` and ``core.sql.rigid_blocks``.
+the boundary in each direction); the core pushdown records the shared
+``core.blocks`` / ``core.eliminations`` / ``core.rigid_blocks`` counters
+and ``core.sql.queries`` (eliminating-hom SELECTs).
 """
 
 from __future__ import annotations
@@ -473,7 +473,7 @@ def sql_core(
     if blocks is None:
         blocks = _null_blocks(instance)
     pending: "deque[Sequence[Atom]]" = deque(blocks)
-    perf.incr("core.sql.blocks", len(blocks))
+    perf.incr("core.blocks", len(blocks))
 
     session = _Session()
     queries = 0
@@ -499,9 +499,9 @@ def sql_core(
                     }
                     break
             if mapping is None:
-                perf.incr("core.sql.rigid_blocks")
+                perf.incr("core.rigid_blocks")
                 continue
-            perf.incr("core.sql.eliminations")
+            perf.incr("core.eliminations")
             images = {fact.rename_values(mapping) for fact in block}
             survivors: list[Atom] = []
             for fact in block:

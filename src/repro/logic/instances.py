@@ -264,24 +264,33 @@ class Instance:
             return [value]
 
         other_facts = other.facts
+        mapping: dict = {}
+        used: set = set()
 
-        def extend(index: int, mapping: dict, used: set) -> bool:
-            if index == len(self_vals):
-                image = {f.rename_values(mapping) for f in self._facts}
-                return image == other_facts
-            value = self_vals[index]
-            for cand in candidates(value):
-                if cand in used:
-                    continue
-                mapping[value] = cand
-                used.add(cand)
-                if extend(index + 1, mapping, used):
-                    return True
-                used.discard(cand)
-                del mapping[value]
-            return False
+        def complete() -> bool:
+            return {f.rename_values(mapping) for f in self._facts} == other_facts
 
-        return extend(0, {}, set())
+        if not self_vals:
+            return complete()
+        # Depth-first search over an explicit stack holding one candidate
+        # iterator per value mapped so far, so instances with thousands of
+        # nulls stay clear of the recursion limit.
+        stack = [iter(candidates(self_vals[0]))]
+        while stack:
+            value = self_vals[len(stack) - 1]
+            if value in mapping:
+                used.discard(mapping.pop(value))
+            cand = next((c for c in stack[-1] if c not in used), None)
+            if cand is None:
+                stack.pop()
+                continue
+            mapping[value] = cand
+            used.add(cand)
+            if len(stack) < len(self_vals):
+                stack.append(iter(candidates(self_vals[len(stack)])))
+            elif complete():
+                return True
+        return False
 
 
 def union_all(instances: Iterable[Instance]) -> Instance:

@@ -21,32 +21,24 @@ Counter names are dotted strings, grouped by subsystem:
 ``match.memo_hits``       child-match memoization hits of the
                           ``chase_nested`` forest
 ``hom.backtracks``        value choices undone during homomorphism search
-``hom.kernel_calls``      calls into the indexed homomorphism kernel
+``hom.kernel_calls``      calls into a homomorphism kernel (the tuple kernel
+                          or the id-space kernel of the columnar core); the
+                          ``hom.*`` counters count both kernels
 ``hom.ac3_revisions``     per-fact candidate revisions during AC-3
                           propagation
 ``hom.ac3_wipeouts``      searches refuted by propagation alone (an emptied
                           domain or candidate list)
 ``hom.search_nodes``      nodes visited by the most-constrained-null search
-``hom.columnar.kernel_calls``  calls into the id-space (columnar) hom kernel;
-                          the remaining ``hom.columnar.*`` counters mirror
-                          their ``hom.*`` twins (``ac3_revisions``,
-                          ``ac3_wipeouts``, ``search_nodes``, ``backtracks``)
-                          for the integer-domain kernel
-``core.blocks``           null-containing f-blocks seen by ``core``
+``core.blocks``           null-containing f-blocks seen by ``core``, on
+                          every backend (tuple, columnar, SQL)
 ``core.iso_folds``        duplicate blocks dropped as isomorphic copies
 ``core.eliminations``     eliminating retractions applied
 ``core.rigid_blocks``     blocks proven rigid (no eliminable null)
 ``core.orbit_skips``      retraction attempts skipped because a null in the
-                          same automorphism orbit already failed (one
-                          counter for the tuple and columnar engines)
-``core.columnar.blocks``  f-blocks seen by the id-space core engine; its
-                          ``iso_folds`` / ``eliminations`` /
-                          ``rigid_blocks`` twins mirror the ``core.*``
-                          meanings for ``core(backend="columnar")``
-``core.sql.blocks``       f-blocks seen by the SQL core pushdown
-``core.sql.queries``      eliminating-homomorphism SELECT joins executed
-``core.sql.eliminations``  eliminating retractions applied via SQL DELETEs
-``core.sql.rigid_blocks``  blocks every SELECT proved rigid
+                          same automorphism orbit already failed (tuple and
+                          columnar engines)
+``core.sql.queries``      eliminating-homomorphism SELECT joins executed by
+                          the SQL core pushdown
 ``implies.patterns``      k-patterns checked by ``implies_tgd``
 ``implies.cache_hits``    chase-cache hits inside ``implies_tgd``
 ``implies.cache_misses``  chase-cache misses inside ``implies_tgd``
@@ -88,9 +80,6 @@ Counter names are dotted strings, grouped by subsystem:
                           at engine exit
 ``backend.columnar.encoded_rows``  facts encoded into columnar id rows
 ``backend.columnar.decoded_rows``  columnar rows decoded back into facts
-``backend.columnar.probe_hits``  ``facts_of`` / ``facts_with`` probes
-                          answered by the per-group decode memo without
-                          re-materializing an atom list
 ``containment.queries``   ``Sigma <= Sigma'`` queries answered by
                           ``analysis.containment.check_containment``
 ``containment.checks``    gated IMPLIES sweeps actually run by the

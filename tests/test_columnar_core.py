@@ -7,11 +7,11 @@ of representative facts), so the correctness bar is: **verdicts agree exactly**
 (homomorphism existence, witness validity) and **cores agree up to
 isomorphism** (the core is unique up to isomorphism; sizes agree exactly).
 
-Also covered here: the block kernels under pre-bound nulls and forbidden
-facts, the pinned ``hom.columnar.*`` counts of Ex 4.8 cores, the single
-search per canonicalizable block, the ``facts_of`` / ``facts_with`` decode
-memo counter, the ``choose_core_backend`` dispatch policy, the SQL core's
-64-fact block limit, and the ``repro core`` CLI.
+Also covered here: the id-space kernel against the tuple kernel on every
+retraction attempt the core engine makes, the pinned ``hom.*`` counts of
+Ex 4.8 cores, the single search per canonicalizable block, the
+``choose_core_backend`` dispatch policy, the SQL core's 64-fact block
+limit, and the ``repro core`` CLI.
 """
 
 from __future__ import annotations
@@ -23,16 +23,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repro import perf
+from repro.engine import core_instance
 from repro.engine.columnar import ColumnarInstance
-from repro.engine.core_instance import core, is_core
+from repro.engine.core_instance import _ColumnarCore, core, is_core
 from repro.engine.dispatch import CORE_AUTO_REASON, choose_core_backend
-from repro.engine.hom_kernel import (
-    block_homomorphism,
-    block_homomorphism_generic,
-    find_homomorphism_indexed,
-)
-from repro.engine.hom_kernel_columnar import block_homomorphism_columnar
-from repro.engine.homomorphism import is_homomorphism
+from repro.engine.hom_kernel import block_homomorphism
+from repro.engine.hom_kernel_columnar import solve_encoded
 from repro.engine.sql_backend import sql_core_supported
 from repro.errors import ChaseError
 from repro.logic.atoms import Atom
@@ -46,52 +42,65 @@ from tests.strategies import instances
 BACKENDS = ["tuple", "columnar", "sql"]
 
 
+def assert_kernels_agree(instance: Instance) -> None:
+    """Both kernels decide every retraction attempt of the core engine alike.
+
+    For every null block of *instance* and every null x of the block, the
+    id-space kernel gets the block encoded by the columnar core engine with
+    the rows containing x forbidden, and the tuple kernel gets the block's
+    facts with ``facts_containing(x)`` forbidden.  Both must find a map or
+    both none; an id-space map must send the block into the instance minus
+    the facts containing x.
+    """
+    store = ColumnarInstance(instance)
+    engine = _ColumnarCore(store.values)
+    value = store.values.value
+    for rows in engine.null_blocks(store):
+        block = [store.decode_row(group, row) for group, row in rows]
+        encoded = engine.encode_block(rows)
+        for vid in engine.block_null_vids(rows):
+            null = value(vid)
+            forbidden = frozenset(instance.facts_containing(null))
+            tuple_map = block_homomorphism(block, instance, None, forbidden)
+            id_map = solve_encoded(encoded, engine.rows_containing(store, vid))
+            assert (tuple_map is None) == (id_map is None), (block, null)
+            if id_map is None:
+                continue
+            mapping = {value(var): value(image) for var, image in id_map.items()}
+            for fact in block:
+                image = fact.rename_values(mapping)
+                assert image in instance and image not in forbidden, (block, null)
+
+
 class TestHomKernelDifferential:
-    """The id-space kernel agrees with the generic kernel on every draw."""
+    """The id-space kernel agrees with the tuple kernel on the core's inputs."""
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(source=instances(max_facts=6), target=instances(max_facts=8))
-    def test_same_verdict_and_valid_witness(self, source, target):
-        generic = find_homomorphism_indexed(source, target)
-        columnar = find_homomorphism_indexed(source, ColumnarInstance(target))
-        assert (generic is None) == (columnar is None)
-        if columnar is not None:
-            assert is_homomorphism(columnar, source, target)
+    @given(instance=instances(max_facts=8))
+    def test_same_verdict_and_valid_witness(self, instance):
+        assert_kernels_agree(instance)
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(source=instances(max_facts=5, max_nulls=6, max_constants=2,
-                            min_facts=1),
-           target=instances(max_facts=8, max_nulls=6, max_constants=2))
-    def test_nulls_heavy_draws_agree(self, source, target):
-        generic = find_homomorphism_indexed(source, target)
-        columnar = find_homomorphism_indexed(source, ColumnarInstance(target))
-        assert (generic is None) == (columnar is None)
-        if columnar is not None:
-            assert is_homomorphism(columnar, source, target)
+    @given(instance=instances(max_facts=8, max_nulls=6, max_constants=2))
+    def test_nulls_heavy_draws_agree(self, instance):
+        assert_kernels_agree(instance)
 
     def test_unsat_fails_fast_without_search(self):
-        # No fact of the target can host R(_x, _x): propagation alone
-        # refutes (an AC-3 wipeout), with zero search nodes expanded.
-        source = parse_instance("R(_x,_x)")
-        target = ColumnarInstance(parse_instance("R(a,b), R(b,c), R(c,a)"))
+        # No fact other than R(_x, _x) itself has equal columns, so
+        # propagation alone refutes its retraction (an AC-3 wipeout), with
+        # zero search nodes expanded.
+        store = ColumnarInstance(parse_instance("R(a,b), R(b,c), R(c,a), R(_x,_x)"))
+        engine = _ColumnarCore(store.values)
+        [block] = engine.null_blocks(store)
+        [vid] = engine.block_null_vids(block)
         with perf.measuring() as stats:
-            assert block_homomorphism(source.facts, target) is None
-        assert stats.get("hom.columnar.kernel_calls") == 1
-        assert stats.get("hom.columnar.search_nodes") == 0
-
-    def test_dispatch_by_target_type(self):
-        # A columnar target routes to the id-space kernel; the same target
-        # decoded through the FactIndex protocol gives the same verdict.
-        source = parse_instance("R(a,_x)")
-        target = ColumnarInstance(parse_instance("R(a,b)"))
-        with perf.measuring() as stats:
-            fast = block_homomorphism(source.facts, target)
-            slow = block_homomorphism_generic(source.facts, target)
-        assert fast is not None and slow is not None
-        assert stats.get("hom.columnar.kernel_calls") == 1
+            assert solve_encoded(
+                engine.encode_block(block), engine.rows_containing(store, vid)
+            ) is None
         assert stats.get("hom.kernel_calls") == 1
+        assert stats.get("hom.search_nodes") == 0
 
 
 _NULLS = [Null(f"n{i}") for i in range(3)]
@@ -104,64 +113,47 @@ def _fact(relation: str, args) -> Atom:
 
 
 @st.composite
-def _kernel_inputs(draw):
-    """(source facts, target, fixed, forbidden) for the block kernels.
+def _core_inputs(draw):
+    """An instance to core that exercises both filters of the id-space kernel.
 
-    The source always holds a fact with a repeated null and a fact with two
+    It always holds a fact with a repeated null and a fact with two
     constants and a null, so both the repeat filter of an AC-3 revision and
-    the constant positions checked when candidates are seeded get exercised;
-    *fixed* turns one or two of the other nulls into constants as well.
+    the constant positions checked when candidates are seeded get exercised
+    on the blocks of those nulls.  Two near misses of the second fact, each
+    with one of its constants and its null redrawn, put a row that only the
+    check of the other constant rules out into whichever index bucket the
+    kernel seeds candidates from.
     """
     values = _NULLS + _CONSTANTS
     null, other = draw(st.sampled_from(_NULLS)), draw(st.sampled_from(values))
     repeated = draw(st.permutations([null, null, other]))
     first, second = draw(st.lists(st.sampled_from(_CONSTANTS), min_size=2, max_size=2))
     constants = draw(st.permutations([first, second, draw(st.sampled_from(_NULLS))]))
-    source = [_fact("R", repeated), _fact("R", constants)]
+    facts = [_fact("R", repeated), _fact("R", constants)]
+    all_values = values + [Null("t0")]
+    for position, arg in enumerate(constants):
+        if isinstance(arg, Constant):
+            near_miss = [draw(st.sampled_from(all_values)) if isinstance(a, Null) else a
+                         for a in constants]
+            near_miss[position] = draw(st.sampled_from(
+                [value for value in all_values if value != arg]))
+            facts.append(_fact("R", near_miss))
     relations = st.sampled_from(sorted(_ARITY))
-    for relation in draw(st.lists(relations, max_size=2)):
-        args = draw(st.lists(st.sampled_from(values),
+    for relation in draw(st.lists(relations, max_size=24)):
+        args = draw(st.lists(st.sampled_from(all_values),
                              min_size=_ARITY[relation], max_size=_ARITY[relation]))
-        source.append(_fact(relation, args))
-    target_values = _CONSTANTS + [Null("t0")]
-    target = Instance(
-        _fact(relation, draw(st.lists(st.sampled_from(target_values),
-                                      min_size=_ARITY[relation],
-                                      max_size=_ARITY[relation])))
-        for relation in draw(st.lists(relations, min_size=1, max_size=24))
-    )
-    others = [n for n in _NULLS if n != null]
-    fixed_nulls = draw(st.lists(st.sampled_from(others), unique=True,
-                                min_size=1, max_size=2))
-    fixed = {n: draw(st.sampled_from(target_values)) for n in fixed_nulls}
-    facts = sorted(target, key=repr)
-    forbidden = frozenset(draw(st.lists(st.sampled_from(facts), min_size=1,
-                                        max_size=3)))
-    return source, target, fixed, forbidden
+        facts.append(_fact(relation, args))
+    return Instance(facts)
 
 
 class TestBlockKernelDifferential:
-    """block_homomorphism_columnar agrees with block_homomorphism_generic
-    under pre-bound nulls and forbidden facts."""
+    """The kernels agree on blocks that hold repeated nulls and constants."""
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(_kernel_inputs())
-    def test_fixed_and_forbidden_agree(self, inputs):
-        source, target, fixed, forbidden = inputs
-        generic = block_homomorphism_generic(source, target, fixed, forbidden)
-        columnar = block_homomorphism_columnar(
-            source, ColumnarInstance(target), fixed, forbidden)
-        assert (generic is None) == (columnar is None)
-        if columnar is None:
-            return
-        free = {arg for fact in source for arg in fact.args
-                if isinstance(arg, Null) and arg not in fixed}
-        assert set(columnar) == free
-        mapping = {**fixed, **columnar}
-        for fact in source:
-            image = fact.rename_values(mapping)
-            assert image in target and image not in forbidden
+    @given(_core_inputs())
+    def test_repeat_and_constant_filters_agree(self, instance):
+        assert_kernels_agree(instance)
 
 
 class TestCoreDifferential:
@@ -206,24 +198,19 @@ class TestCoreDifferential:
         assert core(ground, backend=backend) == ground
         assert core(parse_instance(""), backend=backend) == parse_instance("")
 
-    def test_columnar_accepts_columnar_input(self):
-        # A ColumnarInstance input is consumed in place (no re-encode).
-        store = ColumnarInstance(parse_instance("R(a,_x), R(a,b)"))
-        assert core(store, backend="columnar") == parse_instance("R(a,b)")
-
     def test_columnar_counters_flow(self):
         with perf.measuring() as stats:
             core(parse_instance("R(a,_x), R(a,b), T(c,_y), T(c,d)"),
                  backend="columnar")
-        assert stats.get("core.columnar.blocks") == 2
-        assert stats.get("core.columnar.eliminations") == 2
+        assert stats.get("core.blocks") == 2
+        assert stats.get("core.eliminations") == 2
 
     def test_sql_counters_flow(self):
         with perf.measuring() as stats:
             core(parse_instance("R(a,_x), R(a,b)"), backend="sql")
-        assert stats.get("core.sql.blocks") == 1
+        assert stats.get("core.blocks") == 1
         assert stats.get("core.sql.queries") >= 1
-        assert stats.get("core.sql.eliminations") == 1
+        assert stats.get("core.eliminations") == 1
 
 
 class TestSinglePass:
@@ -239,13 +226,13 @@ class TestSinglePass:
         with perf.measuring() as stats:
             result = core(triangle, backend="columnar")
         assert result == triangle
-        assert stats.get("hom.columnar.kernel_calls") == 1
+        assert stats.get("hom.kernel_calls") == 1
         assert stats.get("core.orbit_skips") == 2
-        assert stats.get("core.columnar.rigid_blocks") == 1
+        assert stats.get("core.rigid_blocks") == 1
 
     def test_canonical_fingerprints_match_across_engines(self):
         from repro.cache.fingerprint import fingerprint_fact_sequence
-        from repro.engine.core_instance import _canonical_block, _ColumnarCore
+        from repro.engine.core_instance import _canonical_block
 
         instance = parse_instance("R(a,_x), R(_x,_y), S(_y,b), S(_y,_z)")
         store = ColumnarInstance(instance)
@@ -253,25 +240,6 @@ class TestSinglePass:
         [block] = engine.null_blocks(store)
         expected = fingerprint_fact_sequence(_canonical_block(sorted(instance, key=repr)))
         assert engine.block_fingerprint(block) == expected
-
-
-class TestDecodeMemoCounter:
-    """facts_of / facts_with probes hit the per-group decode memo."""
-
-    def test_probe_hits_increment_on_repeat(self):
-        store = ColumnarInstance(parse_instance("R(a,b), R(a,c), P(a)"))
-        a = next(iter(store.facts_of("P"))).args[0]
-        with perf.measuring() as stats:
-            first = list(store.facts_with("R", 0, a))
-            baseline = stats.get("backend.columnar.probe_hits")
-            second = list(store.facts_with("R", 0, a))
-            assert stats.get("backend.columnar.probe_hits") > baseline
-        assert set(first) == set(second)
-        with perf.measuring() as stats:
-            list(store.facts_of("R"))
-            baseline = stats.get("backend.columnar.probe_hits")
-            list(store.facts_of("R"))
-            assert stats.get("backend.columnar.probe_hits") > baseline
 
 
 class TestChooseCoreBackend:
@@ -313,7 +281,7 @@ class TestChooseCoreBackend:
 
 
 class TestPinnedKernelCounts:
-    """The column-wise AC-3 revision keeps every ``hom.columnar.*`` count.
+    """The column-wise AC-3 revision keeps every ``hom.*`` count.
 
     The figures are the ones the per-row revision recorded on Ex 4.8 cores.
     The store is built from the repr-sorted chase so value ids, and with
@@ -328,17 +296,18 @@ class TestPinnedKernelCounts:
         pytest.param(40, {"kernel_calls": 2, "ac3_revisions": 604, "search_nodes": 34,
                           "backtracks": 0, "ac3_wipeouts": 1}, id="even-40"),
     ])
-    def test_ex48_cycle_counts(self, n, counts):
+    def test_ex48_cycle_counts(self, n, counts, monkeypatch):
         from repro.engine.chase import chase_so_tgd
         from repro.logic.parser import parse_so_tgd
         from repro.workloads import cycle_instance
 
         chased = chase_so_tgd(cycle_instance(n), parse_so_tgd(self.EX48))
-        store = ColumnarInstance(sorted(chased, key=repr))
+        monkeypatch.setattr(core_instance, "ColumnarInstance",
+                            lambda facts: ColumnarInstance(sorted(facts, key=repr)))
         with perf.measuring() as stats:
-            result = core(store, backend="columnar")
+            result = core(chased, backend="columnar")
         assert len(result) == (2 * n if n % 2 else 2)
-        assert {key: stats.get(f"hom.columnar.{key}") for key in counts} == counts
+        assert {key: stats.get(f"hom.{key}") for key in counts} == counts
 
 
 def _intro_star_chase(n: int):
@@ -378,23 +347,8 @@ class TestSqlCore:
         with perf.measuring() as stats:
             result = core(chased, backend="auto")
         assert len(result) == 65
-        assert stats.get("core.columnar.blocks") == 65
-        assert stats.get("core.sql.blocks") == 0
-
-
-class TestAnalyzerBackends:
-    """Analyzers built on core() return identical verdicts on every backend."""
-
-    @pytest.mark.parametrize("backend", BACKENDS + ["auto"])
-    def test_cq_equivalent_backend_independent(self, backend):
-        from repro.core.cq_equivalence import cq_equivalent
-        from repro.logic.parser import parse_tgd
-
-        a = [parse_tgd("S(x,y) -> exists z . R(x,z)")]
-        b = [parse_tgd("S(x,y) -> exists w . R(x,w)")]
-        c = [parse_tgd("S(x,y) -> R(x,y)")]
-        assert bool(cq_equivalent(a, b, backend=backend))
-        assert not bool(cq_equivalent(a, c, backend=backend))
+        assert stats.get("core.blocks") == 65
+        assert stats.get("core.sql.queries") == 0
 
 
 class TestCoreCli:

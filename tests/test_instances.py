@@ -119,3 +119,11 @@ class TestIsomorphism:
 
     def test_different_sizes_never_isomorphic(self):
         assert not parse_instance("S(a,b)").isomorphic(parse_instance("S(a,b), S(b,a)"))
+
+    def test_many_nulls_do_not_exhaust_the_recursion_limit(self):
+        # One null per fact, each over its own relation: the search maps
+        # 1,500 nulls in a row, past the default recursion limit of 1,000.
+        def single_null_facts(prefix: str) -> Instance:
+            return Instance(Atom(f"R{i}", (Null(f"{prefix}{i}"),)) for i in range(1500))
+
+        assert single_null_facts("x").isomorphic(single_null_facts("y"))

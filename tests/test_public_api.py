@@ -7,7 +7,9 @@ deliverable (e)).
 
 import importlib
 import inspect
+import pathlib
 import pkgutil
+import re
 
 import pytest
 
@@ -72,3 +74,20 @@ class TestDocumentation:
                 if not inspect.getdoc(member):
                     undocumented.append(f"{cls.__name__}.{name}")
         assert not undocumented, f"undocumented methods: {undocumented}"
+
+    def test_perf_counter_table_matches_the_code(self):
+        """The counter table of the ``repro.perf`` docstring lists exactly the
+        counters that ``perf.incr`` calls in the package record."""
+        from repro import perf
+
+        incremented: set[str] = set()
+        for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+            if path.name == "perf.py":
+                continue  # its docstring example records a listed counter
+            text = path.read_text(encoding="utf-8")
+            assert not re.findall(r'perf\.incr\((?!")', text), (
+                f"{path.name}: perf.incr with a non-literal counter name")
+            incremented.update(re.findall(r'perf\.incr\("([^"]+)"', text))
+        rows = set(re.findall(r"^``([\w.]+)``", perf.__doc__, flags=re.MULTILINE))
+        assert incremented - rows == set(), "counters missing from the table"
+        assert rows - incremented == set(), "table rows no code increments"
