@@ -38,6 +38,13 @@ Further axes compare the core engines:
   exchange (30k facts).  Core sizes are asserted against their closed forms
   and the cores of all engines against each other.  This is the data behind
   ``core(backend="auto")`` running the columnar engine at every size.
+- **core on the scenario solutions** (``core_scenarios`` key):
+  ``core(backend="auto")`` wall time and the ``core.blocks``,
+  ``core.iso_folds``, ``core.eliminations`` and ``core.rigid_blocks``
+  counts on the nested and flat solutions of the three Clio-style
+  scenarios at n = 2500 and on shop-flat at n = 5000.  Most of their
+  blocks share no isomorphism invariant with another block, so this row
+  tracks what the core costs where little or nothing folds.
 
 Run as a script to record the comparison in ``BENCH_hom.json``::
 
@@ -92,6 +99,17 @@ SMOKE_CORE_AUTO_CASES = [
     ("ex48-odd", 5), ("ex48-odd", 11), ("ex48-even", 6), ("ex48-path", 5),
     ("intro-star", 20), ("shop-flat", 200),
 ]
+
+#: (scenario, mapping, n) triples of the core_scenarios row.
+CORE_SCENARIO_CASES = [
+    (scenario.name, mapping, 2500)
+    for scenario in ALL_SCENARIOS for mapping in ("nested", "flat")
+] + [("shop", "flat", 5000)]
+SMOKE_CORE_SCENARIO_CASES = [
+    (scenario.name, mapping, 200)
+    for scenario in ALL_SCENARIOS for mapping in ("nested", "flat")
+]
+CORE_SCENARIO_COUNTERS = ("blocks", "iso_folds", "eliminations", "rigid_blocks")
 
 HUB_SPOKES = 10
 
@@ -239,6 +257,25 @@ def compare_core_auto(shape: str, n: int) -> dict:
     return row
 
 
+def scenario_solution(name: str, mapping: str, n: int) -> Instance:
+    """The chase of a Clio-style scenario's source under its nested or flat mapping."""
+    scenario = next(s for s in ALL_SCENARIOS if s.name == name)
+    deps = [scenario.nested] if mapping == "nested" else list(scenario.flat)
+    return chase(scenario.source(n), deps)
+
+
+def measure_core_scenario(name: str, mapping: str, n: int) -> dict:
+    """``core(backend="auto")`` wall time and core counters on one scenario solution."""
+    solution = scenario_solution(name, mapping, n)
+    with perf.measuring() as stats:
+        result = core(solution, backend="auto")
+    row: dict = {"shape": f"{name}-{mapping}", "n": n, "solution_facts": len(solution),
+                 "core_facts": len(result)}
+    row.update({key: stats.get(f"core.{key}") for key in CORE_SCENARIO_COUNTERS})
+    row["auto_s"], __ = _best_of(core, solution, backend="auto")
+    return row
+
+
 def compare_core(n: int) -> dict:
     """Time the worklist core engine against the seed elimination loop."""
     chased = star_chase(n)
@@ -307,6 +344,7 @@ def main(argv=None) -> dict:
     core_sizes = SMOKE_CORE_SIZES if args.smoke else CORE_SIZES
     rigid_sizes = SMOKE_RIGID_SIZES if args.smoke else RIGID_SIZES
     core_auto_cases = SMOKE_CORE_AUTO_CASES if args.smoke else CORE_AUTO_CASES
+    core_scenario_cases = SMOKE_CORE_SCENARIO_CASES if args.smoke else CORE_SCENARIO_CASES
     report = {
         "benchmark": "scale-hom-kernel",
         "smoke": args.smoke,
@@ -317,6 +355,7 @@ def main(argv=None) -> dict:
         "core_backends": [compare_core_backends(n) for n in core_sizes],
         "core_rigid": [compare_core_rigid(n) for n in rigid_sizes],
         "core_auto": [compare_core_auto(shape, n) for shape, n in core_auto_cases],
+        "core_scenarios": [measure_core_scenario(*case) for case in core_scenario_cases],
     }
     report["largest_pinpoint_speedup"] = report["pinpoint"][-1]["speedup"]
     report["largest_hub_speedup"] = report["hub"][-1]["speedup"]
@@ -345,6 +384,10 @@ def main(argv=None) -> dict:
         print(f"core_auto {row['shape']:10s} n={row['n']:4d} "
               f"({row['solution_facts']:5d} facts)  tuple {row['tuple_s']:.4f}s  "
               f"columnar {row['columnar_s']:.4f}s  sql {sql}")
+    for row in report["core_scenarios"]:
+        print(f"core_scenarios {row['shape']:17s} n={row['n']:4d} "
+              f"({row['solution_facts']:5d} facts)  auto {row['auto_s']:.4f}s  "
+              + "  ".join(f"{key} {row[key]}" for key in CORE_SCENARIO_COUNTERS))
     print(f"wrote {args.json}")
     # The rigid-core gate holds at every size tier (smoke included: the
     # perf-smoke CI job runs this script with --smoke).

@@ -59,7 +59,12 @@ unindexed search, restart per elimination -- is preserved as
   detected by equal content fingerprints of a *canonical labeling* of each
   block (nulls renamed to ``Null(("#", i))`` along degree-profile groups);
   overly symmetric blocks (too many tie-break permutations) are never
-  treated as duplicates and simply stay on the worklist.
+  treated as duplicates and simply stay on the worklist.  The id-space
+  engine first hashes a cheap invariant of each block (its rows with every
+  null masked, sorted) and fingerprints only the blocks whose invariant
+  hash another block shares: isomorphic blocks have equal invariants, so
+  the same blocks fold, and a block no other block could match never pays
+  for a canonical labeling.
 
 **Backends** (``core(instance, backend=...)``): besides the tuple engine
 above, :class:`_ColumnarCore` runs the same worklist in *id-space* over a
@@ -87,7 +92,7 @@ up to isomorphism.
 from __future__ import annotations
 
 import itertools
-from collections import deque
+from collections import Counter, deque
 from typing import Callable, Iterable, Sequence
 
 from repro import perf
@@ -510,27 +515,27 @@ class _ColumnarCore:
     """One id-space core computation: per-call caches over a shared ValueTable.
 
     Every method works on ``(_RelGroup, row)`` pairs; interned value objects
-    are touched only through the three memoized per-id accessors (null
-    classification, repr, fingerprint encoding) -- no :class:`Atom` is
-    materialized on the worklist path.
+    are touched only through the null-flag list and the two memoized per-id
+    accessors (repr, fingerprint encoding) -- no :class:`Atom` is
+    materialized on the worklist path.  The core interns no value of its
+    own, so ``null_flags[vid]`` (is value id *vid* a null?) and
+    ``masked[vid]`` (-1 for a null, else *vid*) are filled once from the
+    whole table.
     """
 
-    __slots__ = ("values", "_null_flags", "_reprs", "_encodings")
+    __slots__ = ("values", "null_flags", "masked", "_reprs", "_encodings")
 
     def __init__(self, values) -> None:
         self.values = values
-        self._null_flags: list[bool] = []
+        value = values.value
+        self.null_flags: list[bool] = [is_null(value(vid)) for vid in range(len(values))]
+        self.masked: list[int] = [
+            -1 if flag else vid for vid, flag in enumerate(self.null_flags)
+        ]
         self._reprs: dict[int, str] = {}
         self._encodings: dict[int, bytes] = {}
 
     # ------------------------------------------------------ per-id accessors
-
-    def is_null_vid(self, vid: int) -> bool:
-        flags = self._null_flags
-        value = self.values.value
-        while len(flags) <= vid:
-            flags.append(is_null(value(len(flags))))
-        return flags[vid]
 
     def vid_repr(self, vid: int) -> str:
         text = self._reprs.get(vid)
@@ -548,7 +553,7 @@ class _ColumnarCore:
 
     def null_components(self, rows: Sequence[_Row]) -> list[list[_Row]]:
         """Split rows into connected components linked by shared null ids."""
-        is_null_vid = self.is_null_vid
+        null_flags = self.null_flags
         anchor_of: dict[int, int] = {}
         parent = list(range(len(rows)))
 
@@ -561,7 +566,7 @@ class _ColumnarCore:
         for index, (group, row) in enumerate(rows):
             for column in group.columns:
                 vid = column[row]
-                if not is_null_vid(vid):
+                if not null_flags[vid]:
                     continue
                 anchor = anchor_of.setdefault(vid, index)
                 if anchor != index:
@@ -575,7 +580,7 @@ class _ColumnarCore:
 
     def null_blocks(self, store: ColumnarInstance) -> list[list[_Row]]:
         """The f-blocks of *store* that contain a null (ground rows stay put)."""
-        is_null_vid = self.is_null_vid
+        null_flags = self.null_flags
         rows: list[_Row] = [
             (group, row)
             for groups in store._groups.values()
@@ -586,12 +591,27 @@ class _ColumnarCore:
         for component in self.null_components(rows):
             group, row = component[0]
             if len(component) > 1 or any(
-                is_null_vid(column[row]) for column in group.columns
+                null_flags[column[row]] for column in group.columns
             ):
                 blocks.append(component)
         return blocks
 
     # -------------------------------------------------------- canonical form
+
+    def block_invariant(self, block: Sequence[_Row]) -> int:
+        """Hash of an isomorphism invariant of the block, far cheaper than
+        :meth:`block_fingerprint`.
+
+        The invariant is the sorted tuple of ``(relation, id row)`` pairs with
+        every null id replaced by -1.  An isomorphism renames nulls only, so
+        isomorphic blocks have equal invariants; only the hash is returned,
+        so the per-block tuples never outlive the call.
+        """
+        masked = self.masked
+        return hash(tuple(sorted([
+            (group.relation, tuple([masked[column[row]] for column in group.columns]))
+            for group, row in block
+        ])))
 
     def block_fingerprint(self, block: Sequence[_Row]) -> str | None:
         """Fingerprint of the block's canonical labeling, or None if too symmetric.
@@ -603,12 +623,12 @@ class _ColumnarCore:
         fingerprint is computed from id tuples and is byte-equal to
         ``fingerprint_fact_sequence`` of the tuple engine's canonical atoms.
         """
-        is_null_vid = self.is_null_vid
+        null_flags = self.null_flags
         profiles: dict[int, dict[tuple[str, int], int]] = {}
         for group, row in block:
             for pos, column in enumerate(group.columns):
                 vid = column[row]
-                if is_null_vid(vid):
+                if null_flags[vid]:
                     profile = profiles.setdefault(vid, {})
                     key = (group.relation, pos)
                     profile[key] = profile.get(key, 0) + 1
@@ -671,12 +691,12 @@ class _ColumnarCore:
 
     def encode_block(self, block: Sequence[_Row]) -> list[EncodedFact]:
         """Encode block rows for the id-space kernel: null ids are the vars."""
-        is_null_vid = self.is_null_vid
+        null_flags = self.null_flags
         return [
             EncodedFact(
                 group,
                 tuple(
-                    (_ID_VAR, vid) if is_null_vid(vid := column[row])
+                    (_ID_VAR, vid) if null_flags[vid := column[row]]
                     else (_ID_CONST, vid)
                     for column in group.columns
                 ),
@@ -687,12 +707,12 @@ class _ColumnarCore:
     def block_null_vids(self, block: Sequence[_Row]) -> list[int]:
         """The null ids of a block, repr-sorted (same order the tuple engine
         tries its elimination candidates in)."""
-        is_null_vid = self.is_null_vid
+        null_flags = self.null_flags
         vids = {
             vid
             for group, row in block
             for column in group.columns
-            if is_null_vid(vid := column[row])
+            if null_flags[vid := column[row]]
         }
         return sorted(vids, key=self.vid_repr)
 
@@ -727,7 +747,7 @@ class _ColumnarCore:
                 (group.relation, tuple(column[row] for column in group.columns))
                 for group, row in block
             ],
-            self.is_null_vid,
+            self.null_flags.__getitem__,
         )
 
     def process_blocks(
@@ -764,17 +784,23 @@ def _core_columnar(instance: Instance) -> Instance:
     *instance* is encoded once into a :class:`ColumnarInstance`, whose rows
     eliminations then tombstone in place.  Same structure as the tuple path
     in :func:`core`: split into f-blocks, drop isomorphic duplicates, then
-    drain the global worklist.
+    drain the global worklist.  Only blocks whose invariant hash
+    (:meth:`_ColumnarCore.block_invariant`) another block shares are
+    fingerprinted; a hash collision costs one needless fingerprint, never a
+    fold.  When nothing was eliminated, *instance* is its own core and is
+    returned as is.
     """
     store = ColumnarInstance(instance)
     engine = _ColumnarCore(store.values)
     blocks = engine.null_blocks(store)
     perf.incr("core.blocks", len(blocks))
 
+    invariants = [engine.block_invariant(block) for block in blocks]
+    shared = {invariant for invariant, count in Counter(invariants).items() if count > 1}
     pending: deque[list[_Row]] = deque()
     seen: set[str] = set()
-    for block in blocks:
-        fingerprint = engine.block_fingerprint(block)
+    for block, invariant in zip(blocks, invariants):
+        fingerprint = engine.block_fingerprint(block) if invariant in shared else None
         if fingerprint is not None:
             if fingerprint in seen:
                 perf.incr("core.iso_folds")
@@ -784,6 +810,8 @@ def _core_columnar(instance: Instance) -> Instance:
             seen.add(fingerprint)
         pending.append(block)
     engine.process_blocks(store, pending)
+    if len(store) == len(instance):
+        return instance
     return store.to_instance()
 
 

@@ -1,8 +1,8 @@
 """Finite relational instances.
 
 An instance is a finite set of facts (Section 2).  :class:`Instance` stores
-the facts in a frozen set and maintains three indexes used throughout the
-engine:
+the facts in a frozen set and builds three indexes, used throughout the
+engine, on the first lookup that needs one:
 
 - a per-relation index (``facts_of``), used by conjunctive-query matching and
   the chase;
@@ -12,8 +12,11 @@ engine:
   to exclude the facts of a null being eliminated without rebuilding the
   instance.
 
-Both indexes store (and return) *tuples*: callers receive the index entries
-themselves, and immutability guarantees they cannot corrupt them.
+The indexes store (and return) *tuples*: callers receive the index entries
+themselves, and immutability guarantees they cannot corrupt them.  Size,
+iteration, membership, equality, hashing and the subinstance test read the
+frozen set alone, so an instance that is only iterated or measured (an
+exchange's output, a generated source) never pays for indexing.
 
 Instances are immutable: all "modifying" operations return new instances.
 The mutable companion used by the chase engines to grow instances
@@ -25,7 +28,7 @@ without re-indexing.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from repro.logic.atoms import Atom
 from repro.logic.schema import Schema, infer_schema
@@ -34,8 +37,18 @@ from repro.logic.values import Constant, is_null
 _EMPTY: tuple = ()
 
 
+class _Indexes(NamedTuple):
+    """The lookup indexes of one instance, as :meth:`Instance._index` builds them."""
+
+    by_relation: dict[str, tuple[Atom, ...]]
+    by_position: dict[tuple, tuple[Atom, ...]]
+    by_value: dict[object, tuple[Atom, ...]]
+    nulls: frozenset
+    constants: frozenset
+
+
 class Instance:
-    """An immutable finite set of facts with lookup indexes."""
+    """An immutable finite set of facts with lookup indexes built on demand."""
 
     __slots__ = (
         "_facts", "_by_relation", "_by_position", "_by_value", "_nulls",
@@ -44,6 +57,19 @@ class Instance:
 
     def __init__(self, facts: Iterable[Atom] = ()):
         self._facts: frozenset[Atom] = frozenset(facts)
+        self._by_relation: dict[str, tuple[Atom, ...]] | None = None
+        self._by_position: dict[tuple, tuple[Atom, ...]] | None = None
+        self._by_value: dict[object, tuple[Atom, ...]] | None = None
+        self._nulls: frozenset | None = None
+        self._constants: frozenset | None = None
+        self._hash: int | None = None
+
+    def _index(self) -> _Indexes:
+        """Build every index, then assign every slot, and return the indexes.
+
+        Each accessor checks only its own slot, and a slot is assigned only
+        once its index is complete, so a reader never sees a partial index.
+        """
         by_relation: dict[str, list[Atom]] = defaultdict(list)
         by_position: dict[tuple, list[Atom]] = defaultdict(list)
         by_value: dict[object, list[Atom]] = defaultdict(list)
@@ -61,12 +87,19 @@ class Instance:
                     constants.add(value)
                 else:
                     nulls.add(value)
-        self._by_relation = {rel: tuple(fs) for rel, fs in by_relation.items()}
-        self._by_position = {key: tuple(fs) for key, fs in by_position.items()}
-        self._by_value = {val: tuple(fs) for val, fs in by_value.items()}
-        self._nulls = frozenset(nulls)
-        self._constants = frozenset(constants)
-        self._hash: int | None = None
+        indexes = _Indexes(
+            {rel: tuple(fs) for rel, fs in by_relation.items()},
+            {key: tuple(fs) for key, fs in by_position.items()},
+            {val: tuple(fs) for val, fs in by_value.items()},
+            frozenset(nulls),
+            frozenset(constants),
+        )
+        self._by_relation = indexes.by_relation
+        self._by_position = indexes.by_position
+        self._by_value = indexes.by_value
+        self._nulls = indexes.nulls
+        self._constants = indexes.constants
+        return indexes
 
     @classmethod
     def _from_indexes(
@@ -136,31 +169,49 @@ class Instance:
 
     def relations(self) -> frozenset[str]:
         """Return the names of relations with at least one fact."""
-        return frozenset(self._by_relation)
+        by_relation = self._by_relation
+        if by_relation is None:
+            by_relation = self._index().by_relation
+        return frozenset(by_relation)
 
     def facts_of(self, relation: str) -> tuple[Atom, ...]:
         """Return the facts of *relation* (empty tuple if none)."""
-        return self._by_relation.get(relation, _EMPTY)
+        by_relation = self._by_relation
+        if by_relation is None:
+            by_relation = self._index().by_relation
+        return by_relation.get(relation, _EMPTY)
 
     def facts_with(self, relation: str, position: int, value) -> tuple[Atom, ...]:
         """Return the facts of *relation* whose argument at *position* is *value*."""
-        return self._by_position.get((relation, position, value), _EMPTY)
+        by_position = self._by_position
+        if by_position is None:
+            by_position = self._index().by_position
+        return by_position.get((relation, position, value), _EMPTY)
 
     def facts_containing(self, value) -> tuple[Atom, ...]:
         """Return the facts with *value* as a (top-level) argument, each once."""
-        return self._by_value.get(value, _EMPTY)
+        by_value = self._by_value
+        if by_value is None:
+            by_value = self._index().by_value
+        return by_value.get(value, _EMPTY)
 
     def active_domain(self) -> frozenset:
         """Return all values occurring in some fact."""
-        return self._constants | self._nulls
+        return self.constants() | self.nulls()
 
     def constants(self) -> frozenset[Constant]:
         """Return the constants occurring in some fact."""
-        return self._constants
+        constants = self._constants
+        if constants is None:
+            constants = self._index().constants
+        return constants
 
     def nulls(self) -> frozenset:
         """Return the nulls (labeled nulls and ground Skolem terms) occurring in some fact."""
-        return self._nulls
+        nulls = self._nulls
+        if nulls is None:
+            nulls = self._index().nulls
+        return nulls
 
     def schema(self) -> Schema:
         """Return the schema inferred from the facts present."""
@@ -168,7 +219,7 @@ class Instance:
 
     def is_ground(self) -> bool:
         """Return True if the instance contains no nulls."""
-        return not self._nulls
+        return not self.nulls()
 
     # ------------------------------------------------------------- construction
 
@@ -207,8 +258,11 @@ class Instance:
         Any isomorphism preserves profiles, so they both prune obviously
         non-isomorphic pairs early and restrict bijection candidates.
         """
+        by_position = self._by_position
+        if by_position is None:
+            by_position = self._index().by_position
         profiles: dict[object, Counter] = defaultdict(Counter)
-        for (relation, pos, value), facts in self._by_position.items():
+        for (relation, pos, value), facts in by_position.items():
             profiles[value][(relation, pos)] += len(facts)
         return {value: frozenset(c.items()) for value, c in profiles.items()}
 
@@ -227,7 +281,9 @@ class Instance:
             (f.relation, f.arity) for f in other
         ):
             return False
-        if not rename_constants and self._constants != other._constants:
+        self_nulls, other_nulls = self.nulls(), other.nulls()
+        self_consts, other_consts = self.constants(), other.constants()
+        if not rename_constants and self_consts != other_consts:
             return False
 
         # Degree-profile pruning: a bijection maps each value to a value with
@@ -236,31 +292,38 @@ class Instance:
         # shrink to profile-equal values.
         self_profiles = self._degree_profiles()
         other_profiles = other._degree_profiles()
-        if Counter(self_profiles[v] for v in self._nulls) != Counter(
-            other_profiles[v] for v in other._nulls
+        if Counter(self_profiles[v] for v in self_nulls) != Counter(
+            other_profiles[v] for v in other_nulls
         ):
             return False
         if rename_constants:
-            if Counter(self_profiles[v] for v in self._constants) != Counter(
-                other_profiles[v] for v in other._constants
+            if Counter(self_profiles[v] for v in self_consts) != Counter(
+                other_profiles[v] for v in other_consts
             ):
                 return False
-        elif any(self_profiles[c] != other_profiles[c] for c in self._constants):
+        elif any(self_profiles[c] != other_profiles[c] for c in self_consts):
             return False
 
         self_vals = sorted(self.active_domain(), key=repr)
         if not rename_constants:
             self_vals = [v for v in self_vals if is_null(v)]
 
-        other_nulls = sorted(other.nulls(), key=repr)
-        other_consts = sorted(other.constants(), key=repr)
+        # The other instance's nulls (and constants) grouped by profile once,
+        # each group in repr order, so a candidate lookup is one dict probe.
+        null_groups: dict[frozenset, list] = defaultdict(list)
+        for v in sorted(other_nulls, key=repr):
+            null_groups[other_profiles[v]].append(v)
+        const_groups: dict[frozenset, list] = defaultdict(list)
+        if rename_constants:
+            for v in sorted(other_consts, key=repr):
+                const_groups[other_profiles[v]].append(v)
 
         def candidates(value) -> list:
             profile = self_profiles[value]
             if is_null(value):
-                return [v for v in other_nulls if other_profiles[v] == profile]
+                return null_groups.get(profile, [])
             if rename_constants:
-                return [v for v in other_consts if other_profiles[v] == profile]
+                return const_groups.get(profile, [])
             return [value]
 
         other_facts = other.facts

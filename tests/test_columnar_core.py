@@ -242,6 +242,79 @@ class TestSinglePass:
         assert engine.block_fingerprint(block) == expected
 
 
+class TestInvariantGate:
+    """Only blocks sharing an invariant hash are fingerprinted; folds are unchanged."""
+
+    @pytest.mark.parametrize("shape, n", [
+        *[(f"{scenario}-{mapping}", n)
+          for scenario in ("shop", "hospital", "university")
+          for mapping in ("nested", "flat") for n in (50, 200)],
+        ("intro-star", 20),
+    ])
+    def test_iso_folds_match_the_tuple_engine(self, shape, n):
+        if shape == "intro-star":
+            solution = _intro_star_chase(n)
+        else:
+            from repro.engine.chase import chase
+            from repro.workloads.scenarios import ALL_SCENARIOS
+
+            name, mapping = shape.split("-")
+            scenario = next(s for s in ALL_SCENARIOS if s.name == name)
+            deps = [scenario.nested] if mapping == "nested" else list(scenario.flat)
+            solution = chase(scenario.source(n), deps)
+        folds = {}
+        for backend in ("tuple", "auto"):
+            with perf.measuring() as stats:
+                core(solution, backend=backend)
+            folds[backend] = stats.get("core.iso_folds")
+        assert folds["auto"] == folds["tuple"]
+
+    # Two 2-null blocks over U whose rows, nulls masked, are both
+    # {U(-1,-1,a), U(-1,-1,b)}: in TWIN the two facts point opposite ways,
+    # in SAME_WAY the same way, so they share an invariant but are not
+    # isomorphic.  Each is rigid (every fact holds both nulls).
+    TWIN = "U(_x1,_y1,a), U(_y1,_x1,b)"
+    SAME_WAY = "U(_p,_q,a), U(_p,_q,b)"
+
+    def _fingerprinted(self, monkeypatch) -> list:
+        calls: list = []
+        fingerprint = _ColumnarCore.block_fingerprint
+
+        def spy(engine, block):
+            calls.append(len(block))
+            return fingerprint(engine, block)
+
+        monkeypatch.setattr(_ColumnarCore, "block_fingerprint", spy)
+        return calls
+
+    def test_equal_invariants_that_are_not_isomorphic_both_survive(self, monkeypatch):
+        instance = parse_instance(f"{self.TWIN}, {self.SAME_WAY}")
+        store = ColumnarInstance(instance)
+        engine = _ColumnarCore(store.values)
+        first, second = engine.null_blocks(store)
+        assert engine.block_invariant(first) == engine.block_invariant(second)
+        fingerprinted = self._fingerprinted(monkeypatch)
+        for backend in ("tuple", "auto"):
+            with perf.measuring() as stats:
+                assert core(instance, backend=backend) == instance
+            assert stats.get("core.iso_folds") == 0
+        assert fingerprinted == [2, 2]
+
+    def test_isomorphic_blocks_among_distinct_ones_fold(self, monkeypatch):
+        instance = parse_instance(
+            f"{self.TWIN}, U(_x2,_y2,a), U(_y2,_x2,b), {self.SAME_WAY}, "
+            "R(c,_z), R(_z,d)"
+        )
+        fingerprinted = self._fingerprinted(monkeypatch)
+        with perf.measuring() as stats:
+            result = core(instance, backend="auto")
+        assert stats.get("core.iso_folds") == 1
+        assert len(result) == 6
+        assert result.isomorphic(core(instance, backend="tuple"))
+        # The R block's invariant is its own, so it is never fingerprinted.
+        assert fingerprinted == [2, 2, 2]
+
+
 class TestChooseCoreBackend:
     def test_auto_small_is_columnar(self):
         for size in (0, 10):

@@ -1,9 +1,14 @@
 """Tests for the Instance data structure and its indexes."""
 
+from hypothesis import given, settings
+
+from repro.engine.builder import InstanceBuilder
 from repro.logic.atoms import Atom
 from repro.logic.instances import Instance, union_all
 from repro.logic.parser import parse_instance
 from repro.logic.values import Constant, Null
+
+from tests.strategies import INSTANCE_RELATIONS, instances
 
 
 A, B, C = Constant("a"), Constant("b"), Constant("c")
@@ -48,6 +53,65 @@ class TestIndexes:
 
     def test_relations(self):
         assert parse_instance("S(a,b), Q(a)").relations() == {"S", "Q"}
+
+
+_INDEX_SLOTS = ("_by_relation", "_by_position", "_by_value", "_nulls", "_constants")
+
+
+def _indexed(instance: Instance) -> list[bool]:
+    return [getattr(instance, slot) is not None for slot in _INDEX_SLOTS]
+
+
+class TestLazyIndexes:
+    """A fresh Instance builds its indexes on the first lookup that needs one."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(drawn=instances(max_facts=10), other=instances(max_facts=10))
+    def test_lookups_match_frozen_builder(self, drawn, other):
+        # Every lookup runs on a fresh, unindexed instance, so each accessor
+        # is checked from the state where it has to build the indexes itself.
+        def fresh() -> Instance:
+            return Instance(drawn.facts)
+
+        frozen = InstanceBuilder(drawn.facts).freeze()
+        values = sorted(frozen.active_domain() | {Constant("absent")}, key=repr)
+        relations = [name for name, __ in INSTANCE_RELATIONS] + ["Missing"]
+        for relation in relations:
+            assert sorted(fresh().facts_of(relation), key=repr) == sorted(
+                frozen.facts_of(relation), key=repr)
+            for position in range(3):
+                for value in values:
+                    assert sorted(fresh().facts_with(relation, position, value), key=repr) == (
+                        sorted(frozen.facts_with(relation, position, value), key=repr))
+        for value in values:
+            assert sorted(fresh().facts_containing(value), key=repr) == sorted(
+                frozen.facts_containing(value), key=repr)
+        assert fresh().relations() == frozen.relations()
+        assert fresh().nulls() == frozen.nulls()
+        assert fresh().constants() == frozen.constants()
+        assert fresh().active_domain() == frozen.active_domain()
+        assert fresh().is_ground() == frozen.is_ground()
+        frozen_other = InstanceBuilder(other.facts).freeze()
+        for rename_constants in (False, True):
+            assert fresh().isomorphic(
+                Instance(other.facts), rename_constants=rename_constants
+            ) == frozen.isomorphic(frozen_other, rename_constants=rename_constants)
+
+    def test_set_operations_leave_indexes_unbuilt(self):
+        facts = [Atom("R", (A, N1)), Atom("R", (N1, B)), Atom("P", (C,))]
+        inst, same, larger = Instance(facts), Instance(facts), Instance(facts[:2])
+        assert len(inst) == 3
+        assert sorted(inst, key=repr) == sorted(facts, key=repr)
+        assert facts[0] in inst and inst.facts == frozenset(facts)
+        assert inst == same and hash(inst) == hash(same)
+        assert larger <= inst and not inst <= larger
+        for instance in (inst, same, larger):
+            assert not any(_indexed(instance))
+        assert inst.facts_of("R")
+        assert all(_indexed(inst))
+
+    def test_frozen_builder_adopts_its_indexes(self):
+        assert all(_indexed(InstanceBuilder(parse_instance("R(a,_x)")).freeze()))
 
 
 class TestDomains:
