@@ -8,11 +8,10 @@ Kolaitis, Miller, and Popa (the position/dependency graph with special
 edges) gives a broad decidable sufficient condition, and this module
 implements it for every formalism of the library.
 
-Every dependency is first Skolemized by the fixpoint chase's clause
-compiler (s-t tgds via :meth:`repro.logic.tgds.STTgd.skolem_head`, nested
-tgds via :meth:`repro.logic.nested.NestedTgd.skolemize`, SO tgds
-clause-wise, each dependency's functions renamed apart), so one uniform
-clause shape ``body atoms -> head atoms over terms`` feeds the graph
+Every tgd is first Skolemized by the engine's one clause compiler,
+:func:`repro.engine.chase.compile_clause_program` (nested and SO tgds
+under ``d{index}_``, s-t tgds under ``t{batch}_``), so one uniform clause
+shape ``body atoms -> head atoms over terms`` feeds the graph
 construction.  The *position graph* has a node ``(R, i)`` for every position
 of every relation and, for each clause and each universal variable ``x``
 occurring at body position ``p``:
@@ -167,14 +166,19 @@ def _clause_ir(label: str, body: tuple[Atom, ...], head: tuple[Atom, ...]) -> Cl
 def dependency_graph_ir(dependencies: Iterable[object]) -> DependencyGraphIR:
     """Build the shared dependency-graph IR of a dependency set.
 
-    Egds contribute positions only; tgds of every formalism are Skolemized
-    by the fixpoint chase's own clause compiler, Skolem functions renamed
-    apart per dependency, so the analyses built on this IR classify exactly
-    the program the engine runs.
+    Egds contribute positions only.  The tgds, in list order without the
+    egds, are compiled by the engine's clause compiler
+    (:func:`repro.engine.chase.dependency_clauses`, the per-dependency view
+    of :func:`~repro.engine.chase.compile_clause_program`) -- the same list
+    the MFA test hands to the fixpoint chase -- so the analyses built on
+    this IR classify exactly the program the engine runs, Skolem names
+    included.  Clauses keep list order and are labelled ``d{index}.{cid}``,
+    *index* being the position in the mixed egd/tgd list.
     """
-    from repro.engine.fixpoint_chase import _clauses_of_dependency
+    from repro.engine.chase import dependency_clauses
 
-    clauses: list[ClauseIR] = []
+    tgd_indexes: list[int] = []
+    tgds: list[object] = []
     positions: set[Position] = set()
     for index, dep in enumerate(dependencies):
         if isinstance(dep, Egd):
@@ -184,8 +188,13 @@ def dependency_graph_ir(dependencies: Iterable[object]) -> DependencyGraphIR:
             continue
         if not isinstance(dep, (STTgd, NestedTgd, SOTgd)):
             raise DependencyError(f"cannot analyze termination of dependency {dep!r}")
-        for cid, clause in enumerate(_clauses_of_dependency(dep, index)):
-            clauses.append(_clause_ir(f"d{index}.{cid}", clause.body, clause.head))
+        tgd_indexes.append(index)
+        tgds.append(dep)
+    clauses = [
+        _clause_ir(f"d{tgd_indexes[tgd_index]}.{cid}", clause.body, clause.head)
+        for tgd_index, program in sorted(dependency_clauses(tgds), key=lambda pair: pair[0])
+        for cid, clause in enumerate(program)
+    ]
     for clause in clauses:
         for atom in clause.body + clause.head:
             for i in range(atom.arity):

@@ -60,17 +60,24 @@ def remove_redundant_dependencies(
         >>> remove_redundant_dependencies([strong, weak]) == [strong]
         True
     """
+    return _greedy_redundancy(dependencies, source_egds)[0]
+
+
+def _greedy_redundancy(dependencies: Sequence, source_egds: Sequence[Egd]) -> tuple[list, list]:
+    """The greedy IMPLIES loop: ``(kept, dropped)``, *dropped* in drop order."""
     kept = list(dependencies)
+    dropped: list = []
     changed = True
     while changed:
         changed = False
         for index, dep in enumerate(kept):
             rest = kept[:index] + kept[index + 1:]
             if rest and implies(rest, dep, source_egds=list(source_egds)):
+                dropped.append(dep)
                 kept = rest
                 changed = True
                 break
-    return kept
+    return kept, dropped
 
 
 def minimize_tgd_body(tgd: STTgd, source_egds: Sequence[Egd] = ()) -> STTgd:
@@ -227,20 +234,12 @@ def optimize_report(
                 "(the equivalence certificate is falsified); this is a bug"
             )
     else:
-        kept = list(normalized)
-        changed = True
-        while changed:
-            changed = False
-            for index, dep in enumerate(kept):
-                rest = kept[:index] + kept[index + 1:]
-                if rest and implies(rest, dep, source_egds=list(source_egds)):
-                    dropped.append((
-                        labels[id(dep)], str(dep),
-                        "implied by the remaining dependencies (IMPLIES)",
-                    ))
-                    kept = rest
-                    changed = True
-                    break
+        kept, implied = _greedy_redundancy(normalized, source_egds)
+        for dep in implied:
+            dropped.append((
+                labels[id(dep)], str(dep),
+                "implied by the remaining dependencies (IMPLIES)",
+            ))
     return OptimizeReport(
         kept=tuple(kept),
         dropped=tuple(dropped),

@@ -79,38 +79,54 @@ def compile_clause_program(dependencies) -> tuple:
 
     The returned clauses are :class:`~repro.logic.sotgd.SOClause` objects;
     evaluating them once over a source instance (:func:`run_clause_program`)
-    *is* the chase.  Skolem functions are named apart per dependency: nested
-    tgds are skolemized under ``d{index}_`` (the fact set of the Section 3
-    recursive-triggering procedure equals its Skolemization's), SO tgds are
-    renamed apart under ``d{index}_``, and s-t tgds are batched last and
-    named ``t{batch_index}_{var}``.  The tuple, columnar and SQL backends,
-    the SQL export and the incremental IMPLIES sweep all consume this one
-    program, which is what lets the sweep extend a cached chase result by a
-    source delta and still agree, fact for fact and label for label, with a
-    from-scratch ``chase`` of the extended source.
+    *is* the chase.  They are :func:`dependency_clauses` flattened.  The
+    tuple, columnar and SQL backends, the fixpoint chase, the termination
+    analyses, the SQL export and the incremental IMPLIES sweep all consume
+    this one program, which is what lets the sweep extend a cached chase
+    result by a source delta and still agree, fact for fact and label for
+    label, with a from-scratch ``chase`` of the extended source.
+    """
+    return tuple(clause for _, clauses in dependency_clauses(dependencies) for clause in clauses)
+
+
+def dependency_clauses(dependencies) -> list[tuple[int, tuple]]:
+    """The clause program of :func:`compile_clause_program`, grouped by dependency.
+
+    Returns ``(index, clauses)`` pairs in program order, *index* being the
+    dependency's position in *dependencies*.  Skolem functions are named
+    apart per dependency: nested tgds are skolemized under ``d{index}_``
+    (the fact set of the Section 3 recursive-triggering procedure equals
+    its Skolemization's), SO tgds are renamed apart under ``d{index}_``,
+    and s-t tgds are batched last and named ``t{batch_index}_{var}``.
+
+        >>> from repro.logic.parser import parse_so_tgd, parse_tgd
+        >>> program = dependency_clauses(
+        ...     [parse_tgd("S(x) -> exists y . R(x,y)"), parse_so_tgd("S(x) -> T(f(x))")])
+        >>> [(index, [clause.head for clause in clauses]) for index, clauses in program]
+        [(1, [(T(d1_f(?x)),)]), (0, [(R(?x, t0_y(?x)),)])]
     """
     from repro.logic.nested import NestedTgd
     from repro.logic.sotgd import SOClause
 
     if isinstance(dependencies, (STTgd, NestedTgd, SOTgd)):
         dependencies = [dependencies]
-    clauses: list[SOClause] = []
-    st_batch: list[STTgd] = []
+    program: list[tuple[int, tuple]] = []
+    st_batch: list[tuple[int, STTgd]] = []
     for index, dep in enumerate(dependencies):
         if isinstance(dep, STTgd):
-            st_batch.append(dep)
+            st_batch.append((index, dep))
         elif isinstance(dep, NestedTgd):
-            clauses.extend(dep.skolemize(function_prefix=f"d{index}_").clauses)
+            program.append((index, dep.skolemize(function_prefix=f"d{index}_").clauses))
         elif isinstance(dep, SOTgd):
-            clauses.extend(_rename_functions_apart(dep, f"d{index}_").clauses)
+            program.append((index, _rename_functions_apart(dep, f"d{index}_").clauses))
         else:
             raise ChaseError(f"cannot chase with dependency {dep!r}")
-    for batch_index, tgd in enumerate(st_batch):
+    for batch_index, (index, tgd) in enumerate(st_batch):
         head = tgd.skolem_head(
             function_namer=lambda var, batch_index=batch_index: f"t{batch_index}_{var.name}"
         )
-        clauses.append(SOClause(body=tgd.body, equalities=(), head=head))
-    return tuple(clauses)
+        program.append((index, (SOClause(body=tgd.body, equalities=(), head=head),)))
+    return program
 
 
 def _emit_clause(clause, assignment: dict, out: list[Atom]) -> None:
@@ -186,6 +202,7 @@ __all__ = [
     "chase_st_tgds",
     "chase_so_tgd",
     "compile_clause_program",
+    "dependency_clauses",
     "run_clause_program",
     "run_clause_program_delta",
 ]

@@ -36,9 +36,13 @@ matches that use at least one fact derived in the previous round.  It is
 the one fixpoint engine; the columnar and SQL backends of
 :mod:`repro.engine.dispatch` serve the single-pass exchange only.
 
-Nulls are ground Skolem terms, exactly as in the single-pass engines, so
-re-firing a trigger re-derives the *same* fact and the fixpoint is
-well-defined.
+The engine runs the single-pass engines' own clause program
+(:func:`repro.engine.chase.compile_clause_program`, s-t tgds last and
+named ``t{batch}_{var}``) and emits each trigger's head facts through the
+same code, so nulls are the same ground Skolem terms and ``chase.triggers``
+counts fixpoint emissions too.  Re-firing a trigger re-derives the *same*
+fact, so the fixpoint is well-defined, and on a source-to-target program
+the result minus the input is ``chase``'s output, label for label.
 
     >>> from repro.logic.parser import parse_instance, parse_tgd
     >>> tc = parse_tgd("E(x,y) & E(y,z) -> E(x,z)")
@@ -50,18 +54,17 @@ well-defined.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from repro import perf
 from repro.errors import BudgetExceeded, ChaseError
 from repro.logic.atoms import Atom
 from repro.logic.instances import Instance
 from repro.logic.nested import NestedTgd
-from repro.logic.sotgd import SOClause, SOTgd
-from repro.logic.terms import substitute_term
+from repro.logic.sotgd import SOTgd
 from repro.logic.tgds import STTgd
 from repro.engine.builder import InstanceBuilder
-from repro.engine.chase import _rename_functions_apart
+from repro.engine.chase import _emit_clause, compile_clause_program
 from repro.engine.matching import find_delta_matches, find_matches
 
 if TYPE_CHECKING:
@@ -88,32 +91,6 @@ class FixpointChaseResult:
 
     def __iter__(self) -> "Iterator[Atom]":
         return iter(self.instance)
-
-
-def _clauses_of_dependency(dep: object, index: int) -> list[SOClause]:
-    """Skolemize the tgd at *index* of a set, its functions prefixed ``d{index}_``.
-
-    The prefix renames every dependency's Skolem functions apart, so two
-    tgds never share a null.  The termination analyses build their
-    dependency graph from these same clauses.
-    """
-    if isinstance(dep, STTgd):
-        head = dep.skolem_head(lambda var: f"d{index}_f_{var.name}")
-        return [SOClause(body=dep.body, equalities=(), head=head)]
-    if isinstance(dep, NestedTgd):
-        return list(dep.skolemize(function_prefix=f"d{index}_").clauses)
-    if isinstance(dep, SOTgd):
-        return list(_rename_functions_apart(dep, f"d{index}_").clauses)
-    raise ChaseError(f"fixpoint chase cannot run dependency {dep!r}")
-
-
-def _clauses_of(dependencies: Sequence[object]) -> list[SOClause]:
-    """Normalize tgds of any formalism into Skolemized clauses, renamed apart."""
-    return [
-        clause
-        for index, dep in enumerate(dependencies)
-        for clause in _clauses_of_dependency(dep, index)
-    ]
 
 
 def fixpoint_chase(
@@ -189,7 +166,7 @@ def fixpoint_chase(
                 hint="The input instance alone is larger than the budget.",
             )
 
-    clauses = _clauses_of(deps)
+    clauses = compile_clause_program(deps)
     builder = InstanceBuilder(instance)
     rounds = 0
     changed = True
@@ -210,14 +187,9 @@ def fixpoint_chase(
             else:
                 assignments = find_delta_matches(clause.body, builder, delta)
             for assignment in assignments:
-                if any(
-                    substitute_term(left, assignment) != substitute_term(right, assignment)
-                    for left, right in clause.equalities
-                ):
-                    continue
-                for atom in clause.head:
-                    args = tuple(substitute_term(t, assignment) for t in atom.args)
-                    fact = Atom(atom.relation, args)
+                emitted: list[Atom] = []
+                _emit_clause(clause, assignment, emitted)
+                for fact in emitted:
                     if builder.add(fact):
                         changed = True
                         new_delta.append(fact)

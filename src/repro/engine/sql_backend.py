@@ -12,7 +12,9 @@ Python loop -- performs the joins.
 program: it evaluates every clause over the ``src_``-prefixed source
 tables, inserts into the ``tgt_``-prefixed target tables, and decodes.  It
 matches :func:`repro.engine.chase.chase` fact for fact when given
-:func:`~repro.engine.chase.compile_clause_program`'s output.
+:func:`~repro.engine.chase.compile_clause_program`'s output.  The SQL
+export (:mod:`repro.export.sql`) renders through this module's clause
+helpers and raises its :class:`SQLCompileError`.
 
 Values cross the SQL boundary through an **injective textual encoding**
 (:func:`encode_value` / :func:`decode_value`): constants are tagged ``c``,
@@ -143,27 +145,48 @@ def _decode_at(text: str, start: int, end: int) -> tuple[object, int]:
 # ----------------------------------------------------------- clause compiler
 
 
+def _body_join(
+    body: Sequence[Atom],
+) -> tuple[list[tuple[str, str]], dict[Variable, str], list[str]]:
+    """Join a clause body: ``(tables, variable_columns, conditions)``.
+
+    Each atom gets a ``(relation, alias a{i})`` table, each variable the
+    column of its first occurrence, and each later occurrence an equality.
+    """
+    tables: list[tuple[str, str]] = []
+    variable_columns: dict[Variable, str] = {}
+    conditions: list[str] = []
+    for index, atom in enumerate(body):
+        alias = f"a{index}"
+        tables.append((_check_identifier(atom.relation), alias))
+        for position, arg in enumerate(atom.args):
+            column = f"{alias}.c{position}"
+            if not isinstance(arg, Variable):
+                raise SQLCompileError(f"non-variable body argument {arg!r}")
+            if arg in variable_columns:
+                conditions.append(f"{column} = {variable_columns[arg]}")
+            else:
+                variable_columns[arg] = column
+    return tables, variable_columns, conditions
+
+
+def _length_prefixed(opening: str, arguments: Sequence[str]) -> str:
+    """``'<opening>' || length(a) || ':' || a || ',' || ... || ')'``: injective,
+    so a constant containing ``,``/``(``/``)`` cannot forge another label."""
+    pieces = [_sql_literal(opening)]
+    for index, inner in enumerate(arguments):
+        if index:
+            pieces.append(_sql_literal(","))
+        pieces.append(f"length({inner}) || ':' || {inner}")
+    pieces.append(_sql_literal(")"))
+    return " || ".join(pieces)
+
+
 class _CompiledClause:
     """One Skolemized clause, compiled to ``INSERT ... SELECT`` statements."""
 
     def __init__(self, clause: SOClause):
-        self.body_relations: list[str] = []
-        self.aliases: list[str] = []
-        self.variable_columns: dict[Variable, str] = {}
-        self.conditions: list[str] = []
-        for index, atom in enumerate(clause.body):
-            _check_identifier(atom.relation)
-            alias = f"a{index}"
-            self.aliases.append(alias)
-            self.body_relations.append(atom.relation)
-            for position, arg in enumerate(atom.args):
-                column = f"{alias}.c{position}"
-                if not isinstance(arg, Variable):
-                    raise SQLCompileError(f"non-variable body argument {arg!r}")
-                if arg in self.variable_columns:
-                    self.conditions.append(f"{column} = {self.variable_columns[arg]}")
-                else:
-                    self.variable_columns[arg] = column
+        self.tables, self.variable_columns, self.conditions = _body_join(clause.body)
         for left, right in clause.equalities:
             self.conditions.append(f"{self.expression(left)} = {self.expression(right)}")
         self.heads: list[tuple[str, str]] = []
@@ -183,21 +206,15 @@ class _CompiledClause:
             return _sql_literal(encode_value(term))
         if isinstance(term, FuncTerm):
             # Mirror encode_value: 'f<name>(' || len:arg || ',' || ... || ')'
-            pieces = [_sql_literal(f"f{term.function}(")]
-            for index, arg in enumerate(term.args):
-                if index:
-                    pieces.append(_sql_literal(","))
-                inner = self.expression(arg)
-                pieces.append(f"length({inner}) || ':' || {inner}")
-            pieces.append(_sql_literal(")"))
-            return " || ".join(pieces)
+            return _length_prefixed(
+                f"f{term.function}(", [self.expression(arg) for arg in term.args]
+            )
         raise SQLCompileError(f"cannot compile head term {term!r}")
 
     def insert_statements(self) -> list[str]:
         """One statement per head atom: ``src_`` body tables into ``tgt_`` tables."""
         from_clause = ", ".join(
-            f'"src_{relation}" AS {alias}'
-            for relation, alias in zip(self.body_relations, self.aliases)
+            f'"src_{relation}" AS {alias}' for relation, alias in self.tables
         )
         where = (" WHERE " + " AND ".join(self.conditions)) if self.conditions else ""
         return [

@@ -21,6 +21,11 @@ Skolem terms; the clauses are those of
   would collide ``f(Constant("a,b"))`` with ``f(a, b)``;
 - all columns are TEXT (``c0, c1, ...``).
 
+The join, quoting and concatenation helpers and the errors
+(:class:`~repro.engine.sql_backend.SQLCompileError`) are the SQL backend's;
+the export only writes raw table names and untagged Skolem text, and
+accepts s-t and nested tgds only.
+
 :func:`execute_exchange` is the *executable* counterpart: it runs the
 mapping through one of the interchangeable chase backends
 (:mod:`repro.engine.sql_backend` by default, which compiles the exact
@@ -33,26 +38,21 @@ against the chase engine.
 
 from __future__ import annotations
 
-import re
-from typing import Sequence
-
+from repro.engine.sql_backend import (
+    SQLCompileError,
+    _body_join,
+    _check_identifier,
+    _length_prefixed,
+)
 from repro.errors import DependencyError
 from repro.logic.atoms import Atom
 from repro.logic.instances import Instance
 from repro.logic.nested import NestedTgd
 from repro.logic.schema import Schema
+from repro.logic.sotgd import SOClause
 from repro.logic.terms import FuncTerm
 from repro.logic.tgds import STTgd
 from repro.logic.values import Constant, Null, Variable
-
-
-_IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
-
-def _check_identifier(name: str) -> str:
-    if not _IDENTIFIER.match(name):
-        raise DependencyError(f"{name!r} is not usable as an SQL identifier")
-    return name
 
 
 def schema_ddl(schema: Schema) -> list[str]:
@@ -69,62 +69,33 @@ def schema_ddl(schema: Schema) -> list[str]:
     return statements
 
 
-def _sql_literal(text: str) -> str:
-    return "'" + text.replace("'", "''") + "'"
+def _insert_statements(clause: SOClause) -> list[str]:
+    """One ``INSERT ... SELECT`` per head atom of *clause*, over the raw tables."""
+    tables, variable_columns, conditions = _body_join(clause.body)
 
-
-class _ClauseCompiler:
-    """Compile one flattened clause (body atoms -> one head atom) to SQL."""
-
-    def __init__(self, body: Sequence[Atom]):
-        self.aliases: list[tuple[str, Atom]] = [
-            (f"a{i}", atom) for i, atom in enumerate(body)
-        ]
-        self.variable_columns: dict[Variable, str] = {}
-        self.conditions: list[str] = []
-        for alias, atom in self.aliases:
-            _check_identifier(atom.relation)
-            for position, arg in enumerate(atom.args):
-                column = f"{alias}.c{position}"
-                if not isinstance(arg, Variable):
-                    raise DependencyError(f"non-variable body argument {arg!r}")
-                if arg in self.variable_columns:
-                    self.conditions.append(f"{column} = {self.variable_columns[arg]}")
-                else:
-                    self.variable_columns[arg] = column
-
-    def expression(self, term) -> str:
-        """The SQL expression computing a head argument."""
+    def expression(term) -> str:
         if isinstance(term, Variable):
             try:
-                return self.variable_columns[term]
+                return variable_columns[term]
             except KeyError:
-                raise DependencyError(f"head variable {term!r} unbound in the body")
+                raise SQLCompileError(f"head variable {term!r} unbound in the body")
         if isinstance(term, FuncTerm):
-            # Length-prefix every component: a constant containing `,`/`(`/`)`
-            # can no longer produce the same label as a different trigger
-            # (the prefixes make the rendering injective).
-            pieces = [_sql_literal(f"{term.function}(")]
-            for index, arg in enumerate(term.args):
-                if index:
-                    pieces.append(_sql_literal(","))
-                inner = self.expression(arg)
-                pieces.append(f"length({inner}) || ':' || {inner}")
-            pieces.append(_sql_literal(")"))
-            return " || ".join(pieces)
-        raise DependencyError(f"cannot compile head term {term!r}")
+            return _length_prefixed(
+                f"{term.function}(", [expression(arg) for arg in term.args]
+            )
+        raise SQLCompileError(f"cannot compile head term {term!r}")
 
-    def insert_statement(self, head_atom: Atom) -> str:
-        _check_identifier(head_atom.relation)
-        select_list = ", ".join(self.expression(arg) for arg in head_atom.args)
-        from_clause = ", ".join(f"{atom.relation} AS {alias}" for alias, atom in self.aliases)
-        statement = (
-            f"INSERT INTO {head_atom.relation} "
-            f"SELECT DISTINCT {select_list} FROM {from_clause}"
+    from_clause = ", ".join(f"{relation} AS {alias}" for relation, alias in tables)
+    where = (" WHERE " + " AND ".join(conditions)) if conditions else ""
+    statements = []
+    for atom in clause.head:
+        _check_identifier(atom.relation)
+        select_list = ", ".join(expression(arg) for arg in atom.args)
+        statements.append(
+            f"INSERT INTO {atom.relation} "
+            f"SELECT DISTINCT {select_list} FROM {from_clause}{where}"
         )
-        if self.conditions:
-            statement += " WHERE " + " AND ".join(self.conditions)
-        return statement
+    return statements
 
 
 def compile_mapping_to_sql(dependencies) -> list[str]:
@@ -144,13 +115,12 @@ def compile_mapping_to_sql(dependencies) -> list[str]:
     dependencies = list(dependencies)
     for dep in dependencies:
         if not isinstance(dep, (STTgd, NestedTgd)):
-            raise DependencyError(f"expected an s-t tgd or nested tgd, got {dep!r}")
-    statements: list[str] = []
-    for clause in compile_clause_program(dependencies):
-        compiler = _ClauseCompiler(clause.body)
-        for head_atom in clause.head:
-            statements.append(compiler.insert_statement(head_atom))
-    return statements
+            raise SQLCompileError(f"expected an s-t tgd or nested tgd, got {dep!r}")
+    return [
+        statement
+        for clause in compile_clause_program(dependencies)
+        for statement in _insert_statements(clause)
+    ]
 
 
 def _render_value(value) -> str:

@@ -17,7 +17,7 @@ from repro.engine.dispatch import (
     SQL_AUTO_THRESHOLD,
     choose_backend,
 )
-from repro.engine.fixpoint_chase import _clauses_of, fixpoint_chase
+from repro.engine.fixpoint_chase import fixpoint_chase
 from repro.engine.sql_backend import decode_value, encode_value, sql_execute_exchange
 from repro.errors import BudgetExceeded, ChaseError
 from repro.export.sql import execute_exchange
@@ -165,7 +165,7 @@ class TestDispatch:
     TC = [parse_tgd("E(x,y) & E(y,z) -> E(x,z)")]
 
     def _clauses(self):
-        return _clauses_of(self.TC)
+        return compile_clause_program(self.TC)
 
     def test_explicit_choices_respected(self):
         for backend in ("tuple", "columnar", "sql"):

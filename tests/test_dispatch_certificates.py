@@ -9,6 +9,10 @@ equal, not merely isomorphic.  Programs are the certified witness sets of
 the frontier test-bed, one per tier below non-elementary, plus random
 same-schema sets whose bounded run reaches its fixpoint; instances are drawn
 by Hypothesis over small constant pools.
+
+On a source-to-target program the single-pass :func:`repro.engine.chase.chase`
+is a second reference: both engines run one compiled clause program, so the
+fixpoint's derived facts are the chase's, labels included.
 """
 
 import hypothesis.strategies as st
@@ -16,15 +20,21 @@ import pytest
 from hypothesis import given, settings
 
 from repro.analysis.frontier import ComplexityTier, frontier_report
-from repro.engine.chase import run_clause_program
-from repro.engine.fixpoint_chase import _clauses_of, fixpoint_chase
+from repro.engine.chase import chase, compile_clause_program, run_clause_program
+from repro.engine.fixpoint_chase import fixpoint_chase
 from repro.logic.atoms import Atom
 from repro.logic.instances import Instance
 from repro.logic.parser import parse_tgd
 from repro.logic.values import Constant
 from repro.workloads.families import ladder_tgds
 
-from tests.strategies import instances, same_schema_tgds
+from tests.strategies import (
+    SOURCE_RELATIONS,
+    instances,
+    nested_tgds,
+    same_schema_tgds,
+    schema_mappings,
+)
 
 PROGRAMS = {
     # tier PTIME, weakly acyclic: the existential ladder
@@ -76,7 +86,7 @@ def instances_over(relations):
 
 def naive_fixpoint(instance, deps, max_iterations=100):
     """Re-run every clause over the whole instance until nothing changes."""
-    clauses = _clauses_of(deps)
+    clauses = compile_clause_program(deps)
     facts = set(instance)
     for _ in range(max_iterations):
         derived = set(run_clause_program(clauses, Instance(facts)))
@@ -112,3 +122,34 @@ def test_random_fixpoints_match_the_naive_loop(tgds, instance):
     if not result.reached_fixpoint:
         return
     assert set(result.instance) == naive_fixpoint(instance, tgds)
+
+
+@st.composite
+def st_programs(draw):
+    """s-t, nested and SO tgds over the disjoint strategy schemas, in any order."""
+    deps: list = list(draw(schema_mappings(max_tgds=2)))
+    for _ in range(draw(st.integers(0, 2))):
+        tgd = draw(nested_tgds(max_depth=2))
+        deps.append(tgd.skolemize() if draw(st.booleans()) else tgd)
+    return draw(st.permutations(deps))
+
+
+@st.composite
+def source_instances(draw):
+    facts = []
+    for _ in range(draw(st.integers(1, 6))):
+        relation, arity = draw(st.sampled_from(SOURCE_RELATIONS))
+        args = tuple(draw(st.sampled_from(CONSTANTS[:3])) for _ in range(arity))
+        facts.append(Atom(relation, args))
+    return Instance(facts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(deps=st_programs(), instance=source_instances())
+def test_fixpoint_equals_the_single_pass_chase_on_st_programs(deps, instance):
+    result = fixpoint_chase(instance, deps)
+    assert result.reached_fixpoint
+    assert set(result.instance) - set(instance) == set(chase(instance, deps))
+    assert result.rounds <= 2
+    # A second round only confirms that no new fact appears.
+    assert fixpoint_chase(instance, deps, max_rounds=1).instance == result.instance
