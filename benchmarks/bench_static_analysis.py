@@ -44,11 +44,11 @@ import json
 import pathlib
 import time
 
-from repro.analysis.acyclicity import classify_termination, clear_acyclicity_cache
+from repro.analysis.acyclicity import classify_termination
 from repro.analysis.cost import chase_cost, sweep_cost
-from repro.analysis.frontier import clear_frontier_cache, frontier_report
+from repro.analysis.frontier import frontier_report
 from repro.analysis.static import analyze
-from repro.analysis.termination import clear_termination_cache
+from repro.cache import clear_all_caches
 from repro.logic.parser import parse_nested_tgd, parse_tgd
 from repro.workloads.families import (
     containment_pair,
@@ -88,9 +88,7 @@ def hierarchy() -> list:
 def _timed(fn, repeat: int = 5) -> float:
     best = float("inf")
     for _ in range(repeat):
-        clear_acyclicity_cache()
-        clear_termination_cache()
-        clear_frontier_cache()
+        clear_all_caches(disk=False)
         start = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - start)
@@ -185,11 +183,9 @@ def run_benchmark() -> dict:
         cost_s = _timed(lambda deps=deps: chase_cost(deps))
         analyze_s = _timed(lambda deps=deps: analyze(deps))
         frontier_s = _timed(lambda deps=deps: frontier_report(deps))
-        clear_acyclicity_cache()
-        clear_termination_cache()
-        clear_frontier_cache()
+        clear_all_caches(disk=False)
         verdict = classify_termination(deps)
-        report = frontier_report(deps, verdict=verdict)
+        report = frontier_report(deps)
         results.append(
             {
                 "family": name,

@@ -128,9 +128,10 @@ def run_selfcheck() -> tuple[dict, dict]:
 
 def run_analyze() -> dict:
     """Frontier certificates for every corpus -- fully deterministic JSON."""
-    from repro.analysis.frontier import clear_frontier_cache, frontier_report
+    from repro.analysis.frontier import frontier_report
+    from repro.cache import clear_all_caches
 
-    clear_frontier_cache()
+    clear_all_caches(disk=False)
     return {
         name: frontier_report(deps).to_dict()
         for name, deps in sorted(corpora().items())

@@ -85,7 +85,7 @@ INSTANCES = {
 def show(label: str, dependencies, instance_text: str) -> None:
     verdict = classify_termination(dependencies)
     weak = termination_report(dependencies)
-    cost = chase_cost(dependencies, verdict=verdict)
+    cost = chase_cost(dependencies)
     print(f"== {label}")
     for dep in dependencies:
         print(f"   {dep}")

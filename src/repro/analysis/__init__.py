@@ -44,7 +44,6 @@ from repro.analysis.characterization import (
 from repro.analysis.termination import (
     DependencyGraphIR,
     TerminationReport,
-    clear_termination_cache,
     dependency_graph_ir,
     position_graph,
     termination_report,
@@ -53,7 +52,6 @@ from repro.analysis.acyclicity import (
     TerminationClass,
     TerminationVerdict,
     classify_termination,
-    clear_acyclicity_cache,
 )
 from repro.analysis.cost import (
     ChaseCostEstimate,
@@ -67,7 +65,6 @@ from repro.analysis.frontier import (
     FrontierReport,
     TierReport,
     TriangularGuardReport,
-    clear_frontier_cache,
     frontier_report,
     tier_report,
     triangular_guard_report,
@@ -110,14 +107,12 @@ __all__ = [
     "glav_modularity_bound",
     "DependencyGraphIR",
     "TerminationReport",
-    "clear_termination_cache",
     "dependency_graph_ir",
     "position_graph",
     "termination_report",
     "TerminationClass",
     "TerminationVerdict",
     "classify_termination",
-    "clear_acyclicity_cache",
     "ChaseCostEstimate",
     "SweepCostEstimate",
     "chase_budget",
@@ -127,7 +122,6 @@ __all__ = [
     "FrontierReport",
     "TierReport",
     "TriangularGuardReport",
-    "clear_frontier_cache",
     "frontier_report",
     "tier_report",
     "triangular_guard_report",

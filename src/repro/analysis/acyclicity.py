@@ -56,7 +56,7 @@ surfaces as the findings ``TD001`` (no rung) and ``TD002``-``TD004`` /
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Iterable, Sequence
 
 import networkx as nx
@@ -65,6 +65,7 @@ from repro.logic.atoms import Atom
 from repro.logic.egds import Egd
 from repro.logic.instances import Instance
 from repro.logic.nested import NestedTgd
+from repro.logic.printer import dependency_label
 from repro.logic.sotgd import SOTgd
 from repro.logic.terms import FuncTerm, Term
 from repro.logic.tgds import STTgd
@@ -74,6 +75,8 @@ from repro.analysis.termination import (
     Position,
     TerminationReport,
     dependency_graph_ir,
+    dependency_list,
+    memoized,
     termination_report,
 )
 
@@ -477,7 +480,6 @@ def critical_instance(ir: DependencyGraphIR) -> Instance:
 
 def model_faithful_acyclic(
     dependencies: Sequence[object],
-    ir: DependencyGraphIR,
     *,
     max_rounds: int = 32,
     max_facts: int = 50_000,
@@ -507,7 +509,10 @@ def model_faithful_acyclic(
 
     try:
         result = fixpoint_chase(
-            critical_instance(ir), tgds, max_rounds=max_rounds, fact_hook=hook
+            critical_instance(dependency_graph_ir(dependencies)),
+            tgds,
+            max_rounds=max_rounds,
+            fact_hook=hook,
         )
     except _CyclicTermFound as found:
         return False, str(found.term), None, counter["facts"]
@@ -545,11 +550,6 @@ def _dep_relations(dep: object) -> tuple[set[str], set[str]]:
         bodies.update(atom.relation for atom in body)
         heads.update(atom.relation for atom in head)
     return bodies, heads
-
-
-def _dep_label_of(dep: object, index: int) -> str:
-    name = getattr(dep, "name", None)
-    return name if name else f"#{index + 1}"
 
 
 def stratified_mfa(
@@ -601,7 +601,7 @@ def stratified_mfa(
             mfa_max_facts=mfa_max_facts,
         )
         if not verdict.guarantees_termination or verdict.depth_bound is None:
-            witness = tuple(_dep_label_of(tgds[i], i) for i in members)
+            witness = tuple(dependency_label(tgds[i], i) for i in members)
             return False, len(components), None, witness
         depth += verdict.depth_bound
     return True, len(components), depth, None
@@ -613,62 +613,62 @@ def stratified_mfa(
 def classify_termination(
     dependencies: object,
     *,
-    weak: TerminationReport | None = None,
     mfa_max_rounds: int = 32,
     mfa_max_facts: int = 50_000,
 ) -> TerminationVerdict:
     """Classify a dependency set on the termination hierarchy.
 
     Tries the rungs narrowest-first (each is strictly cheaper than the next)
-    and stops at the first certificate; *weak* lets callers that already ran
-    the weak-acyclicity test pass its report in.
+    and stops at the first certificate.  The verdict is memoized per set and
+    MFA budget.
 
         >>> from repro.logic.parser import parse_tgd
         >>> classify_termination([parse_tgd("E(x,y) -> exists z . E(y,z)")]).cls.name
         'NOT_GUARANTEED'
     """
-    if isinstance(dependencies, (STTgd, NestedTgd, SOTgd, Egd)):
-        dependencies = [dependencies]
-    deps = list(dependencies)
-    key = tuple(repr(dep) for dep in deps)
-    cached = _VERDICT_CACHE.get(key)
-    if cached is not None:
-        return cached
+    deps = dependency_list(dependencies)
+    return memoized(
+        "hierarchy",
+        deps,
+        lambda: _classify(deps, mfa_max_rounds, mfa_max_facts),
+        params=(mfa_max_rounds, mfa_max_facts),
+    )
 
-    report = weak if weak is not None else termination_report(deps)
+
+def _classify(
+    deps: list[object], mfa_max_rounds: int, mfa_max_facts: int
+) -> TerminationVerdict:
+    report = termination_report(deps)
     if report.weakly_acyclic:
-        verdict = TerminationVerdict(
+        return TerminationVerdict(
             cls=TerminationClass.WEAKLY_ACYCLIC,
             weak=report,
             depth_bound=report.depth_bound,
         )
-        return _store_verdict(key, verdict)
 
     ir = dependency_graph_ir(deps)
     ja, ja_cycle, ja_depth = jointly_acyclic(ir)
     if ja:
-        verdict = TerminationVerdict(
+        return TerminationVerdict(
             cls=TerminationClass.JOINTLY_ACYCLIC,
             weak=report,
             depth_bound=ja_depth,
         )
-        return _store_verdict(key, verdict)
 
     swa, swa_cycle, swa_depth = super_weakly_acyclic(ir)
     if swa:
-        verdict = TerminationVerdict(
+        return TerminationVerdict(
             cls=TerminationClass.SUPER_WEAKLY_ACYCLIC,
             weak=report,
             depth_bound=swa_depth,
             ja_cycle=ja_cycle,
         )
-        return _store_verdict(key, verdict)
 
     mfa, cyclic_term, mfa_depth, mfa_facts = model_faithful_acyclic(
-        deps, ir, max_rounds=mfa_max_rounds, max_facts=mfa_max_facts
+        deps, max_rounds=mfa_max_rounds, max_facts=mfa_max_facts
     )
     if mfa:
-        verdict = TerminationVerdict(
+        return TerminationVerdict(
             cls=TerminationClass.MODEL_FAITHFUL,
             weak=report,
             depth_bound=mfa_depth,
@@ -676,44 +676,11 @@ def classify_termination(
             swa_cycle=swa_cycle,
             mfa_facts=mfa_facts,
         )
-        return _store_verdict(key, verdict)
 
     # The monolithic MFA chase refuted or exhausted its budget: partition the
     # set into dependency-level strongly connected components and certify
     # each stratum by itself (each with its own budget).
-    strata = stratified_mfa(
-        deps, mfa_max_rounds=mfa_max_rounds, mfa_max_facts=mfa_max_facts
-    )
-    if strata is not None:
-        certified, strata_count, strata_depth, strata_witness = strata
-        if certified:
-            verdict = TerminationVerdict(
-                cls=TerminationClass.STRATIFIED_MFA,
-                weak=report,
-                depth_bound=strata_depth,
-                ja_cycle=ja_cycle,
-                swa_cycle=swa_cycle,
-                mfa_cyclic_term=cyclic_term,
-                mfa_facts=mfa_facts,
-                mfa_conclusive=mfa is not None,
-                strata_count=strata_count,
-            )
-            return _store_verdict(key, verdict)
-        verdict = TerminationVerdict(
-            cls=TerminationClass.NOT_GUARANTEED,
-            weak=report,
-            depth_bound=None,
-            ja_cycle=ja_cycle,
-            swa_cycle=swa_cycle,
-            mfa_cyclic_term=cyclic_term,
-            mfa_facts=mfa_facts,
-            mfa_conclusive=mfa is not None,
-            strata_count=strata_count,
-            strata_witness=strata_witness,
-        )
-        return _store_verdict(key, verdict)
-
-    verdict = TerminationVerdict(
+    refuted = TerminationVerdict(
         cls=TerminationClass.NOT_GUARANTEED,
         weak=report,
         depth_bound=None,
@@ -723,32 +690,26 @@ def classify_termination(
         mfa_facts=mfa_facts,
         mfa_conclusive=mfa is not None,
     )
-    return _store_verdict(key, verdict)
-
-
-# ------------------------------------------------------------- verdict cache
-
-_VERDICT_CACHE: dict[tuple[str, ...], TerminationVerdict] = {}
-_VERDICT_CACHE_LIMIT = 256
-
-
-def _store_verdict(key: tuple[str, ...], verdict: TerminationVerdict) -> TerminationVerdict:
-    if len(_VERDICT_CACHE) >= _VERDICT_CACHE_LIMIT:
-        _VERDICT_CACHE.clear()
-    _VERDICT_CACHE[key] = verdict
-    return verdict
-
-
-def clear_acyclicity_cache() -> None:
-    """Drop all memoized hierarchy verdicts (used by benchmarks)."""
-    _VERDICT_CACHE.clear()
+    strata = stratified_mfa(
+        deps, mfa_max_rounds=mfa_max_rounds, mfa_max_facts=mfa_max_facts
+    )
+    if strata is None:
+        return refuted
+    certified, strata_count, strata_depth, strata_witness = strata
+    if certified:
+        return replace(
+            refuted,
+            cls=TerminationClass.STRATIFIED_MFA,
+            depth_bound=strata_depth,
+            strata_count=strata_count,
+        )
+    return replace(refuted, strata_count=strata_count, strata_witness=strata_witness)
 
 
 __all__ = [
     "TerminationClass",
     "TerminationVerdict",
     "classify_termination",
-    "clear_acyclicity_cache",
     "critical_instance",
     "jointly_acyclic",
     "model_faithful_acyclic",

@@ -66,6 +66,7 @@ from repro.logic.atoms import Atom
 from repro.logic.egds import Egd
 from repro.logic.instances import Instance
 from repro.logic.nested import NestedTgd
+from repro.logic.printer import dependency_label
 from repro.logic.sotgd import SOTgd
 from repro.logic.tgds import STTgd
 from repro.analysis.cost import SATURATION_CAP, chase_budget, sweep_cost
@@ -269,11 +270,6 @@ def _as_list(mapping: object) -> list[Any]:
     if isinstance(mapping, Iterable):
         return list(mapping)
     raise DependencyError(f"cannot interpret {mapping!r} as a schema mapping")
-
-
-def _dep_label(dep: object, index: int) -> str:
-    name = getattr(dep, "name", None)
-    return name if name else f"#{index + 1}"
 
 
 def _sweep_estimate(lhs: Sequence[Any], dep: object) -> Any:
@@ -493,7 +489,7 @@ def check_containment(
     )
     verdicts: list[DependencyVerdict] = []
     for index, dep in enumerate(rhs):
-        label = _dep_label(dep, index)
+        label = dependency_label(dep, index)
         if estimates[index] is None:
             perf.incr("containment.refused")
             verdicts.append(DependencyVerdict(
@@ -685,7 +681,7 @@ def redundancy_report(
     entries: list[Redundancy] = []
     for index, dep in enumerate(deps):
         rest = deps[:index] + deps[index + 1:]
-        label = _dep_label(dep, index)
+        label = dependency_label(dep, index)
         estimate = _sweep_estimate(rest, dep)
         if estimate is None:
             continue  # an SO tgd can never be a decidable right-hand side

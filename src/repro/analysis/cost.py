@@ -41,12 +41,11 @@ from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.errors import DependencyError
-from repro.logic.egds import Egd
 from repro.logic.nested import NestedTgd
 from repro.logic.sotgd import SOTgd
 from repro.logic.tgds import STTgd
 from repro.analysis.acyclicity import TerminationVerdict, classify_termination
-from repro.analysis.termination import DependencyGraphIR, dependency_graph_ir
+from repro.analysis.termination import dependency_graph_ir, dependency_list
 
 #: All cost arithmetic saturates here (10^18): beyond this every budget has
 #: been blown anyway, and exact values can themselves be astronomically large.
@@ -167,25 +166,15 @@ class ChaseCostEstimate:
         }
 
 
-def chase_cost(
-    dependencies: object,
-    *,
-    verdict: TerminationVerdict | None = None,
-    ir: DependencyGraphIR | None = None,
-) -> ChaseCostEstimate:
+def chase_cost(dependencies: object) -> ChaseCostEstimate:
     """Statically bound the size of the oblivious chase of a dependency set.
 
-    *verdict* / *ir* let callers that already classified the set or built
-    the shared IR pass them in; both are recomputed (and memoized by their
-    own modules) otherwise.
+    The hierarchy verdict and the shared IR it reads come from the analysis
+    memo, so a set already classified is not classified again.
     """
-    if isinstance(dependencies, (STTgd, NestedTgd, SOTgd, Egd)):
-        dependencies = [dependencies]
-    deps = list(dependencies)
-    if verdict is None:
-        verdict = classify_termination(deps)
-    if ir is None:
-        ir = dependency_graph_ir(deps)
+    deps = dependency_list(dependencies)
+    verdict = classify_termination(deps)
+    ir = dependency_graph_ir(deps)
 
     functions = {sk.function for sk in ir.skolem_functions}
     arities: dict[str, int] = {}
@@ -222,13 +211,7 @@ def chase_cost(
     )
 
 
-def chase_budget(
-    dependencies: object,
-    n: int,
-    *,
-    verdict: TerminationVerdict | None = None,
-    ir: DependencyGraphIR | None = None,
-) -> int | None:
+def chase_budget(dependencies: object, n: int) -> int | None:
     """The tightest static fact budget for chasing an ``n``-value instance.
 
     Derives from the complexity tier of
@@ -249,8 +232,7 @@ def chase_budget(
     """
     from repro.analysis.frontier import frontier_report
 
-    report = frontier_report(dependencies, verdict=verdict, ir=ir)
-    return report.fact_bound(n)
+    return frontier_report(dependencies).fact_bound(n)
 
 
 # ------------------------------------------------------------ sweep cost model
@@ -261,9 +243,10 @@ def count_k_patterns_saturating(
 ) -> int:
     """``|P_k(sigma)|`` by the Proposition 3.5 recurrence, clamped to *cap*.
 
-    The exact :func:`repro.core.patterns.count_k_patterns` computes the true
-    (possibly non-elementary) integer; this variant never builds a number
-    larger than *cap*, so it is safe to call on any nesting depth.
+    The count grows non-elementarily in the nesting depth; no number larger
+    than *cap* is ever built, so this is safe to call on any depth.
+    :func:`repro.core.patterns.count_k_patterns` is this function at the
+    default cap.
     """
     if k < 1:
         raise DependencyError("k must be at least 1")
@@ -349,9 +332,7 @@ def sweep_cost(
         >>> est.k, est.non_elementary
         (9, True)
     """
-    if isinstance(sigma_set, (STTgd, NestedTgd, SOTgd, Egd)):
-        sigma_set = [sigma_set]
-    deps = list(sigma_set)
+    deps = dependency_list(sigma_set)
     if isinstance(sigma, STTgd):
         # A flat tgd has a single part and hence exactly one k-pattern for
         # every k.  Computed directly: to_nested() would reject same-schema

@@ -71,9 +71,6 @@ from typing import Any
 import networkx as nx
 
 from repro.logic.egds import Egd
-from repro.logic.nested import NestedTgd
-from repro.logic.sotgd import SOTgd
-from repro.logic.tgds import STTgd
 from repro.logic.values import Variable
 from repro.analysis.acyclicity import (
     TerminationClass,
@@ -94,7 +91,9 @@ from repro.analysis.termination import (
     DependencyGraphIR,
     Position,
     dependency_graph_ir,
+    dependency_list,
     format_position,
+    memoized,
 )
 
 #: Maximum per-relation polynomial degree admitted into the PTIME tier
@@ -181,11 +180,7 @@ def _clause_frontier(clause: Any) -> list[Variable]:
     )
 
 
-def triangular_guard_report(
-    dependencies: object,
-    *,
-    ir: DependencyGraphIR | None = None,
-) -> TriangularGuardReport:
+def triangular_guard_report(dependencies: object) -> TriangularGuardReport:
     """Check the pairwise frontier-guard condition over the shared IR.
 
     The check is a documented *sufficient* condition for membership in the
@@ -206,16 +201,13 @@ def triangular_guard_report(
         >>> report.guarded, report.witness
         (False, ('d0.0', 'w', 'x'))
     """
-    if isinstance(dependencies, (STTgd, NestedTgd, SOTgd, Egd)):
-        dependencies = [dependencies]
-    deps = list(dependencies)
+    deps = dependency_list(dependencies)
     if any(isinstance(dep, Egd) for dep in deps):
         return TriangularGuardReport(
             guarded=False,
             reason="egds fall outside the triangularly-guarded tgd fragment",
         )
-    if ir is None:
-        ir = dependency_graph_ir(deps)
+    ir = dependency_graph_ir(deps)
     for clause in ir.clauses:
         frontier = _clause_frontier(clause)
         if len(frontier) < 2:
@@ -353,23 +345,15 @@ def _degree_program(
     return valdeg, posdeg
 
 
-def tier_report(
-    dependencies: object,
-    *,
-    verdict: TerminationVerdict | None = None,
-    ir: DependencyGraphIR | None = None,
-) -> TierReport:
+def tier_report(dependencies: object) -> TierReport:
     """Assign a :class:`ComplexityTier` to a dependency set.
 
         >>> from repro.logic.parser import parse_tgd
         >>> tier_report([parse_tgd("E(x,y) -> exists z . E(y,z)")]).tier.value
         'non-elementary'
     """
-    if isinstance(dependencies, (STTgd, NestedTgd, SOTgd, Egd)):
-        dependencies = [dependencies]
-    deps = list(dependencies)
-    if verdict is None:
-        verdict = classify_termination(deps)
+    deps = dependency_list(dependencies)
+    verdict = classify_termination(deps)
     if not verdict.guarantees_termination:
         return TierReport(
             tier=ComplexityTier.NON_ELEMENTARY,
@@ -378,9 +362,7 @@ def tier_report(
             "bound is provable",
             refined=False,
         )
-    if ir is None:
-        ir = dependency_graph_ir(deps)
-
+    ir = dependency_graph_ir(deps)
     if verdict.cls in (
         TerminationClass.WEAKLY_ACYCLIC,
         TerminationClass.JOINTLY_ACYCLIC,
@@ -490,43 +472,19 @@ class FrontierReport:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
-def frontier_report(
-    dependencies: object,
-    *,
-    verdict: TerminationVerdict | None = None,
-    ir: DependencyGraphIR | None = None,
-) -> FrontierReport:
-    """Run the full frontier analysis (memoized by the dependency reprs)."""
-    if isinstance(dependencies, (STTgd, NestedTgd, SOTgd, Egd)):
-        dependencies = [dependencies]
-    deps = list(dependencies)
-    key = tuple(repr(dep) for dep in deps)
-    cached = _FRONTIER_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if verdict is None:
-        verdict = classify_termination(deps)
-    if ir is None:
-        ir = dependency_graph_ir(deps)
-    report = FrontierReport(
-        termination=verdict,
-        triangular=triangular_guard_report(deps, ir=ir),
-        tier=tier_report(deps, verdict=verdict, ir=ir),
-        cost=chase_cost(deps, verdict=verdict, ir=ir),
+def frontier_report(dependencies: object) -> FrontierReport:
+    """Run the full frontier analysis (memoized per dependency set)."""
+    deps = dependency_list(dependencies)
+    return memoized(
+        "frontier",
+        deps,
+        lambda: FrontierReport(
+            termination=classify_termination(deps),
+            triangular=triangular_guard_report(deps),
+            tier=tier_report(deps),
+            cost=chase_cost(deps),
+        ),
     )
-    if len(_FRONTIER_CACHE) >= _FRONTIER_CACHE_LIMIT:
-        _FRONTIER_CACHE.clear()
-    _FRONTIER_CACHE[key] = report
-    return report
-
-
-_FRONTIER_CACHE: dict[tuple[str, ...], FrontierReport] = {}
-_FRONTIER_CACHE_LIMIT = 256
-
-
-def clear_frontier_cache() -> None:
-    """Drop all memoized frontier reports (used by benchmarks)."""
-    _FRONTIER_CACHE.clear()
 
 
 def describe_witnesses(report: FrontierReport) -> list[str]:
@@ -566,7 +524,6 @@ __all__ = [
     "PTIME_DEGREE_LIMIT",
     "TierReport",
     "TriangularGuardReport",
-    "clear_frontier_cache",
     "describe_witnesses",
     "frontier_report",
     "tier_report",

@@ -93,15 +93,21 @@ from repro.errors import DependencyError
 from repro.logic.atoms import Atom
 from repro.logic.egds import Egd
 from repro.logic.nested import NestedTgd
+from repro.logic.printer import dependency_label
 from repro.logic.sotgd import SOTgd
 from repro.logic.terms import FuncTerm, term_variables
 from repro.logic.tgds import STTgd
 from repro.logic.values import Constant, Variable
 from repro.analysis.acyclicity import TerminationClass, TerminationVerdict, classify_termination
-from repro.analysis.cost import ChaseCostEstimate, chase_cost, sweep_cost
+from repro.analysis.cost import ChaseCostEstimate, sweep_cost
 from repro.analysis.frontier import FrontierReport, frontier_report
 from repro.analysis.subsumption import subsumes
-from repro.analysis.termination import TerminationReport, format_position, termination_report
+from repro.analysis.termination import (
+    TerminationReport,
+    dependency_list,
+    format_position,
+    termination_report,
+)
 
 #: severity -> sort weight (errors first in reports).
 _SEVERITIES = {"error": 0, "warning": 1, "info": 2}
@@ -215,16 +221,15 @@ class AnalysisReport:
     ``cost`` the chase-size estimate of
     :func:`repro.analysis.cost.chase_cost`, and ``frontier`` the
     triangular-guardedness certificate plus complexity tier of
-    :func:`repro.analysis.frontier.frontier_report` (each ``None`` when its
-    pass was skipped).
+    :func:`repro.analysis.frontier.frontier_report`.
     """
 
     findings: tuple[Finding, ...]
-    termination: TerminationReport | None
+    termination: TerminationReport
     dependency_count: int
-    hierarchy: TerminationVerdict | None = None
-    cost: ChaseCostEstimate | None = None
-    frontier: FrontierReport | None = None
+    hierarchy: TerminationVerdict
+    cost: ChaseCostEstimate
+    frontier: FrontierReport
 
     @property
     def errors(self) -> tuple[Finding, ...]:
@@ -249,10 +254,10 @@ class AnalysisReport:
         return {
             "dependency_count": self.dependency_count,
             "ok": self.ok,
-            "termination": None if self.termination is None else self.termination.to_dict(),
-            "hierarchy": None if self.hierarchy is None else self.hierarchy.to_dict(),
-            "cost": None if self.cost is None else self.cost.to_dict(),
-            "frontier": None if self.frontier is None else self.frontier.to_dict(),
+            "termination": self.termination.to_dict(),
+            "hierarchy": self.hierarchy.to_dict(),
+            "cost": self.cost.to_dict(),
+            "frontier": self.frontier.to_dict(),
             "findings": [f.to_dict() for f in self.findings],
         }
 
@@ -263,23 +268,21 @@ class AnalysisReport:
     def render(self) -> str:
         """The report as human-readable text (``repro lint``)."""
         lines: list[str] = []
-        if self.termination is not None:
-            t = self.termination
-            if t.weakly_acyclic:
-                lines.append(
-                    f"termination: weakly acyclic (max rank {t.max_rank}, "
-                    f"chase depth bound {t.depth_bound})"
-                )
-            elif self.hierarchy is not None and self.hierarchy.guarantees_termination:
-                lines.append(
-                    f"termination: NOT weakly acyclic, but {self.hierarchy.cls.value} "
-                    f"(chase depth bound {self.hierarchy.depth_bound})"
-                )
-            else:
-                lines.append("termination: NOT weakly acyclic -- the chase may diverge")
-        if self.frontier is not None:
-            tier = self.frontier.tier
-            lines.append(f"complexity tier: {tier.tier.value} ({tier.reason})")
+        t = self.termination
+        if t.weakly_acyclic:
+            lines.append(
+                f"termination: weakly acyclic (max rank {t.max_rank}, "
+                f"chase depth bound {t.depth_bound})"
+            )
+        elif self.hierarchy.guarantees_termination:
+            lines.append(
+                f"termination: NOT weakly acyclic, but {self.hierarchy.cls.value} "
+                f"(chase depth bound {self.hierarchy.depth_bound})"
+            )
+        else:
+            lines.append("termination: NOT weakly acyclic -- the chase may diverge")
+        tier = self.frontier.tier
+        lines.append(f"complexity tier: {tier.tier.value} ({tier.reason})")
         for finding in self.findings:
             where = f" ({finding.location})" if finding.location else ""
             lines.append(
@@ -582,34 +585,14 @@ def _lint_egd(egd: Egd, label: str) -> Iterator[Finding]:
         )
 
 
-def _dep_label(dep: object, index: int) -> str:
-    name = getattr(dep, "name", None)
-    return name if name else f"#{index + 1}"
-
-
-def analyze(
-    dependencies: object,
-    source_egds: Sequence[Egd] = (),
-    *,
-    check_termination: bool = True,
-    check_subsumption: bool = True,
-    check_cost: bool = True,
-    check_containment: bool = True,
-) -> AnalysisReport:
+def analyze(dependencies: object, source_egds: Sequence[Egd] = ()) -> AnalysisReport:
     """Statically analyze a dependency program; return an :class:`AnalysisReport`.
 
     *dependencies* may be a single dependency or an iterable mixing s-t
     tgds, nested tgds, SO tgds, and egds (egds may also be passed separately
-    via *source_egds*).  ``check_termination=False`` skips the
-    position-graph, hierarchy, and frontier passes;
-    ``check_subsumption=False`` skips the quadratic NT009 pass;
-    ``check_cost=False`` skips the CC001-CC004 cost model;
-    ``check_containment=False`` skips the MC001/MC002 semantic-redundancy
-    scan (the only pass that actually runs gated IMPLIES sweeps).
+    via *source_egds*).
     """
-    if isinstance(dependencies, (STTgd, NestedTgd, SOTgd, Egd)):
-        dependencies = [dependencies]
-    deps = list(dependencies)
+    deps = dependency_list(dependencies)
     egds = [dep for dep in deps if isinstance(dep, Egd)] + list(source_egds)
     tgds = [dep for dep in deps if not isinstance(dep, Egd)]
     for dep in tgds:
@@ -617,157 +600,142 @@ def analyze(
             raise DependencyError(f"cannot analyze dependency {dep!r}")
 
     findings: list[Finding] = []
-    termination: TerminationReport | None = None
-    hierarchy: TerminationVerdict | None = None
-    if check_termination:
-        termination = termination_report(tgds + egds)
-        hierarchy = classify_termination(tgds + egds, weak=termination)
-        if not termination.weakly_acyclic:
-            cycle = termination.witness_cycle or ()
-            rendered = " -> ".join(format_position(p) for p in cycle)
-            code = _HIERARCHY_CODES.get(hierarchy.cls)
-            if code is not None:
-                findings.append(_finding(
-                    code, "*", "position graph",
-                    f"the dependency set is not weakly acyclic (cycle {rendered} "
-                    "passes through a special edge) but is "
-                    f"{hierarchy.cls.value}: the chase terminates with Skolem "
-                    f"depth at most {hierarchy.depth_bound}",
-                    hint="fixpoint_chase runs this set unbounded; the weaker "
-                    "certificate gives a coarser depth bound than weak "
-                    "acyclicity would",
-                ))
-            else:
-                mfa_note = (
-                    f"; MFA derived the cyclic term {hierarchy.mfa_cyclic_term}"
-                    if hierarchy.mfa_cyclic_term is not None
-                    else "; the bounded MFA chase was inconclusive"
-                    if not hierarchy.mfa_conclusive
-                    else ""
-                )
-                findings.append(_finding(
-                    "TD001", "*", "position graph",
-                    f"the dependency set is not weakly acyclic: cycle {rendered} "
-                    "passes through a special (null-creating) edge, and no "
-                    f"wider hierarchy rung certifies it{mfa_note}",
-                    hint="the chase may diverge; fixpoint_chase refuses to run "
-                    "without an explicit max_rounds bound",
-                ))
-
-    frontier: FrontierReport | None = None
-    if check_termination and hierarchy is not None:
-        frontier = frontier_report(tgds + egds, verdict=hierarchy)
-        if frontier.triangular.guarded and not hierarchy.guarantees_termination:
+    program = tgds + egds
+    termination = termination_report(program)
+    hierarchy = classify_termination(program)
+    if not termination.weakly_acyclic:
+        cycle = termination.witness_cycle or ()
+        rendered = " -> ".join(format_position(p) for p in cycle)
+        code = _HIERARCHY_CODES.get(hierarchy.cls)
+        if code is not None:
             findings.append(_finding(
-                "TD005", "*", "triangular guard",
-                "the set is triangularly guarded (every frontier-variable "
-                "pair shares a body atom): BCQ entailment stays decidable "
-                "although no rung certifies chase termination",
-                hint="certain-answer reasoning over this set is decidable "
-                "(arXiv:1804.05997); the fixpoint chase itself still needs "
-                "an explicit max_rounds bound",
+                code, "*", "position graph",
+                f"the dependency set is not weakly acyclic (cycle {rendered} "
+                "passes through a special edge) but is "
+                f"{hierarchy.cls.value}: the chase terminates with Skolem "
+                f"depth at most {hierarchy.depth_bound}",
+                hint="fixpoint_chase runs this set unbounded; the weaker "
+                "certificate gives a coarser depth bound than weak "
+                "acyclicity would",
             ))
-        if hierarchy.guarantees_termination and not frontier.tier.tier.polynomial:
+        else:
+            mfa_note = (
+                f"; MFA derived the cyclic term {hierarchy.mfa_cyclic_term}"
+                if hierarchy.mfa_cyclic_term is not None
+                else "; the bounded MFA chase was inconclusive"
+                if not hierarchy.mfa_conclusive
+                else ""
+            )
             findings.append(_finding(
-                "TD006", "*", "complexity tier",
-                f"the certified chase sits in the {frontier.tier.tier.value} "
-                f"tier: {frontier.tier.reason}",
-                hint="`repro analyze` prints the full tier report with "
-                "per-relation degree witnesses where available",
+                "TD001", "*", "position graph",
+                f"the dependency set is not weakly acyclic: cycle {rendered} "
+                "passes through a special (null-creating) edge, and no "
+                f"wider hierarchy rung certifies it{mfa_note}",
+                hint="the chase may diverge; fixpoint_chase refuses to run "
+                "without an explicit max_rounds bound",
             ))
 
-    cost: ChaseCostEstimate | None = None
-    if check_cost:
-        cost = chase_cost(
-            tgds + egds,
-            verdict=hierarchy
-            if hierarchy is not None
-            else classify_termination(tgds + egds),
-        )
-        tier = None if frontier is None else frontier.tier
-        if cost.degree is not None and cost.exponential:
-            if tier is not None and tier.tier.polynomial:
-                degrees = ", ".join(
-                    f"{relation}: n^{degree}"
-                    for relation, degree in tier.relation_degrees or ()
-                )
-                findings.append(_finding(
-                    "CC003", "*", "cost model",
-                    f"the coarse chase-size bound ~n^{cost.degree} is demoted "
-                    "to PTIME by per-relation degree witnesses "
-                    f"({degrees}; maximum degree {tier.max_degree})",
-                    hint="budgets derived from the tier's fact bound are "
-                    "polynomial; the coarse CC002 estimate is safely ignored",
-                ))
-            else:
-                rendered_degree = (
-                    "astronomical" if cost.saturated else f"~n^{cost.degree}"
-                )
-                findings.append(_finding(
-                    "CC002", "*", "cost model",
-                    f"the chase-size bound is {rendered_degree} in the instance "
-                    f"size ({cost.skolem_function_count} Skolem function(s) of "
-                    f"arity up to {cost.max_skolem_arity}, depth bound "
-                    f"{cost.depth_bound})",
-                    hint="pass budget= to fixpoint_chase to fail fast instead of "
-                    "grinding through an exponential blowup",
-                ))
-        elif (
-            tier is not None
-            and cost.degree is not None
-            and not cost.exponential
-            and hierarchy is not None
-            and hierarchy.guarantees_termination
-            and not tier.tier.polynomial
-        ):
+    frontier = frontier_report(program)
+    tier = frontier.tier
+    if frontier.triangular.guarded and not hierarchy.guarantees_termination:
+        findings.append(_finding(
+            "TD005", "*", "triangular guard",
+            "the set is triangularly guarded (every frontier-variable "
+            "pair shares a body atom): BCQ entailment stays decidable "
+            "although no rung certifies chase termination",
+            hint="certain-answer reasoning over this set is decidable "
+            "(arXiv:1804.05997); the fixpoint chase itself still needs "
+            "an explicit max_rounds bound",
+        ))
+    if hierarchy.guarantees_termination and not tier.tier.polynomial:
+        findings.append(_finding(
+            "TD006", "*", "complexity tier",
+            f"the certified chase sits in the {tier.tier.value} "
+            f"tier: {tier.reason}",
+            hint="`repro analyze` prints the full tier report with "
+            "per-relation degree witnesses where available",
+        ))
+
+    cost = frontier.cost
+    if cost.degree is not None and cost.exponential:
+        if tier.tier.polynomial:
+            degrees = ", ".join(
+                f"{relation}: n^{degree}"
+                for relation, degree in tier.relation_degrees or ()
+            )
             findings.append(_finding(
-                "CC004", "*", "cost model",
-                f"the coarse degree ~n^{cost.degree} looks polynomial but the "
-                f"{hierarchy.cls.value} rung provides no per-relation degree "
-                f"witnesses -- the complexity tier stays {tier.tier.value}",
-                hint="treat the coarse degree as optimistic: derive budgets "
-                "from the tier, not from the coarse estimate",
+                "CC003", "*", "cost model",
+                f"the coarse chase-size bound ~n^{cost.degree} is demoted "
+                "to PTIME by per-relation degree witnesses "
+                f"({degrees}; maximum degree {tier.max_degree})",
+                hint="budgets derived from the tier's fact bound are "
+                "polynomial; the coarse CC002 estimate is safely ignored",
             ))
-        for index, dep in enumerate(tgds):
-            if not isinstance(dep, (STTgd, NestedTgd)):
-                continue  # IMPLIES right-hand sides are (s-t or nested) tgds
-            estimate = sweep_cost(tgds, dep)
-            if estimate.non_elementary:
-                rendered_count = (
-                    "non-elementarily many"
-                    if estimate.saturated
-                    else f"~{estimate.pattern_count}"
-                )
-                findings.append(_finding(
-                    "CC001", _dep_label(dep, index), "cost model",
-                    f"checking implication of this dependency sweeps "
-                    f"{rendered_count} k-patterns (k={estimate.k})",
-                    hint="implies_tgd refuses such sweeps under budget=; the "
-                    "subsumption pre-pass may still answer trivial cases "
-                    "without enumerating",
-                ))
+        else:
+            rendered_degree = (
+                "astronomical" if cost.saturated else f"~n^{cost.degree}"
+            )
+            findings.append(_finding(
+                "CC002", "*", "cost model",
+                f"the chase-size bound is {rendered_degree} in the instance "
+                f"size ({cost.skolem_function_count} Skolem function(s) of "
+                f"arity up to {cost.max_skolem_arity}, depth bound "
+                f"{cost.depth_bound})",
+                hint="pass budget= to fixpoint_chase to fail fast instead of "
+                "grinding through an exponential blowup",
+            ))
+    elif (
+        not cost.exponential
+        and hierarchy.guarantees_termination
+        and not tier.tier.polynomial
+    ):
+        findings.append(_finding(
+            "CC004", "*", "cost model",
+            f"the coarse degree ~n^{cost.degree} looks polynomial but the "
+            f"{hierarchy.cls.value} rung provides no per-relation degree "
+            f"witnesses -- the complexity tier stays {tier.tier.value}",
+            hint="treat the coarse degree as optimistic: derive budgets "
+            "from the tier, not from the coarse estimate",
+        ))
+    for index, dep in enumerate(tgds):
+        if not isinstance(dep, (STTgd, NestedTgd)):
+            continue  # IMPLIES right-hand sides are (s-t or nested) tgds
+        estimate = sweep_cost(tgds, dep)
+        if estimate.non_elementary:
+            rendered_count = (
+                "non-elementarily many"
+                if estimate.saturated
+                else f"~{estimate.pattern_count}"
+            )
+            findings.append(_finding(
+                "CC001", dependency_label(dep, index), "cost model",
+                f"checking implication of this dependency sweeps "
+                f"{rendered_count} k-patterns (k={estimate.k})",
+                hint="implies_tgd refuses such sweeps under budget=; the "
+                "subsumption pre-pass may still answer trivial cases "
+                "without enumerating",
+            ))
 
     for index, dep in enumerate(tgds):
-        label = _dep_label(dep, index)
+        label = dependency_label(dep, index)
         for view in _part_views(dep):
             findings.extend(_lint_part(view, label))
 
-    if check_subsumption:
-        for i, weaker in enumerate(tgds):
-            for j, stronger in enumerate(tgds):
-                if i != j and subsumes(stronger, weaker):
-                    if subsumes(weaker, stronger) and i < j:
-                        continue  # report mutual subsumption once, on the later dep
-                    findings.append(_finding(
-                        "NT009", _dep_label(weaker, i), "",
-                        "dependency is implied by "
-                        f"{_dep_label(stronger, j)} (syntactic subsumption)",
-                        hint="remove it, or run `repro optimize` for the exact "
-                        "minimization",
-                    ))
-                    break
+    for i, weaker in enumerate(tgds):
+        for j, stronger in enumerate(tgds):
+            if i != j and subsumes(stronger, weaker):
+                if subsumes(weaker, stronger) and i < j:
+                    continue  # report mutual subsumption once, on the later dep
+                findings.append(_finding(
+                    "NT009", dependency_label(weaker, i), "",
+                    "dependency is implied by "
+                    f"{dependency_label(stronger, j)} (syntactic subsumption)",
+                    hint="remove it, or run `repro optimize` for the exact "
+                    "minimization",
+                ))
+                break
 
-    if check_containment and len([d for d in tgds if not isinstance(d, SOTgd)]) >= 2:
+    if len([d for d in tgds if not isinstance(d, SOTgd)]) >= 2:
         from repro.analysis.containment import redundancy_report
 
         for entry in redundancy_report(tgds, egds):
@@ -787,7 +755,7 @@ def analyze(
                 ))
 
     for index, egd in enumerate(egds):
-        findings.extend(_lint_egd(egd, _dep_label(egd, index)))
+        findings.extend(_lint_egd(egd, dependency_label(egd, index)))
 
     # A *total* deterministic order (message and hint included): two runs
     # over the same input must produce byte-identical reports for --baseline

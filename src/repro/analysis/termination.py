@@ -39,7 +39,7 @@ against :func:`repro.engine.fixpoint_chase.fixpoint_chase`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, TypeVar
 
 import networkx as nx
 
@@ -164,7 +164,7 @@ def _clause_ir(label: str, body: tuple[Atom, ...], head: tuple[Atom, ...]) -> Cl
 
 
 def dependency_graph_ir(dependencies: Iterable[object]) -> DependencyGraphIR:
-    """Build the shared dependency-graph IR of a dependency set.
+    """The shared dependency-graph IR of a dependency set (memoized).
 
     Egds contribute positions only.  The tgds, in list order without the
     egds, are compiled by the engine's clause compiler
@@ -175,6 +175,11 @@ def dependency_graph_ir(dependencies: Iterable[object]) -> DependencyGraphIR:
     included.  Clauses keep list order and are labelled ``d{index}.{cid}``,
     *index* being the position in the mixed egd/tgd list.
     """
+    deps = list(dependencies)
+    return memoized("ir", deps, lambda: _build_ir(deps))
+
+
+def _build_ir(dependencies: list[object]) -> DependencyGraphIR:
     from repro.engine.chase import dependency_clauses
 
     tgd_indexes: list[int] = []
@@ -343,13 +348,11 @@ def termination_report(dependencies: object) -> TerminationReport:
         >>> report.weakly_acyclic, report.depth_bound
         (True, 1)
     """
-    if isinstance(dependencies, (STTgd, NestedTgd, SOTgd, Egd)):
-        dependencies = [dependencies]
-    deps = list(dependencies)
-    cached = _cached_report(tuple(repr(dep) for dep in deps))
-    if cached is not None:
-        return cached
+    deps = dependency_list(dependencies)
+    return memoized("weak", deps, lambda: _weak_report(deps))
 
+
+def _weak_report(deps: list[object]) -> TerminationReport:
     graph = position_graph(deps)
     special_edges = sum(1 for *_, special in graph.edges(data="special") if special)
     base = dict(
@@ -365,44 +368,62 @@ def termination_report(dependencies: object) -> TerminationReport:
                 graph[u][v]["special"]
                 for u, v in graph.subgraph(component).edges()
             ):
-                report = TerminationReport(
+                return TerminationReport(
                     weakly_acyclic=False,
                     witness_cycle=_witness_cycle(graph, component),
                     **base,
                 )
-                _store_report(tuple(repr(dep) for dep in deps), report)
-                return report
         raise AssertionError("unrankable graph has a special cycle")  # pragma: no cover
 
     max_rank = max(ranks.values(), default=0)
-    report = TerminationReport(
+    return TerminationReport(
         weakly_acyclic=True, max_rank=max_rank, depth_bound=max_rank, **base
     )
-    _store_report(tuple(repr(dep) for dep in deps), report)
-    return report
 
 
-# ------------------------------------------------------------- verdict cache
+# -------------------------------------------------------------- analysis memo
 
-#: Memoized verdicts keyed by the dependency reprs (reprs are total and
-#: stable, see ``_sigma_fingerprint`` in :mod:`repro.core.implication`).
-_REPORT_CACHE: dict[tuple[str, ...], TerminationReport] = {}
-_REPORT_CACHE_LIMIT = 256
+_T = TypeVar("_T")
+
+#: The one memo table of the static analysis.  Each stage -- the IR, the
+#: weak-acyclicity report (this module), the hierarchy verdict
+#: (:mod:`repro.analysis.acyclicity`) and the frontier report
+#: (:mod:`repro.analysis.frontier`) -- stores its value under ``(stage,
+#: params, dependency reprs)``, where *params* are every other argument the
+#: value depends on (the MFA budget of a hierarchy verdict).  Reprs are
+#: total and stable (see ``_sigma_fingerprint`` in
+#: :mod:`repro.core.implication`).  A stage computes from the stages below
+#: it only, so the MFA critical chase, which reads the weak report through
+#: :func:`repro.engine.fixpoint_chase.fixpoint_chase`, never re-enters its
+#: own stage.  :func:`repro.cache.clear_all_caches` empties the table.
+_MEMO: dict[tuple, Any] = {}
+_MEMO_LIMIT = 1024
 
 
-def _cached_report(key: tuple[str, ...]) -> TerminationReport | None:
-    return _REPORT_CACHE.get(key)
+def memoized(
+    stage: str, deps: list[object], compute: Callable[[], _T], params: tuple = ()
+) -> _T:
+    """The memoized value of *stage* over *deps*, computed on a miss."""
+    key = (stage, params, tuple(repr(dep) for dep in deps))
+    value = _MEMO.get(key)
+    if value is None:
+        value = compute()
+        if len(_MEMO) >= _MEMO_LIMIT:
+            _MEMO.clear()
+        _MEMO[key] = value
+    return value
 
 
-def _store_report(key: tuple[str, ...], report: TerminationReport) -> None:
-    if len(_REPORT_CACHE) >= _REPORT_CACHE_LIMIT:
-        _REPORT_CACHE.clear()
-    _REPORT_CACHE[key] = report
+def clear_analysis_memo() -> None:
+    """Drop every memoized analysis value."""
+    _MEMO.clear()
 
 
-def clear_termination_cache() -> None:
-    """Drop all memoized termination verdicts (used by benchmarks)."""
-    _REPORT_CACHE.clear()
+def dependency_list(dependencies: Any) -> list[object]:
+    """*dependencies* as a list: a single dependency or any iterable of them."""
+    if isinstance(dependencies, (STTgd, NestedTgd, SOTgd, Egd)):
+        return [dependencies]
+    return list(dependencies)
 
 
 __all__ = [
@@ -411,9 +432,11 @@ __all__ = [
     "Position",
     "SkolemIR",
     "TerminationReport",
-    "clear_termination_cache",
+    "clear_analysis_memo",
     "dependency_graph_ir",
+    "dependency_list",
     "format_position",
+    "memoized",
     "position_graph",
     "position_graph_of_ir",
     "position_ranks",

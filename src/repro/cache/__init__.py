@@ -1,7 +1,7 @@
 """repro.cache -- the persistence layer behind the in-memory cache tiers.
 
-The in-memory cache tiers (the IMPLIES chase cache, the verdict caches)
-are process-local.  This package makes the warm state survive restarts:
+The in-memory cache tiers (the IMPLIES chase cache, the static-analysis
+memo) are process-local.  This package makes the warm state survive restarts:
 
 - :mod:`repro.cache.fingerprint` -- content-derived SHA-256 keys
   (injective length-prefixed encodings; independent of ``PYTHONHASHSEED``).
@@ -66,17 +66,20 @@ def disk_put(space: str, key: str, value: object) -> None:
 
 
 def clear_all_caches(*, disk: bool = True) -> None:
-    """Reset every cache tier together: chase LRU, intern stats, and (with
-    ``disk=True``) the persistent store.
+    """Reset every cache tier together: the IMPLIES chase LRU, the
+    static-analysis memo (IR, termination, hierarchy and frontier reports),
+    intern stats, and (with ``disk=True``) the persistent store.
 
     One call keeps "cold" measurements and test isolation honest: no
     in-memory tier is left warm by accident.  ``disk=False`` drops only the
     in-memory tiers -- exactly what a warm-restart benchmark needs to model
     a fresh process over a populated store.
     """
+    from repro.analysis.termination import clear_analysis_memo
     from repro.core.implication import clear_chase_cache
     from repro.logic import intern
 
+    clear_analysis_memo()
     clear_chase_cache()
     intern.reset_stats()
     if disk:

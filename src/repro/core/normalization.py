@@ -36,6 +36,7 @@ from repro.logic.atoms import Atom
 from repro.logic.egds import Egd
 from repro.logic.instances import Instance
 from repro.logic.nested import NestedTgd
+from repro.logic.printer import dependency_label
 from repro.logic.tgds import STTgd
 from repro.logic.values import Constant, Variable
 from repro.core.implication import equivalent, implies
@@ -174,11 +175,6 @@ class OptimizeReport:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
-def _dep_label(dep: object, index: int) -> str:
-    name = getattr(dep, "name", None)
-    return name if name else f"#{index + 1}"
-
-
 def optimize_report(
     dependencies: Sequence,
     source_egds: Sequence[Egd] = (),
@@ -213,7 +209,7 @@ def optimize_report(
         elif not isinstance(dep, NestedTgd):
             raise DependencyError(f"cannot optimize dependency {dep!r}")
         normalized.append(dep)
-    labels = {id(dep): _dep_label(dep, index) for index, dep in enumerate(normalized)}
+    labels = {id(dep): dependency_label(dep, index) for index, dep in enumerate(normalized)}
 
     dropped: list[tuple[str, str, str]] = []
     certificate: EquivalenceCertificate | None = None

@@ -787,9 +787,11 @@ def _core_columnar(instance: Instance) -> Instance:
     drain the global worklist.  Only blocks whose invariant hash
     (:meth:`_ColumnarCore.block_invariant`) another block shares are
     fingerprinted; a hash collision costs one needless fingerprint, never a
-    fold.  When nothing was eliminated, *instance* is its own core and is
-    returned as is.
+    fold.  A ground *instance* (no null to eliminate), or one where nothing
+    was eliminated, is its own core and is returned as is.
     """
+    if not _has_nulls(instance):
+        return instance
     store = ColumnarInstance(instance)
     engine = _ColumnarCore(store.values)
     blocks = engine.null_blocks(store)

@@ -120,6 +120,7 @@ def fixpoint_chase(
     acyclicity analysis watches the critical-instance chase through it);
     exceptions it raises propagate to the caller.
     """
+    from repro.analysis.acyclicity import classify_termination
     from repro.analysis.termination import termination_report
 
     if isinstance(dependencies, (STTgd, NestedTgd, SOTgd)):
@@ -128,9 +129,7 @@ def fixpoint_chase(
     verdict = termination_report(deps)
     hierarchy = None
     if not verdict.weakly_acyclic and max_rounds is None:
-        from repro.analysis.acyclicity import classify_termination
-
-        hierarchy = classify_termination(deps, weak=verdict)
+        hierarchy = classify_termination(deps)
         if not hierarchy.guarantees_termination:
             raise ChaseError(
                 "no rung of the termination hierarchy certifies the dependency "
@@ -151,13 +150,11 @@ def fixpoint_chase(
     total_facts = len(instance)
     if budget is not None:
         # The frontier certificate gives the tightest static fact bound.
-        from repro.analysis.acyclicity import classify_termination
         from repro.analysis.cost import chase_budget
 
-        if hierarchy is None:
-            hierarchy = classify_termination(deps, weak=verdict)
+        hierarchy = classify_termination(deps)
         domain = {value for fact in instance for value in fact.args}
-        predicted = chase_budget(deps, len(domain), verdict=hierarchy)
+        predicted = chase_budget(deps, len(domain))
         if predicted is not None and predicted <= budget:
             enforce_budget = False  # statically certified to fit the budget
         if enforce_budget and total_facts > budget:

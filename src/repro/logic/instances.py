@@ -327,20 +327,29 @@ class Instance:
             return [value]
 
         other_facts = other.facts
+        if not self_vals:
+            return self._facts == other_facts
+        # Each fact is checked as soon as its last value (in search order) is
+        # mapped: its image must be a fact of *other*.  The mapping is
+        # injective and both instances have the same size, so once every
+        # fact has passed, the image is all of *other*.
+        order = {value: index for index, value in enumerate(self_vals)}
+        due: list[list[Atom]] = [[] for _ in self_vals]
+        for fact in self._facts:
+            last = max((order[arg] for arg in fact.args if arg in order), default=-1)
+            if last >= 0:
+                due[last].append(fact)
+            elif fact not in other_facts:
+                return False
         mapping: dict = {}
         used: set = set()
-
-        def complete() -> bool:
-            return {f.rename_values(mapping) for f in self._facts} == other_facts
-
-        if not self_vals:
-            return complete()
         # Depth-first search over an explicit stack holding one candidate
         # iterator per value mapped so far, so instances with thousands of
         # nulls stay clear of the recursion limit.
         stack = [iter(candidates(self_vals[0]))]
         while stack:
-            value = self_vals[len(stack) - 1]
+            depth = len(stack) - 1
+            value = self_vals[depth]
             if value in mapping:
                 used.discard(mapping.pop(value))
             cand = next((c for c in stack[-1] if c not in used), None)
@@ -349,10 +358,11 @@ class Instance:
                 continue
             mapping[value] = cand
             used.add(cand)
-            if len(stack) < len(self_vals):
-                stack.append(iter(candidates(self_vals[len(stack)])))
-            elif complete():
+            if not all(f.rename_values(mapping) in other_facts for f in due[depth]):
+                continue
+            if len(stack) == len(self_vals):
                 return True
+            stack.append(iter(candidates(self_vals[len(stack)])))
         return False
 
 

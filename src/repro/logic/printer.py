@@ -1,7 +1,8 @@
 """Pretty-printers for dependencies -- the inverse of :mod:`repro.logic.parser`.
 
 Each formatter produces text that parses back to an equal object, which the
-test suite verifies as a round-trip property.
+test suite verifies as a round-trip property.  :func:`dependency_label` is
+the short name reports and witnesses give a dependency of a list.
 """
 
 from __future__ import annotations
@@ -101,7 +102,14 @@ def format_instance(instance) -> str:
     return ", ".join(parts)
 
 
+def dependency_label(dep: object, index: int) -> str:
+    """The dependency's ``name``, else ``#i`` for its 0-based list *index*."""
+    name = getattr(dep, "name", None)
+    return name if name else f"#{index + 1}"
+
+
 __all__ = [
+    "dependency_label",
     "format_term",
     "format_atom",
     "format_conjunction",

@@ -1,7 +1,7 @@
 """Shared fixtures: the paper's running dependencies and instances.
 
 Also the cache-isolation hook: every test starts with every cache tier
-cold (chase LRU, fold memo, intern traffic counters) and with disk
+cold (chase LRU, analysis memo, intern traffic counters) and with disk
 persistence force-disabled, so no test observes another test's warm state
 and no test ever touches a developer's real ``REPRO_CACHE_DIR``.  Tests
 that exercise persistence opt back in with ``repro.cache.configure(tmp)``

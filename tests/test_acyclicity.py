@@ -8,7 +8,6 @@ from repro.analysis.acyclicity import (
     TerminationClass,
     TerminationVerdict,
     classify_termination,
-    clear_acyclicity_cache,
     critical_instance,
     jointly_acyclic,
     model_faithful_acyclic,
@@ -78,13 +77,6 @@ def nested_below_itself(term: str) -> bool:
         else:
             enclosing.append(name)
     return False
-
-
-@pytest.fixture(autouse=True)
-def _fresh_cache():
-    clear_acyclicity_cache()
-    yield
-    clear_acyclicity_cache()
 
 
 class TestLattice:
@@ -196,6 +188,52 @@ class TestClassification:
         assert not verdict.mfa_conclusive
 
 
+class TestAnalysisMemo:
+    """One memo table keyed by every argument a value depends on."""
+
+    def test_tiny_budget_does_not_leak_into_default(self):
+        tiny = classify_termination(MFA_NOT_SWA_SET, mfa_max_rounds=1, mfa_max_facts=1)
+        default = classify_termination(MFA_NOT_SWA_SET)
+        assert tiny.cls is TerminationClass.NOT_GUARANTEED
+        assert default.cls is TerminationClass.MODEL_FAITHFUL
+
+    def test_default_does_not_leak_into_tiny_budget(self):
+        default = classify_termination(MFA_NOT_SWA_SET)
+        tiny = classify_termination(MFA_NOT_SWA_SET, mfa_max_rounds=1, mfa_max_facts=1)
+        assert default.cls is TerminationClass.MODEL_FAITHFUL
+        assert tiny.cls is TerminationClass.NOT_GUARANTEED
+        assert not tiny.mfa_conclusive
+
+    def test_clear_all_caches_empties_the_memo(self):
+        from repro.analysis import termination
+        from repro.analysis.frontier import frontier_report
+        from repro.cache import clear_all_caches
+
+        frontier_report(MFA_NOT_SWA_SET)
+        assert termination._MEMO
+        clear_all_caches(disk=False)
+        assert not termination._MEMO
+
+    @pytest.mark.parametrize("deps", [WA_SET, MFA_NOT_SWA_SET], ids=["wa", "mfa"])
+    def test_frontier_report_builds_the_ir_once(self, deps, monkeypatch):
+        from repro.analysis import termination
+        from repro.analysis.frontier import frontier_report
+        from repro.analysis.static import analyze
+
+        built = []
+        real = termination.DependencyGraphIR
+
+        def spy(*args, **kwargs):
+            built.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(termination, "DependencyGraphIR", spy)
+        frontier_report(deps)
+        frontier_report(deps)
+        analyze(deps)
+        assert len(built) == 1
+
+
 class TestRungInternals:
     def test_jointly_acyclic_direct(self):
         assert jointly_acyclic(dependency_graph_ir(JA_NOT_WA_SET))[0]
@@ -212,10 +250,10 @@ class TestRungInternals:
         ir = dependency_graph_ir(JA_NOT_WA_SET)
         assert jointly_acyclic(ir)[0]
         assert super_weakly_acyclic(ir)[0]
-        assert model_faithful_acyclic(JA_NOT_WA_SET, ir)[0]
+        assert model_faithful_acyclic(JA_NOT_WA_SET)[0]
         ir = dependency_graph_ir(SWA_NOT_JA_SET)
         assert super_weakly_acyclic(ir)[0]
-        assert model_faithful_acyclic(SWA_NOT_JA_SET, ir)[0]
+        assert model_faithful_acyclic(SWA_NOT_JA_SET)[0]
 
     def test_critical_instance_covers_all_positions(self):
         ir = dependency_graph_ir(MFA_NOT_SWA_SET)
@@ -225,8 +263,7 @@ class TestRungInternals:
         assert all(arg == Constant("*") for fact in inst for arg in fact.args)
 
     def test_mfa_refutes_diverging(self):
-        ir = dependency_graph_ir(DIVERGING_SET)
-        ok, cyclic, _depth, facts = model_faithful_acyclic(DIVERGING_SET, ir)
+        ok, cyclic, _depth, facts = model_faithful_acyclic(DIVERGING_SET)
         assert ok is False
         assert cyclic is not None and facts is not None
 

@@ -198,6 +198,15 @@ class TestCoreDifferential:
         assert core(ground, backend=backend) == ground
         assert core(parse_instance(""), backend=backend) == parse_instance("")
 
+    def test_ground_input_skips_the_store(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a ColumnarInstance was built for a ground input")
+
+        monkeypatch.setattr(core_instance, "ColumnarInstance", refuse)
+        ground = parse_instance("R(a,b), R(b,c)")
+        assert core(ground, backend="columnar") is ground
+        assert core(ground, backend="auto") is ground
+
     def test_columnar_counters_flow(self):
         with perf.measuring() as stats:
             core(parse_instance("R(a,_x), R(a,b), T(c,_y), T(c,d)"),

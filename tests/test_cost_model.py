@@ -5,11 +5,7 @@ import time
 import pytest
 from hypothesis import given, settings
 
-from repro.analysis.acyclicity import (
-    TerminationClass,
-    classify_termination,
-    clear_acyclicity_cache,
-)
+from repro.analysis.acyclicity import TerminationClass, classify_termination
 from repro.analysis.cost import (
     CC001_PATTERN_LIMIT,
     SATURATION_CAP,
@@ -99,10 +95,9 @@ class TestChaseCost:
         n = len({arg for fact in instance for arg in fact.args})
         assert len(result.instance) <= est.fact_bound(n)
 
-    def test_reuses_supplied_verdict(self):
+    def test_reuses_memoized_verdict(self):
         verdict = classify_termination([COPY])
-        est = chase_cost([COPY], verdict=verdict)
-        assert est.termination is verdict
+        assert chase_cost([COPY]).termination is verdict
 
     def test_to_dict_shape(self):
         payload = chase_cost([COPY]).to_dict()
@@ -208,11 +203,10 @@ class TestCostHierarchyDifferential:
     @settings(max_examples=60, deadline=None)
     @given(tgds=same_schema_tgds())
     def test_certified_sets_terminate_within_bound(self, tgds):
-        clear_acyclicity_cache()
         verdict = classify_termination(tgds, mfa_max_rounds=6, mfa_max_facts=2_000)
         if not verdict.guarantees_termination:
             return
-        est = chase_cost(tgds, verdict=verdict)
+        est = chase_cost(tgds)
         instance = Instance(
             [
                 Atom("R", (Constant("a"), Constant("b"))),
@@ -234,7 +228,6 @@ class TestCostHierarchyDifferential:
     @settings(max_examples=60, deadline=None)
     @given(tgds=same_schema_tgds())
     def test_verdict_consistent_with_mfa_refutation(self, tgds):
-        clear_acyclicity_cache()
         verdict = classify_termination(tgds, mfa_max_rounds=6, mfa_max_facts=2_000)
         if verdict.cls is TerminationClass.NOT_GUARANTEED and verdict.mfa_conclusive:
             # a conclusive MFA refutation comes with a cyclic-term witness

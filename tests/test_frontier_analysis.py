@@ -19,13 +19,13 @@ from repro.analysis.acyclicity import (
 from repro.analysis.frontier import (
     ComplexityTier,
     PTIME_DEGREE_LIMIT,
-    clear_frontier_cache,
     describe_witnesses,
     frontier_report,
     tier_report,
     triangular_guard_report,
 )
 from repro.analysis.static import analyze
+from repro.cache import clear_all_caches
 from repro.cli import main
 from repro.engine.fixpoint_chase import fixpoint_chase
 from repro.errors import ChaseError
@@ -296,7 +296,7 @@ class TestAnalyzeCli:
     def test_output_is_deterministic(self, capsys):
         main(["analyze", "--dep", JA_NOT_WA])
         first = capsys.readouterr().out
-        clear_frontier_cache()
+        clear_all_caches(disk=False)
         main(["analyze", "--dep", JA_NOT_WA])
         assert capsys.readouterr().out == first
 
@@ -324,11 +324,11 @@ class TestTierAwareDispatch:
 
 class TestFrontierReportPlumbing:
     def test_report_is_memoized(self):
-        clear_frontier_cache()
         deps = ladder_tgds(2)
-        assert frontier_report(deps) is frontier_report(deps)
-        clear_frontier_cache()
-        assert frontier_report(deps) is not None
+        first = frontier_report(deps)
+        assert frontier_report(deps) is first
+        clear_all_caches(disk=False)
+        assert frontier_report(deps) is not first
 
     def test_json_is_deterministic_and_sorted(self):
         report = frontier_report(tgds(JA_NOT_WA))

@@ -1,18 +1,39 @@
 """Tests for the Instance data structure and its indexes."""
 
+import itertools
+
+import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.engine.builder import InstanceBuilder
 from repro.logic.atoms import Atom
 from repro.logic.instances import Instance, union_all
 from repro.logic.parser import parse_instance
-from repro.logic.values import Constant, Null
+from repro.logic.values import Constant, Null, is_null
 
 from tests.strategies import INSTANCE_RELATIONS, instances
 
 
 A, B, C = Constant("a"), Constant("b"), Constant("c")
 N1, N2 = Null("n1"), Null("n2")
+
+
+def brute_force_isomorphic(left: Instance, right: Instance, rename_constants: bool) -> bool:
+    """Try every bijection of the renameable values (the reference oracle)."""
+
+    def renameable(inst: Instance) -> list:
+        values = inst.nulls() | (inst.constants() if rename_constants else frozenset())
+        return sorted(values, key=repr)
+
+    domain, codomain = renameable(left), renameable(right)
+    if len(left) != len(right) or len(domain) != len(codomain):
+        return False
+    for image in itertools.permutations(codomain):
+        mapping = dict(zip(domain, image))
+        if all(is_null(v) == is_null(w) for v, w in mapping.items()):
+            if left.map_values(mapping) == right:
+                return True
+    return False
 
 
 class TestBasics:
@@ -183,6 +204,32 @@ class TestIsomorphism:
 
     def test_different_sizes_never_isomorphic(self):
         assert not parse_instance("S(a,b)").isomorphic(parse_instance("S(a,b), S(b,a)"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), rename_constants=st.booleans())
+    def test_agrees_with_brute_force(self, data, rename_constants):
+        small = instances(max_facts=6, max_constants=3, max_nulls=3)
+        left = data.draw(small)
+        mode = data.draw(st.sampled_from(["renamed", "mutated", "independent"]))
+        if mode == "independent":
+            right = data.draw(small)
+        else:
+            nulls = sorted(left.nulls(), key=repr)
+            fresh = [Null(f"m{i}") for i in range(len(nulls))]
+            renaming = dict(zip(nulls, data.draw(st.permutations(fresh))))
+            if rename_constants:
+                constants = sorted(left.constants(), key=repr)
+                fresh = [Constant(f"c{i}") for i in range(len(constants))]
+                renaming.update(zip(constants, data.draw(st.permutations(fresh))))
+            right = left.map_values(renaming)
+            if mode == "mutated" and len(right):
+                facts = sorted(right, key=repr)
+                dropped = data.draw(st.sampled_from(facts))
+                added = data.draw(instances(min_facts=1, max_facts=1, max_constants=3, max_nulls=3))
+                right = Instance([f for f in facts if f != dropped] + list(added))
+        assert left.isomorphic(right, rename_constants=rename_constants) == (
+            brute_force_isomorphic(left, right, rename_constants)
+        )
 
     def test_many_nulls_do_not_exhaust_the_recursion_limit(self):
         # One null per fact, each over its own relation: the search maps

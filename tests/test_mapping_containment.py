@@ -297,12 +297,6 @@ class TestLints:
         report = analyze(deps)
         assert any(f.code == "MC002" for f in report.findings)
 
-    def test_check_containment_false_suppresses_pass(self):
-        from repro.analysis.static import analyze
-
-        report = analyze(redundant_ladder_tgds(2), check_containment=False)
-        assert not any(f.code.startswith("MC") for f in report.findings)
-
     def test_mc_codes_in_sarif_rules(self):
         from repro.analysis.sarif import sarif_report
         from repro.analysis.static import analyze

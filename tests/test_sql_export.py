@@ -85,6 +85,16 @@ class TestExecution:
         # relabels them as text, so compare up to null renaming.
         assert via_sql.isomorphic(via_chase)
 
+    def test_hospital_nested_agrees_at_scale(self):
+        # Same-profile null groups of 5, 5 and 6 at n=16: an isomorphism
+        # search that only checks complete mappings tries their factorials.
+        from repro.workloads.scenarios import HOSPITAL
+
+        source = HOSPITAL.source(16)
+        via_sql = execute_exchange(source, [HOSPITAL.nested])
+        via_chase = render_instance_values(chase(source, [HOSPITAL.nested]))
+        assert via_sql.isomorphic(via_chase)
+
     def test_shared_nulls_preserved(self):
         """The correlation: both purchases get the SAME generated account key."""
         nested = parse_nested_tgd(

@@ -13,8 +13,8 @@ import pytest
 
 from repro import perf
 from repro.analysis.static import LINT_CATALOG, AnalysisReport, Finding, analyze
+from repro.cache import clear_all_caches
 from repro.analysis.termination import (
-    clear_termination_cache,
     format_position,
     position_graph,
     termination_report,
@@ -118,10 +118,9 @@ class TestTerminationVerdicts:
         assert termination_report(COPY).weakly_acyclic
 
     def test_verdicts_are_memoized(self):
-        clear_termination_cache()
         first = termination_report([INTRO])
         assert termination_report([INTRO]) is first
-        clear_termination_cache()
+        clear_all_caches(disk=False)
         assert termination_report([INTRO]) is not first
 
     def test_non_dependency_is_rejected(self):
@@ -167,8 +166,8 @@ class TestDepthBoundValidation:
         assert termination_report(deps).depth_bound == 2
 
 
-def finding_codes(*deps, egds=(), **kwargs):
-    return [f.code for f in analyze(list(deps), list(egds), **kwargs).findings]
+def finding_codes(*deps, egds=()):
+    return [f.code for f in analyze(list(deps), list(egds)).findings]
 
 
 class TestLintCodes:
@@ -245,7 +244,6 @@ class TestLintCodes:
         weaker = parse_tgd("S(a,b) -> T(b)")
         codes = finding_codes(stronger, weaker)
         assert "NT009" in codes
-        assert "NT009" not in finding_codes(stronger, weaker, check_subsumption=False)
 
     def test_nt009_mutual_subsumption_reported_once(self):
         left = parse_tgd("S(x,y) -> R(x,y)")
@@ -263,11 +261,6 @@ class TestLintCodes:
         assert [f.code for f in report.errors] == ["TD001"]
         assert not report.ok
         assert "cycle" in report.errors[0].message
-
-    def test_td001_suppressed_without_termination_pass(self):
-        report = analyze([DIVERGING], check_termination=False)
-        assert report.termination is None
-        assert report.ok
 
     def test_eg001_trivial_egd(self):
         assert "EG001" in finding_codes(egds=[parse_egd("S(x,y) -> x = x")])
