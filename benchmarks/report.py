@@ -374,8 +374,7 @@ def cache_persistence() -> None:
             )
             print(
                 f"store: {stats['entries']} entries, "
-                f"{stats['size_bytes']} bytes on disk, "
-                f"lifetime counters = {stats['counters']}"
+                f"{stats['size_bytes']} bytes on disk"
             )
         finally:
             cache.configure()

@@ -27,7 +27,6 @@ from repro.cache.store import (
 )
 
 #: The persistent cache spaces (see ``store.SPACE_LIMITS`` for caps).
-SPACE_CHASE = "chase"
 SPACE_IMPLIES = "implies"
 SPACE_CONTAIN = "contain"
 
@@ -56,7 +55,7 @@ def disk_get(space: str, key: str) -> object | None:
 def disk_put(space: str, key: str, value: object) -> None:
     """Pickle and write-through one entry (no-op when the store is off)."""
     store = get_store()
-    if store is None or not store.enabled(space):
+    if store is None:
         return
     try:
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
@@ -99,7 +98,6 @@ def cache_stats() -> dict[str, object]:
 __all__ = [
     "DiskStore",
     "SCHEMA_VERSION",
-    "SPACE_CHASE",
     "SPACE_CONTAIN",
     "SPACE_IMPLIES",
     "configure",

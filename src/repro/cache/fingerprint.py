@@ -1,11 +1,12 @@
 """Canonical content-derived fingerprints for cross-process cache keys.
 
-The in-memory chase cache keys by interned objects -- pointer
-identity, valid only within one process.  The on-disk tiers of
+The in-memory caches key by interned objects -- pointer identity, valid
+only within one process.  The ``implies`` and ``contain`` verdict spaces of
 :mod:`repro.cache.store` need keys that are identical across processes and
 across Python hash seeds, so fingerprints here are built purely from
 *content*: every value and atom is rendered into an injective byte string
-and hashed with SHA-256.  ``hash()`` is never consulted.
+and hashed with SHA-256.  ``hash()`` is never consulted.  The core engines
+also compare canonical f-blocks by these digests.
 
 Injectivity uses the length-prefixed encoding idiom of
 ``repro.export.sql`` / ``engine.sql_backend``: each component is rendered
@@ -103,7 +104,7 @@ def _digest(parts: Iterable[bytes]) -> str:
 
 
 def fingerprint_facts(facts: Iterable[Atom]) -> str:
-    """Fingerprint an *unordered* fact set (chase-cache sources).
+    """Fingerprint an *unordered* fact set.
 
     Encodings are sorted before hashing, so any iteration order of the same
     set -- including a ``frozenset`` whose order varies with the hash seed --
@@ -133,15 +134,6 @@ def fingerprint_texts(texts: Iterable[str]) -> str:
     return _digest(_prefixed(text.encode()) for text in texts)
 
 
-def fingerprint_pattern(pattern: object) -> str:
-    """Fingerprint a k-pattern via its canonical structural sort key.
-
-    The sort key is a nested tuple of ints -- isomorphism-invariant and
-    identical in every process -- so its repr is a canonical rendering.
-    """
-    return _digest([repr(pattern.sort_key()).encode()])  # type: ignore[attr-defined]
-
-
 def combine_fingerprints(*fingerprints: str) -> str:
     """Combine component fingerprints into one key, order-sensitively."""
     return _digest(_prefixed(fp.encode()) for fp in fingerprints)
@@ -156,6 +148,5 @@ __all__ = [
     "fingerprint_fact_sequence",
     "fingerprint_encoded_sequence",
     "fingerprint_texts",
-    "fingerprint_pattern",
     "combine_fingerprints",
 ]

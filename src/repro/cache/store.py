@@ -1,7 +1,8 @@
 """Schema-versioned SQLite store behind the in-memory cache tiers.
 
 One SQLite file (``repro-cache.sqlite`` inside the configured directory)
-holds every persistent cache space in a single ``entries`` table keyed by
+holds the persistent cache spaces -- the ``implies`` and ``contain``
+verdicts, listed in :data:`SPACE_LIMITS` -- in one ``entries`` table keyed by
 ``(space, key)``; ``key`` is always a content-derived fingerprint from
 :mod:`repro.cache.fingerprint`, so two processes -- regardless of hash seed
 -- address the same rows.  Design points:
@@ -13,7 +14,7 @@ holds every persistent cache space in a single ``entries`` table keyed by
 - **Schema-versioned.**  ``meta['schema_version']`` is checked on open; a
   mismatch (older/newer writer) drops all entries rather than risk decoding
   payloads with different invariants.
-- **LRU by access stamp.**  Every get/put bumps a monotone stamp; when a
+- **LRU by access stamp.**  Every hit and put bumps a monotone stamp; when a
   space exceeds its cap, the lowest-stamped rows are deleted.
 - **Corruption-tolerant.**  Any ``sqlite3`` error degrades to a cache miss
   (counted as ``cache.disk.errors``); an unreadable database file is
@@ -34,21 +35,16 @@ from pathlib import Path
 
 from repro import perf
 
-#: Version 2 dropped the ``fold`` space: a version-1 store opens empty.
-SCHEMA_VERSION = 2
+#: Version 2 dropped the ``fold`` space and version 3 the ``chase`` space:
+#: a store written by an older version opens empty.
+SCHEMA_VERSION = 3
 STORE_FILENAME = "repro-cache.sqlite"
 
 #: Environment variable naming the cache directory (unset => disabled).
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
-#: Optional comma-separated list of enabled spaces (unset => all).
-ENV_CACHE_SPACES = "REPRO_CACHE_SPACES"
 
-#: Per-space entry caps (LRU-evicted beyond these).
-SPACE_LIMITS: dict[str, int] = {
-    "chase": 8192, "contain": 2048, "implies": 4096,
-}
-DEFAULT_SPACES = frozenset(SPACE_LIMITS)
-_FALLBACK_LIMIT = 4096
+#: The cache spaces and their entry caps (LRU-evicted beyond these).
+SPACE_LIMITS: dict[str, int] = {"contain": 2048, "implies": 4096}
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
@@ -66,16 +62,9 @@ CREATE INDEX IF NOT EXISTS idx_entries_space_stamp ON entries (space, stamp);
 class DiskStore:
     """The write-through on-disk tier: fingerprint-keyed blobs in SQLite."""
 
-    def __init__(
-        self,
-        directory: str | os.PathLike[str],
-        spaces: frozenset[str] = DEFAULT_SPACES,
-        limits: dict[str, int] | None = None,
-    ) -> None:
+    def __init__(self, directory: str | os.PathLike[str]) -> None:
         self.directory = Path(directory)
         self.path = self.directory / STORE_FILENAME
-        self.spaces = spaces
-        self.limits = dict(SPACE_LIMITS if limits is None else limits)
         self._connection: sqlite3.Connection | None = None
         self._pid = -1
         self._stamp = 0
@@ -139,13 +128,8 @@ class DiskStore:
 
     # ------------------------------------------------------------ operations
 
-    def enabled(self, space: str) -> bool:
-        return space in self.spaces
-
     def get(self, space: str, key: str) -> bytes | None:
         """Return the payload for (space, key), bumping its LRU stamp."""
-        if space not in self.spaces:
-            return None
         try:
             connection = self._conn()
             row = connection.execute(
@@ -154,15 +138,12 @@ class DiskStore:
             ).fetchone()
             if row is None:
                 perf.incr("cache.disk.misses")
-                self._bump_counter(connection, "misses")
-                connection.commit()
                 return None
             self._stamp += 1
             connection.execute(
                 "UPDATE entries SET stamp = ? WHERE space = ? AND key = ?",
                 (self._stamp, space, key),
             )
-            self._bump_counter(connection, "hits")
             connection.commit()
         except sqlite3.Error:
             perf.incr("cache.disk.errors")
@@ -173,9 +154,13 @@ class DiskStore:
         return payload
 
     def put(self, space: str, key: str, payload: bytes) -> None:
-        """Write-through one entry, evicting the space's LRU overflow."""
-        if space not in self.spaces:
-            return
+        """Write-through one entry, evicting the space's LRU overflow.
+
+        Raises ValueError for a space not listed in :data:`SPACE_LIMITS`.
+        """
+        limit = SPACE_LIMITS.get(space)
+        if limit is None:
+            raise ValueError(f"unknown cache space {space!r}")
         try:
             connection = self._conn()
             self._stamp += 1
@@ -183,7 +168,6 @@ class DiskStore:
                 "INSERT OR REPLACE INTO entries VALUES (?, ?, ?, ?)",
                 (space, key, payload, self._stamp),
             )
-            limit = self.limits.get(space, _FALLBACK_LIMIT)
             count = connection.execute(
                 "SELECT COUNT(*) FROM entries WHERE space = ?", (space,)
             ).fetchone()[0]
@@ -213,13 +197,6 @@ class DiskStore:
         except sqlite3.Error:
             perf.incr("cache.disk.errors")
 
-    def _bump_counter(self, connection: sqlite3.Connection, name: str) -> None:
-        connection.execute(
-            "INSERT INTO meta VALUES (?, '1') ON CONFLICT(key) DO UPDATE "
-            "SET value = CAST(value AS INTEGER) + 1",
-            (f"counter_{name}",),
-        )
-
     # ------------------------------------------------------------ inspection
 
     def keys(self) -> list[tuple[str, str]]:
@@ -235,17 +212,6 @@ class DiskStore:
         ).fetchall()
         return {str(space): int(count) for space, count in rows}
 
-    def counters(self) -> dict[str, int]:
-        """Persistent lifetime hit/miss counters (survive restarts, unlike perf)."""
-        connection = self._conn()
-        rows = connection.execute(
-            "SELECT key, value FROM meta WHERE key LIKE 'counter_%'"
-        ).fetchall()
-        counters = {"hits": 0, "misses": 0}
-        for key, value in rows:
-            counters[str(key)[len("counter_"):]] = int(value)
-        return counters
-
     def size_bytes(self) -> int:
         total = 0
         for suffix in ("", "-wal", "-shm"):
@@ -259,20 +225,17 @@ class DiskStore:
             "enabled": True,
             "path": str(self.path),
             "schema_version": SCHEMA_VERSION,
-            "spaces": sorted(self.spaces),
             "entries": self.entry_counts(),
-            "counters": self.counters(),
             "size_bytes": self.size_bytes(),
         }
 
     # ------------------------------------------------------------ maintenance
 
     def clear(self) -> None:
-        """Drop every entry and reset the persistent counters."""
+        """Drop every entry."""
         try:
             connection = self._conn()
             connection.execute("DELETE FROM entries")
-            connection.execute("DELETE FROM meta WHERE key LIKE 'counter_%'")
             connection.commit()
         except sqlite3.Error:
             perf.incr("cache.disk.errors")
@@ -296,30 +259,26 @@ _UNSET = object()
 
 _configured = False
 _configured_dir: str | None = None
-_configured_spaces: frozenset[str] | None = None
 
 _store: DiskStore | None = None
 _store_dir: str | None = None
 
 
-def configure(
-    cache_dir: object = _UNSET, *, spaces: frozenset[str] | None = None
-) -> None:
+def configure(cache_dir: object = _UNSET) -> None:
     """Set (or reset) the process-wide disk-store configuration.
 
     ``configure(path)`` enables the store at *path*; ``configure(None)``
     force-disables it (overriding ``REPRO_CACHE_DIR`` -- what the test
     harness does); ``configure()`` with no arguments reverts to environment
-    resolution.  *spaces* restricts which cache spaces persist.
+    resolution.
     """
-    global _configured, _configured_dir, _configured_spaces, _store, _store_dir
+    global _configured, _configured_dir, _store, _store_dir
     if cache_dir is _UNSET:
         _configured = False
         _configured_dir = None
     else:
         _configured = True
         _configured_dir = os.fspath(cache_dir) if cache_dir is not None else None  # type: ignore[arg-type]
-    _configured_spaces = spaces
     if _store is not None:
         _store.close()
     _store = None
@@ -331,15 +290,6 @@ def _resolve_dir() -> str | None:
         return _configured_dir
     value = os.environ.get(ENV_CACHE_DIR)
     return value if value else None
-
-
-def _resolve_spaces() -> frozenset[str]:
-    if _configured_spaces is not None:
-        return _configured_spaces
-    value = os.environ.get(ENV_CACHE_SPACES)
-    if not value:
-        return DEFAULT_SPACES
-    return frozenset(name.strip() for name in value.split(",") if name.strip())
 
 
 def get_store() -> DiskStore | None:
@@ -357,14 +307,13 @@ def get_store() -> DiskStore | None:
             _store = None
             _store_dir = None
         return None
-    spaces = _resolve_spaces()
-    if _store is not None and (_store_dir != directory or _store.spaces != spaces):
+    if _store is not None and _store_dir != directory:
         _store.close()
         _store = None
         _store_dir = None
     if _store is None:
         try:
-            _store = DiskStore(directory, spaces)
+            _store = DiskStore(directory)
         except (sqlite3.Error, OSError):
             perf.incr("cache.disk.errors")
             return None
@@ -377,9 +326,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "STORE_FILENAME",
     "ENV_CACHE_DIR",
-    "ENV_CACHE_SPACES",
     "SPACE_LIMITS",
-    "DEFAULT_SPACES",
     "configure",
     "get_store",
 ]

@@ -361,8 +361,8 @@ def cmd_cache(args) -> int:
     """Inspect or maintain the persistent cache store (repro.cache).
 
     Output is deterministic JSON (sorted keys, stable shape): the store
-    path, schema version, enabled spaces, per-space entry counts, lifetime
-    hit/miss counters, and on-disk size.  ``clear`` drops every entry;
+    path, schema version, per-space entry counts (the ``implies`` and
+    ``contain`` verdicts), and on-disk size.  ``clear`` drops every entry;
     ``vacuum`` reclaims file space after evictions.  Without a configured
     store (no ``REPRO_CACHE_DIR`` and no ``--dir``), ``stats`` reports
     ``enabled: false`` and the maintenance actions exit 1.

@@ -36,13 +36,13 @@ Engine-level accelerations on top of the paper's procedure:
   short-circuit before the deep frontier is ever generated.  Generation is
   path-copied: a child pattern's mirror tree shares every subtree off the
   new leaf's root path with its parent's, and the parent's source instance
-  is copied and indexed only when the child's chase misses every tier.
+  is copied and indexed only when the child's chase misses the chase cache.
 - a **seeded pattern check** inside that sweep: each state keeps the
   homomorphism ``h`` found for its ``J_p`` and the image ``h(J_p)``.  A child
   whose chase still contains the parent's image searches only the new leaf's
   target facts, with every older null fixed by ``h``; a success maps the
   whole child ``J_p`` (parent facts by the subset test, delta facts by the
-  kernel).  The subset test is not redundant: on a chase-tier hit the chased
+  kernel).  The subset test is not redundant: on a chase-cache hit the chased
   instance came from another derivation, whose nulls need not extend the
   parent's.  When the test or the seeded search fails, the full search runs
   (``implies.sweep.hom_fallbacks``), and only the full search refutes -- so
@@ -53,15 +53,13 @@ Engine-level accelerations on top of the paper's procedure:
   IMPLIES runs) whose canonical sources coincide share one chase.  Hits and
   misses are recorded in :mod:`repro.perf`; incremental extensions count as
   ``implies.sweep.incremental_hits``.
-- optional **persistent tiers** (:mod:`repro.cache`, enabled by
-  ``REPRO_CACHE_DIR`` or ``repro.cache.configure``): chase-cache misses
-  consult a fingerprint-keyed on-disk store before chasing, every computed
-  chase is written through, and whole IMPLIES verdicts (result, failing
-  pattern, counterexamples) are stored under a fingerprint of
-  (Sigma, sigma, source egds, k, sweep mode) -- a warm restart answers a
-  repeated query without enumerating a single pattern.  Keys are
-  content-derived (hash-seed independent), and the disk tiers sit strictly
-  behind the in-memory ones, so the hot path is unchanged when disabled.
+- an optional **persistent verdict tier** (:mod:`repro.cache`, enabled by
+  ``REPRO_CACHE_DIR`` or ``repro.cache.configure``): whole IMPLIES verdicts
+  (result, failing pattern, counterexamples) are stored under a fingerprint
+  of (Sigma, sigma, source egds, k, sweep mode), so a warm restart answers a
+  repeated query without enumerating a single pattern.  Chases stay in the
+  in-memory LRU; keys are content-derived (hash-seed independent), and the
+  hot path is unchanged when the store is off.
 """
 
 from __future__ import annotations
@@ -71,12 +69,10 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro import perf
-from repro.cache import SPACE_CHASE, SPACE_IMPLIES, disk_get, disk_put, get_store
-from repro.cache.fingerprint import (
-    combine_fingerprints,
-    fingerprint_facts,
-    fingerprint_texts,
-)
+from repro.cache import SPACE_IMPLIES, disk_get, disk_put, get_store
+from repro.cache.fingerprint import fingerprint_texts
+# Not used here: benchmarks/e2e/trace.py resolves both names on this module.
+from repro.cache.fingerprint import combine_fingerprints, fingerprint_facts  # noqa: F401
 from repro.errors import DependencyError, ResourceLimitExceeded
 from repro.logic import intern
 from repro.logic.atoms import Atom
@@ -179,33 +175,6 @@ def implication_bound(sigma_set: Sequence, sigma: NestedTgd) -> int:
 #: labels) and the cached instance can be shared freely.
 _CHASE_CACHE: "OrderedDict[tuple, Instance]" = OrderedDict()
 _CHASE_CACHE_LIMIT = 512
-_CHASE_CACHE_LIMIT_DEFAULT = 512
-_CHASE_CACHE_LIMIT_MAX = 8192
-
-
-def _presize_chase_cache(predicted_patterns: int) -> None:
-    """Grow the chase-cache LRU window toward a predicted sweep size.
-
-    A sweep of ``n`` patterns touches at most ``n`` canonical sources; an
-    LRU window smaller than that thrashes (every entry is evicted before its
-    re-use).  Growth is clamped and never shrinks below the default.  The
-    sweep that requested the pre-sizing restores the previous limit when it
-    finishes (see ``implies_tgd``), so one ``budget=`` run does not pin an
-    oversized cache for the rest of the process.
-    """
-    global _CHASE_CACHE_LIMIT
-    _CHASE_CACHE_LIMIT = max(
-        _CHASE_CACHE_LIMIT,
-        min(max(predicted_patterns, _CHASE_CACHE_LIMIT_DEFAULT), _CHASE_CACHE_LIMIT_MAX),
-    )
-
-
-def _set_chase_cache_limit(limit: int) -> None:
-    """Restore the LRU window to *limit*, evicting surplus entries (oldest first)."""
-    global _CHASE_CACHE_LIMIT
-    _CHASE_CACHE_LIMIT = limit
-    while len(_CHASE_CACHE) > _CHASE_CACHE_LIMIT:
-        _CHASE_CACHE.popitem(last=False)
 
 
 def _sigma_fingerprint(lhs: Sequence) -> tuple[str, ...]:
@@ -214,72 +183,17 @@ def _sigma_fingerprint(lhs: Sequence) -> tuple[str, ...]:
 
 
 def clear_chase_cache() -> None:
-    """Drop all cached chase results and reset the pre-sized capacity.
-
-    Used by benchmarks for cold-start runs; also the recovery hatch after a
-    ``budget=`` run pre-sized the LRU window (the window is restored at the
-    end of the sweep regardless).
-    """
-    global _CHASE_CACHE_LIMIT
+    """Drop all cached chase results (benchmarks use it for cold-start runs)."""
     _CHASE_CACHE.clear()
-    _CHASE_CACHE_LIMIT = _CHASE_CACHE_LIMIT_DEFAULT
-
-
-def _cache_store(key: tuple, result: Instance) -> None:
-    _CHASE_CACHE[key] = result
-    if len(_CHASE_CACHE) > _CHASE_CACHE_LIMIT:
-        _CHASE_CACHE.popitem(last=False)
-
-
-# Sigma fingerprints are repr tuples (hashable, process-local); the disk
-# tiers need content digests.  Memoized because one sweep re-digests the
-# same tuple at every cache-miss hook point.
-_SIGMA_DIGESTS: dict[tuple[str, ...], str] = {}
-
-
-def _sigma_digest(fingerprint: tuple[str, ...]) -> str:
-    digest = _SIGMA_DIGESTS.get(fingerprint)
-    if digest is None:
-        if len(_SIGMA_DIGESTS) > 256:
-            _SIGMA_DIGESTS.clear()
-        digest = fingerprint_texts(fingerprint)
-        _SIGMA_DIGESTS[fingerprint] = digest
-    return digest
-
-
-def _disk_chase_get(
-    source_facts: Iterable[Atom], fingerprint: tuple[str, ...]
-) -> Instance | None:
-    """Look a chase result up in the persistent tier (behind the LRU miss)."""
-    if get_store() is None:
-        return None
-    key = combine_fingerprints(fingerprint_facts(source_facts), _sigma_digest(fingerprint))
-    payload = disk_get(SPACE_CHASE, key)
-    if not isinstance(payload, tuple) or not all(
-        isinstance(fact, Atom) for fact in payload
-    ):
-        return None
-    return Instance(payload)
-
-
-def _disk_chase_put(
-    source_facts: Iterable[Atom], fingerprint: tuple[str, ...], result: Instance
-) -> None:
-    """Write one computed chase through to the persistent tier."""
-    if get_store() is None:
-        return
-    key = combine_fingerprints(fingerprint_facts(source_facts), _sigma_digest(fingerprint))
-    disk_put(SPACE_CHASE, key, tuple(sorted(result.facts, key=repr)))
 
 
 def _chase_tier(
     source_facts: frozenset, fingerprint: tuple[str, ...], compute
 ) -> tuple[Instance, InstanceBuilder | None]:
-    """Look one chase up through the tiers: LRU, then disk, then *compute*.
+    """Look one chase up in the LRU, running *compute* on a miss.
 
-    *compute* returns ``(chased, builder)`` and runs only on a miss in both
-    tiers; its result is written through to disk.  The returned builder is
-    None whenever the chase came from a tier.
+    *compute* returns ``(chased, builder)``; the returned builder is None
+    whenever the chase came from the cache.
     """
     key = (source_facts, fingerprint)
     cached = _CHASE_CACHE.get(key)
@@ -288,12 +202,10 @@ def _chase_tier(
         perf.incr("implies.cache_hits")
         return cached, None
     perf.incr("implies.cache_misses")
-    builder = None
-    chased = _disk_chase_get(source_facts, fingerprint)
-    if chased is None:
-        chased, builder = compute()
-        _disk_chase_put(source_facts, fingerprint, chased)
-    _cache_store(key, chased)
+    chased, builder = compute()
+    _CHASE_CACHE[key] = chased
+    if len(_CHASE_CACHE) > _CHASE_CACHE_LIMIT:
+        _CHASE_CACHE.popitem(last=False)
     return chased, builder
 
 
@@ -501,7 +413,7 @@ class _SweepState:
     """The incrementally maintained per-pattern state of the sweep.
 
     ``source_builder`` and ``chase_builder`` are None when the chase came
-    straight from a cache tier: only a chase-tier miss indexes the source
+    straight from the chase cache: only a cache miss indexes the source
     and builds the chase.  A child extension that misses then re-indexes
     what it needs from ``source_facts`` and ``chased``.  Once the pattern is
     checked, ``hom`` is the homomorphism found for ``targets`` and
@@ -773,9 +685,7 @@ def implies_tgd(
     :func:`repro.analysis.cost.sweep_cost` predicts the sweep size *before*
     enumerating anything; a predicted sweep above the budget raises
     :class:`~repro.errors.BudgetExceeded` immediately (lint finding ``CC001``
-    makes the same prediction), and a predicted sweep that fits pre-sizes
-    the chase cache so the sweep does not thrash it.  The previous cache
-    capacity is restored when the run finishes.
+    makes the same prediction).
 
     With ``subsumption=True`` (the default), a sound syntactic subsumption
     pre-pass (:mod:`repro.analysis.subsumption`) answers trivially implied
@@ -806,8 +716,6 @@ def implies_tgd(
         if trivially_implied(lhs, rhs):
             perf.incr("implies.subsumption_skips")
             return ImplicationResult(holds=True, k=k, patterns_checked=0)
-    prior_cache_limit = _CHASE_CACHE_LIMIT
-    presized = False
     if budget is not None:
         from repro.analysis.cost import sweep_cost
 
@@ -823,8 +731,6 @@ def implies_tgd(
                 "(lint finding CC001 predicts this).  Raise budget=, or prune "
                 "the right-hand side's nesting depth.",
             )
-        _presize_chase_cache(estimate.pattern_count)
-        presized = True
     source_egds = list(source_egds)
     fingerprint = _sigma_fingerprint(lhs)
     if incremental is None:
@@ -842,8 +748,7 @@ def implies_tgd(
         # ResourceLimitExceeded (like BudgetExceeded above) still raises over
         # a warm store.  The from-scratch sweep enforces the limit while
         # enumerating, so it pays for the count only when the tier is on.
-        store = get_store()
-        use_store = store is not None and store.enabled(SPACE_IMPLIES)
+        use_store = get_store() is not None
         if max_patterns is not None and (incremental or use_store):
             if count_k_patterns(rhs, k) > max_patterns:
                 raise ResourceLimitExceeded("patterns", max_patterns)
@@ -864,8 +769,6 @@ def implies_tgd(
             _disk_verdict_put(verdict_key, result)
         return result
     finally:
-        if presized:
-            _set_chase_cache_limit(prior_cache_limit)
         intern.publish_stats()
 
 

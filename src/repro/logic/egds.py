@@ -43,9 +43,9 @@ class Egd:
                 )
 
     def __repr__(self) -> str:
-        from repro.logic.printer import format_egd
+        from repro.logic.printer import format_egd, rendered
 
-        return format_egd(self)
+        return rendered(self, format_egd)
 
 
 def key_dependency(relation: str, arity: int, key_positions: Iterable[int]) -> list[Egd]:

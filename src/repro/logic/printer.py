@@ -7,6 +7,8 @@ the short name reports and witnesses give a dependency of a list.
 
 from __future__ import annotations
 
+from typing import Any, Callable
+
 from repro.logic.atoms import Atom
 from repro.logic.terms import FuncTerm
 from repro.logic.values import Variable
@@ -31,6 +33,19 @@ def format_atom(atom: Atom) -> str:
 def format_conjunction(atoms) -> str:
     """Format atoms joined with ``&``."""
     return " & ".join(format_atom(a) for a in atoms)
+
+
+def rendered(dependency: object, render: Callable[[Any], str]) -> str:
+    """``render(dependency)``, computed once and kept on the immutable object.
+
+    Dependency texts key the analysis memo, the IMPLIES chase cache and the
+    persistent verdicts, so one analysis asks for the same text many times.
+    """
+    text = dependency.__dict__.get("_text")
+    if text is None:
+        text = render(dependency)
+        object.__setattr__(dependency, "_text", text)
+    return text
 
 
 def format_tgd(tgd) -> str:
@@ -118,4 +133,5 @@ __all__ = [
     "format_so_tgd",
     "format_egd",
     "format_instance",
+    "rendered",
 ]

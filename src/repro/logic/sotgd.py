@@ -193,9 +193,9 @@ class SOTgd:
         return hash((self._functions, self._clauses))
 
     def __repr__(self) -> str:
-        from repro.logic.printer import format_so_tgd
+        from repro.logic.printer import format_so_tgd, rendered
 
-        return format_so_tgd(self)
+        return rendered(self, format_so_tgd)
 
 
 __all__ = ["SOClause", "SOTgd"]

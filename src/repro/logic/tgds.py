@@ -149,9 +149,9 @@ class STTgd:
         return self.to_nested().skolemize()
 
     def __repr__(self) -> str:
-        from repro.logic.printer import format_tgd
+        from repro.logic.printer import format_tgd, rendered
 
-        return format_tgd(self)
+        return rendered(self, format_tgd)
 
 
 __all__ = ["STTgd"]

@@ -28,7 +28,6 @@ from repro import (
 
 def pytest_runtest_setup(item: pytest.Item) -> None:
     os.environ.pop("REPRO_CACHE_DIR", None)
-    os.environ.pop("REPRO_CACHE_SPACES", None)
     repro.cache.configure(None)
     repro.cache.clear_all_caches()
 

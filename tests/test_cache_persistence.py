@@ -8,11 +8,12 @@ Three families of invariants:
 - **Fingerprints**: injective on structurally distinct values, invariant
   under fact-set iteration order, and independent of ``PYTHONHASHSEED``
   (checked across real subprocesses with different seeds).
-- **Differential correctness**: IMPLIES / equivalence / core verdicts are
-  bit-identical with the disk store off, cold, and warm -- including
-  failing implications with counterexamples, and including a simulated
-  warm restart (memory tiers dropped, disk kept) that must answer from
-  disk (``cache.disk.hits > 0``) without changing any verdict.
+- **Differential correctness**: IMPLIES / equivalence / containment / core
+  verdicts are bit-identical with the disk store off, cold, and warm --
+  including failing implications with counterexamples, random nested tgds
+  (Hypothesis), and a simulated warm restart (memory tiers dropped, disk
+  kept) that must answer from disk (``cache.disk.hits > 0``) without
+  changing any verdict.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
 import repro.cache as cache
@@ -35,7 +36,6 @@ from repro.cache.fingerprint import (
     encode_value,
     fingerprint_fact_sequence,
     fingerprint_facts,
-    fingerprint_pattern,
     fingerprint_texts,
 )
 from repro.cache.store import get_store
@@ -45,7 +45,7 @@ from repro.logic.terms import FuncTerm
 from repro.logic.values import Constant, Null, Variable
 
 from tests.test_intern import atoms, terms
-from tests.strategies import patterns
+from tests.strategies import nested_tgds, patterns
 
 
 # ------------------------------------------------------------- round-trips
@@ -86,8 +86,8 @@ def test_disk_store_load_reinterns(tmp_path_factory, atom):
     configure(directory)
     try:
         key = fingerprint_fact_sequence([atom])
-        cache.disk_put("chase", key, (atom,))
-        loaded = cache.disk_get("chase", key)
+        cache.disk_put("implies", key, (atom,))
+        loaded = cache.disk_get("implies", key)
         assert loaded == (atom,)
         assert loaded[0] is atom
     finally:
@@ -170,14 +170,6 @@ def test_combine_fingerprints_order_sensitive():
     assert combine_fingerprints(a, b) != combine_fingerprints(b, a)
 
 
-@settings(max_examples=25, deadline=None)
-@given(patterns())
-def test_fingerprint_pattern_canonical(drawn):
-    __, pattern, __ = drawn
-    again = pickle.loads(pickle.dumps(pattern))
-    assert fingerprint_pattern(pattern) == fingerprint_pattern(again)
-
-
 def test_fingerprints_independent_of_hash_seed(tmp_path):
     """The same facts fingerprint identically under different
     ``PYTHONHASHSEED`` values -- the property that makes disk keys shareable
@@ -218,16 +210,17 @@ def _workload():
     return tau, good, bad, egd
 
 
+def _facts(instance):
+    return None if instance is None else sorted(map(repr, instance.facts))
+
+
 def _verdict_tuple(result):
     return (
         result.holds,
         result.patterns_checked,
         result.failing_pattern.sort_key() if result.failing_pattern else None,
-        (
-            sorted(map(repr, result.counterexample_source.facts))
-            if result.counterexample_source is not None
-            else None
-        ),
+        _facts(result.counterexample_source),
+        _facts(result.counterexample_target),
     )
 
 
@@ -312,3 +305,69 @@ def test_resource_limits_not_masked_by_verdict_store(tmp_path):
     implies_tgd([good], tau)  # populate verdict store with the default budget
     with pytest.raises(ResourceLimitExceeded):
         implies_tgd([good], tau, max_patterns=1)
+
+
+def test_cold_implies_writes_only_its_verdict(tmp_path):
+    """Chases stay in memory: a cold sweep writes one row, its verdict."""
+    from repro import implies_tgd
+
+    tau, good, __, __ = _workload()
+    configure(tmp_path)
+    cache.clear_all_caches()
+    with perf.measuring() as stats:
+        assert implies_tgd([good], tau).holds
+    assert stats.get("cache.disk.writes") == 1
+    assert get_store().entry_counts() == {"implies": 1}
+
+
+def _off_cold_warm(directory, run):
+    """*run*'s result with the store off, on a cold store, and warm (memory
+    tiers cleared, disk kept)."""
+    cache.clear_all_caches(disk=False)
+    off = run()
+    configure(directory)
+    try:
+        cache.clear_all_caches()
+        cold = run()
+        cache.clear_all_caches(disk=False)
+        warm = run()
+    finally:
+        configure(None)
+    return off, cold, warm
+
+
+_RANDOM_PAIR = dict(
+    lhs=nested_tgds(max_depth=2, max_children=1),
+    rhs=nested_tgds(max_depth=2, max_children=1),
+)
+_RANDOM_SETTINGS = settings(
+    max_examples=15, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+@_RANDOM_SETTINGS
+@given(**_RANDOM_PAIR)
+def test_random_implies_identical_off_cold_warm(tmp_path_factory, lhs, rhs):
+    from repro import ResourceLimitExceeded, implies_tgd
+
+    def run():
+        try:
+            return _verdict_tuple(implies_tgd([lhs], rhs, max_patterns=2_000))
+        except ResourceLimitExceeded:
+            return "pattern limit"
+
+    off, cold, warm = _off_cold_warm(tmp_path_factory.mktemp("store"), run)
+    assert off == cold == warm
+
+
+@_RANDOM_SETTINGS
+@given(**_RANDOM_PAIR)
+def test_random_containment_identical_off_cold_warm(tmp_path_factory, lhs, rhs):
+    from repro.analysis.containment import check_containment
+
+    def run():
+        return check_containment([lhs], [rhs], max_patterns=2_000).to_json()
+
+    off, cold, warm = _off_cold_warm(tmp_path_factory.mktemp("store"), run)
+    assert off == cold == warm

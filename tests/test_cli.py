@@ -197,11 +197,19 @@ class TestCacheCommand:
         assert payload["enabled"] is True
         assert payload["entries"] == {}
         assert payload["schema_version"] >= 1
-        disk_put("chase", "cli-key", ("v",))
+        disk_put("implies", "cli-key", ("v",))
         code = main(["cache", "stats", "--dir", str(tmp_path)])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["entries"] == {"chase": 1}
+        assert payload["entries"] == {"implies": 1}
+
+    def test_stats_has_no_counters_or_spaces(self, capsys, tmp_path):
+        import json
+
+        code = main(["cache", "stats", "--dir", str(tmp_path)])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {"enabled", "entries", "path", "schema_version", "size_bytes"}
 
     def test_clear_and_vacuum_with_dir(self, capsys, tmp_path):
         import json

@@ -246,23 +246,3 @@ def test_incremental_with_source_egds_is_rejected():
     # the default routes egd runs through the from-scratch sweep
     result = implies_tgd([TAU_PRIME], TAU, source_egds=[egd])
     assert result.patterns_checked > 0
-
-
-# --------------------------------------------------- chase-cache capacity
-
-
-def test_budget_presize_is_restored_after_sweep():
-    clear_chase_cache()
-    before = implication._CHASE_CACHE_LIMIT
-    implies_tgd([TAU_DPRIME], TAU, subsumption=False, budget=10_000_000)
-    assert implication._CHASE_CACHE_LIMIT == before
-    assert len(implication._CHASE_CACHE) <= before
-
-
-def test_clear_chase_cache_resets_presized_capacity():
-    clear_chase_cache()
-    implication._presize_chase_cache(4096)
-    assert implication._CHASE_CACHE_LIMIT > implication._CHASE_CACHE_LIMIT_DEFAULT
-    clear_chase_cache()
-    assert implication._CHASE_CACHE_LIMIT == implication._CHASE_CACHE_LIMIT_DEFAULT
-    assert len(implication._CHASE_CACHE) == 0

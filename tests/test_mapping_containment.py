@@ -483,3 +483,36 @@ class TestPerfCounters:
         with perf.measuring() as stats:
             check_containment([parse_tgd(DIVERGING)], [parse_tgd(DIVERGING)])
         assert stats.get("containment.refused") == 1
+
+
+def _nested_with_egd():
+    lhs = [parse_nested_tgd("S(x1,x2) -> exists y . (R(y,x2) & (S(x1,x3) -> R(y,x3)))")]
+    rhs = [parse_tgd("S(x1,x2) & S(x1,x3) -> exists y . (R(y,x2) & R(y,x3))")]
+    return lhs, rhs, [parse_egd("S(x,y) & S(x,z) -> y = z")]
+
+
+class TestDependencyText:
+    @pytest.mark.parametrize("make", [
+        lambda: (*containment_pair(3, contained=True), []),
+        _nested_with_egd,
+    ], ids=["ladder", "nested-with-egd"])
+    def test_cold_check_renders_each_dependency_once(self, monkeypatch, make):
+        """Memo, chase-cache and verdict keys all reuse one rendering per
+        dependency object."""
+        from collections import Counter
+
+        from repro.logic import printer
+
+        renders: Counter[int] = Counter()
+        alive: list[object] = []  # no id is reused while counting
+        for name in ("format_tgd", "format_nested_tgd", "format_so_tgd", "format_egd"):
+            def spy(dep, render=getattr(printer, name)):
+                renders[id(dep)] += 1
+                alive.append(dep)
+                return render(dep)
+
+            monkeypatch.setattr(printer, name, spy)
+        lhs, rhs, egds = make()
+        check_containment(lhs, rhs, egds, budget=100_000)
+        assert len(renders) >= len(lhs + rhs + egds)
+        assert set(renders.values()) == {1}
