@@ -5,7 +5,11 @@ Runs the same weakly-acyclic data-exchange program through the tuple engine
 (:func:`repro.engine.columnar.columnar_execute_exchange`), and the SQL
 pushdown backend (:func:`repro.engine.sql_backend.sql_execute_exchange`),
 checks that all three produce *exactly* the same fact set, and records the
-wall-time ratios.
+wall-time ratios.  Each backend is timed cold: the previous result is
+dropped and ``gc.collect()`` runs before every timed call, and backends are
+compared by a digest of their sorted fact reprs rather than by keeping their
+results alive (a live result keeps every output value interned, which would
+turn the next backend's interning into table hits).
 
 The workload is a layered digraph (:func:`repro.workloads.layered_graph_instance`)
 with a 2-hop path join, a dedup-heavy projection, and one existential copy:
@@ -20,6 +24,8 @@ Run as a script to merge the comparison into ``BENCH_chase.json``::
     PYTHONPATH=src python benchmarks/bench_backend_chase.py [--smoke] [--json PATH]
 """
 
+import gc
+import hashlib
 import time
 
 import pytest
@@ -46,37 +52,45 @@ def backend_source(width: int, degree: int):
     return layered_graph_instance(width, degree, marker="Q")
 
 
-def _best_of(func, *args, repeats: int = 3, **kwargs):
-    """Minimum wall time of *repeats* runs, and the last result."""
+def _cold_best_of(func, *args, repeats: int = 3) -> tuple[float, str, int]:
+    """Minimum wall time of *repeats* cold runs, the result's digest and size.
+
+    No result outlives its run: each is digested and dropped, and
+    ``gc.collect()`` runs before the next timed call.
+    """
     best = float("inf")
-    result = None
     for _ in range(repeats):
+        gc.collect()
         start = time.perf_counter()
-        result = func(*args, **kwargs)
+        result = func(*args)
         best = min(best, time.perf_counter() - start)
-    return best, result
+        digest = hashlib.sha256("\n".join(sorted(map(repr, result.facts))).encode()).hexdigest()
+        size = len(result)
+        del result
+    return best, digest, size
 
 
 def compare_backends(width: int, degree: int, repeats: int = 1) -> dict:
     """Time all three backends on one layered-graph exchange; assert that
     they compute exactly the same target facts (set equality, not just
-    isomorphism -- the shared clause program pins the Skolem labels)."""
+    isomorphism -- the shared clause program pins the Skolem labels; equal
+    digests of the sorted fact reprs are equal fact sets)."""
     source = backend_source(width, degree)
     clauses = compile_clause_program(DEPS)
-    tuple_s, tuple_result = _best_of(chase, source, DEPS, repeats=repeats)
-    columnar_s, columnar_result = _best_of(
+    tuple_s, tuple_facts, size = _cold_best_of(chase, source, DEPS, repeats=repeats)
+    columnar_s, columnar_facts, __ = _cold_best_of(
         columnar_execute_exchange, source, clauses, repeats=repeats
     )
-    sql_s, sql_result = _best_of(
+    sql_s, sql_facts, __ = _cold_best_of(
         sql_execute_exchange, source, clauses, repeats=repeats
     )
-    assert set(columnar_result.facts) == set(tuple_result.facts)
-    assert set(sql_result.facts) == set(tuple_result.facts)
+    assert columnar_facts == tuple_facts
+    assert sql_facts == tuple_facts
     return {
         "width": width,
         "degree": degree,
         "source_facts": len(source),
-        "target_facts": len(tuple_result),
+        "target_facts": size,
         "tuple_s": tuple_s,
         "columnar_s": columnar_s,
         "sql_s": sql_s,

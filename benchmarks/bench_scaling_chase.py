@@ -5,6 +5,15 @@ flat s-t tgd, the introduction's nested tgd, and a plain SO tgd.  The nested
 tgd's quadratic output (every (x1,x2) root re-scans x3) should dominate the
 linear-output flat and SO tgds.
 
+The ``oblivious_chase`` section of ``main`` times cold ``chase`` calls:
+the introduction's nested tgd over stars (n^2 facts, every null a Skolem
+term), the plain SO tgd over cycles and the flat s-t tgd over successor
+relations.  Before each timed call the previous result is dropped and
+``gc.collect()`` runs, and the collector is paused during the call, so no
+value of an earlier run is still interned (a live earlier result turns
+every interning into a table hit).  Each row records the best wall time of
+three calls, ``chase.triggers``, the fact count and ``intern.misses``.
+
 The ``test_delta_*`` benchmarks compare the incremental
 (:class:`~repro.engine.builder.InstanceBuilder`-backed, semi-naive) engines
 against the seed baselines preserved in :mod:`repro.engine.naive`, which
@@ -16,19 +25,22 @@ Run as a script to record the comparison in ``BENCH_chase.json``::
     PYTHONPATH=src python benchmarks/bench_scaling_chase.py [--smoke] [--json PATH]
 """
 
+import gc
 import time
 
 import pytest
 
+from repro import perf
 from repro.engine.chase import chase
 from repro.engine.egd_chase import chase_egds
 from repro.engine.naive import chase_egds_naive, standard_chase_naive
 from repro.engine.standard_chase import standard_chase
+from repro.logic import intern
 from repro.logic.atoms import Atom
 from repro.logic.instances import Instance
 from repro.logic.parser import parse_egd, parse_nested_tgd, parse_so_tgd, parse_tgd
 from repro.logic.values import Constant
-from repro.workloads import successor_instance
+from repro.workloads import cycle_instance, star_instance, successor_instance
 
 
 FLAT = parse_tgd("S(x,y) -> R(x,z)")
@@ -40,6 +52,13 @@ STANDARD_TGDS = [
     parse_tgd("S(x,y) -> exists u . T(x,u)"),
 ]
 CHAIN_EGD = [parse_egd("S(z,x) & S(z,y) -> x = y")]
+
+#: (label, dependency, source generator, sizes, smoke sizes) per cold-chase axis.
+OBLIVIOUS_AXES = [
+    ("nested-star", NESTED, star_instance, range(20, 141, 20), [20, 60]),
+    ("plain-so-cycle", PLAIN_SO, cycle_instance, [1000, 5000, 20000], [500, 2000]),
+    ("flat-successor", FLAT, successor_instance, [1000, 5000, 20000], [500, 2000]),
+]
 
 STANDARD_SIZES = [50, 100, 200]
 EGD_DEPTHS = [10, 20, 40]
@@ -75,6 +94,40 @@ def _best_of(func, *args, repeats: int = 3, **kwargs):
         result = func(*args, **kwargs)
         best = min(best, time.perf_counter() - start)
     return best, result
+
+
+def cold_chase(source: Instance, dependency, repeats: int = 3) -> dict:
+    """Best wall time of *repeats* cold ``chase`` calls, with the run's counts.
+
+    Each call starts with no earlier result alive and the collector paused.
+    """
+    best = float("inf")
+    for _ in range(repeats):
+        gc.collect()
+        gc.disable()
+        try:
+            misses = intern.stats()["misses"]
+            with perf.measuring() as stats:
+                start = time.perf_counter()
+                result = chase(source, dependency)
+                elapsed = time.perf_counter() - start
+            misses = intern.stats()["misses"] - misses
+        finally:
+            gc.enable()
+        facts = len(result)
+        del result
+        best = min(best, elapsed)
+    return {"wall_s": best, "triggers": stats.get("chase.triggers"),
+            "facts": facts, "intern_misses": misses}
+
+
+def oblivious_chase_rows(smoke: bool = False) -> list[dict]:
+    """One :func:`cold_chase` row per axis and size of :data:`OBLIVIOUS_AXES`."""
+    rows = []
+    for label, dependency, make_source, sizes, smoke_sizes in OBLIVIOUS_AXES:
+        for n in smoke_sizes if smoke else sizes:
+            rows.append({"axis": label, "n": n, **cold_chase(make_source(n), dependency)})
+    return rows
 
 
 def compare_standard_chase(n: int) -> dict:
@@ -184,6 +237,7 @@ def main(argv=None) -> dict:
         "smoke": args.smoke,
         "standard_chase": [compare_standard_chase(n) for n in sizes],
         "egd_chase": [compare_egd_chase(d) for d in depths],
+        "oblivious_chase": oblivious_chase_rows(args.smoke),
     }
     report["largest_standard_speedup"] = report["standard_chase"][-1]["speedup"]
     report["largest_egd_speedup"] = report["egd_chase"][-1]["speedup"]
@@ -206,6 +260,10 @@ def main(argv=None) -> dict:
     for row in report["egd_chase"]:
         print(f"egd depth={row['depth']:3d}  delta {row['delta_s']:.4f}s  "
               f"naive {row['naive_s']:.4f}s  speedup {row['speedup']:.1f}x")
+    for row in report["oblivious_chase"]:
+        print(f"cold {row['axis']:14s} n={row['n']:5d}  {row['wall_s']:.4f}s  "
+              f"triggers {row['triggers']}  facts {row['facts']}  "
+              f"intern misses {row['intern_misses']}")
     print(f"wrote {args.json}")
     assert report["largest_standard_speedup"] >= 3.0
     return report

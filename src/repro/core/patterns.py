@@ -35,6 +35,7 @@ from repro.logic import intern
 from repro.logic.nested import NestedTgd
 
 _PATTERNS = intern.new_table()
+_DEAD = intern.DEAD
 
 
 class Pattern:
@@ -60,7 +61,7 @@ class Pattern:
                for i, child in enumerate(children[:-1])):
             children = tuple(sorted(children, key=lambda p: p._sort_key))
         key = (part_id, children)
-        existing = _PATTERNS.get(key)
+        existing = _PATTERNS.get(key, _DEAD)()
         if existing is not None:
             intern.note_hit()
             return existing

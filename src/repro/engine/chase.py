@@ -14,19 +14,31 @@ tgd, Section 2) evaluated in one pass (:func:`run_clause_program`).  SO tgd
 functions are interpreted over the term algebra: an equality ``t = t'``
 holds iff the two ground terms are identical -- the canonical-universal-
 solution chase of Fagin et al. (reference [8] of the paper).
+
+On the paper's shapes the single pass is bound by building values, not by
+joins, so each clause is compiled once into a head emitter
+(:func:`clause_emitter`): every head slot -- a body variable, a constant or
+a Skolem term -- is read from the match with ``itemgetter``, and every run
+keeps one ``(function, args) -> FuncTerm`` cache, so each distinct Skolem
+term of the run is built once.  :func:`run_clause_program`,
+:func:`run_clause_program_delta` and the fixpoint chase all emit through
+these emitters and add ``chase.triggers`` once per run rather than once
+per trigger.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 from repro import perf
 from repro.errors import ChaseError
 from repro.logic.atoms import Atom
 from repro.logic.instances import Instance
 from repro.logic.sotgd import SOTgd
-from repro.logic.terms import substitute_term
+from repro.logic.terms import FuncTerm
 from repro.logic.tgds import STTgd
+from repro.logic.values import Variable
 from repro.engine.builder import InstanceBuilder
 from repro.engine.matching import find_matches
 
@@ -129,15 +141,100 @@ def dependency_clauses(dependencies) -> list[tuple[int, tuple]]:
     return program
 
 
-def _emit_clause(clause, assignment: dict, out: list[Atom]) -> None:
-    """Append the head facts of *clause* under *assignment* (if equalities hold)."""
-    for left, right in clause.equalities:
-        if substitute_term(left, assignment) != substitute_term(right, assignment):
-            return
-    perf.incr("chase.triggers")
-    for atom in clause.head:
-        args = tuple(substitute_term(t, assignment) for t in atom.args)
-        out.append(Atom(atom.relation, args))
+def _getter(slots: tuple) -> Callable[[dict], tuple]:
+    """A function from a match dict to the tuple of its values at *slots*."""
+    if len(slots) >= 2:
+        return itemgetter(*slots)
+    if slots:
+        (slot,) = slots
+        return lambda match: (match[slot],)
+    return lambda match: ()
+
+
+def _skolem_plan(terms, plan: dict, constants: dict) -> None:
+    """Add the function subterms of *terms* to *plan*, innermost first.
+
+    *plan* maps each function term ``f(t1, ..., tk)`` to ``(f, getter)``,
+    *getter* reading the values of ``t1 ... tk`` from a match dict that
+    already holds every inner term's value under the term itself.  The
+    constants and nulls met on the way go to *constants*, mapped to
+    themselves.
+    """
+    for term in terms:
+        if isinstance(term, FuncTerm):
+            if term not in plan:
+                _skolem_plan(term.args, plan, constants)
+                plan[term] = (term.function, _getter(term.args))
+        elif not isinstance(term, Variable):
+            constants[term] = term
+
+
+def _compile_emitter(clause) -> Callable[[Iterable[dict], dict, list], int]:
+    """Compile *clause* once into a function that emits its head facts.
+
+    The emitter ``emit(matches, skolems, out)`` extends each match dict in
+    place with the value of every function term of the clause, stored under
+    the term itself, and with every constant under itself; then each head
+    slot -- a body variable, a constant or a function term -- is one key of
+    that dict, and a head atom's arguments are one ``itemgetter`` call.
+    *skolems* is the run's ``(function, args) -> FuncTerm`` cache, so each
+    distinct Skolem term of a run is built once.  Equalities are checked
+    first, over the terms they need alone; the emitter appends the facts of
+    every match that satisfies them to *out* and returns how many did (the
+    triggers).  The matchers yield a fresh dict per match, so the in-place
+    extension is never seen by a caller.
+    """
+    equalities = clause.equalities
+    plan: dict = {}
+    constants: dict = {}
+    _skolem_plan((term for pair in equalities for term in pair), plan, constants)
+    eq_count = len(plan)
+    _skolem_plan((term for atom in clause.head for term in atom.args), plan, constants)
+    steps = tuple((term, function, args_of) for term, (function, args_of) in plan.items())
+    eq_steps, head_steps = steps[:eq_count], steps[eq_count:]
+    atoms = tuple((atom.relation, _getter(atom.args)) for atom in clause.head)
+
+    def emit(matches: Iterable[dict], skolems: dict, out: list) -> int:
+        append = out.append
+        skolem = skolems.get
+        triggers = 0
+        for match in matches:
+            if constants:
+                match.update(constants)
+            for term, function, args_of in eq_steps:
+                key = (function, args_of(match))
+                value = skolem(key)
+                if value is None:
+                    value = skolems[key] = FuncTerm(*key)
+                match[term] = value
+            if equalities and any(match[left] is not match[right] for left, right in equalities):
+                continue
+            triggers += 1
+            for term, function, args_of in head_steps:
+                key = (function, args_of(match))
+                value = skolem(key)
+                if value is None:
+                    value = skolems[key] = FuncTerm(*key)
+                match[term] = value
+            for relation, args_of in atoms:
+                append(Atom(relation, args_of(match)))
+        return triggers
+
+    return emit
+
+
+def clause_emitter(clause) -> Callable[[Iterable[dict], dict, list], int]:
+    """The compiled emitter of *clause* (:func:`_compile_emitter`), built once.
+
+    The emitter is kept on the clause object outside its dataclass fields,
+    so it changes neither the clause's equality nor its hash, and
+    :class:`~repro.logic.sotgd.SOClause` leaves it out of its pickled state.
+    """
+    emitter = clause.__dict__.get("_emitter")
+    if emitter is None:
+        emitter = _compile_emitter(clause)
+        object.__setattr__(clause, "_emitter", emitter)
+    return emitter
 
 
 def run_clause_program(clauses, source) -> list[Atom]:
@@ -149,9 +246,12 @@ def run_clause_program(clauses, source) -> list[Atom]:
     duplicates -- callers deduplicate through a builder or set.
     """
     out: list[Atom] = []
+    skolems: dict = {}
+    triggers = 0
     for clause in clauses:
-        for assignment in find_matches(clause.body, source):
-            _emit_clause(clause, assignment, out)
+        triggers += clause_emitter(clause)(find_matches(clause.body, source), skolems, out)
+    if triggers:
+        perf.incr("chase.triggers", triggers)
     return out
 
 
@@ -167,9 +267,14 @@ def run_clause_program_delta(clauses, source, delta) -> list[Atom]:
     from repro.engine.matching import find_delta_matches
 
     out: list[Atom] = []
+    skolems: dict = {}
+    triggers = 0
     for clause in clauses:
-        for assignment in find_delta_matches(clause.body, source, delta):
-            _emit_clause(clause, assignment, out)
+        triggers += clause_emitter(clause)(
+            find_delta_matches(clause.body, source, delta), skolems, out
+        )
+    if triggers:
+        perf.incr("chase.triggers", triggers)
     return out
 
 

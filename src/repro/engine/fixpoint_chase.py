@@ -39,7 +39,8 @@ the one fixpoint engine; the columnar and SQL backends of
 The engine runs the single-pass engines' own clause program
 (:func:`repro.engine.chase.compile_clause_program`, s-t tgds last and
 named ``t{batch}_{var}``) and emits each trigger's head facts through the
-same code, so nulls are the same ground Skolem terms and ``chase.triggers``
+same compiled clause emitters, with one Skolem-term cache for the whole
+run, so nulls are the same ground Skolem terms and ``chase.triggers``
 counts fixpoint emissions too.  Re-firing a trigger re-derives the *same*
 fact, so the fixpoint is well-defined, and on a source-to-target program
 the result minus the input is ``chase``'s output, label for label.
@@ -64,7 +65,7 @@ from repro.logic.nested import NestedTgd
 from repro.logic.sotgd import SOTgd
 from repro.logic.tgds import STTgd
 from repro.engine.builder import InstanceBuilder
-from repro.engine.chase import _emit_clause, compile_clause_program
+from repro.engine.chase import clause_emitter, compile_clause_program
 from repro.engine.matching import find_delta_matches, find_matches
 
 if TYPE_CHECKING:
@@ -164,6 +165,7 @@ def fixpoint_chase(
             )
 
     clauses = compile_clause_program(deps)
+    skolems: dict = {}  # the run's Skolem terms, shared by every round
     builder = InstanceBuilder(instance)
     rounds = 0
     changed = True
@@ -183,24 +185,25 @@ def fixpoint_chase(
                 assignments = list(find_matches(clause.body, builder))
             else:
                 assignments = find_delta_matches(clause.body, builder, delta)
-            for assignment in assignments:
-                emitted: list[Atom] = []
-                _emit_clause(clause, assignment, emitted)
-                for fact in emitted:
-                    if builder.add(fact):
-                        changed = True
-                        new_delta.append(fact)
-                        perf.incr("chase.facts")
-                        total_facts += 1
-                        if enforce_budget and budget is not None and total_facts > budget:
-                            raise BudgetExceeded(
-                                "fixpoint chase", budget, predicted=predicted,
-                                hint="Lint finding CC002 predicts the chase-size "
-                                "bound; raise budget= or bound the run with "
-                                "max_rounds=.",
-                            )
-                        if fact_hook is not None:
-                            fact_hook(fact)
+            emitted: list[Atom] = []
+            triggers = clause_emitter(clause)(assignments, skolems, emitted)
+            if triggers:
+                perf.incr("chase.triggers", triggers)
+            for fact in emitted:
+                if builder.add(fact):
+                    changed = True
+                    new_delta.append(fact)
+                    perf.incr("chase.facts")
+                    total_facts += 1
+                    if enforce_budget and budget is not None and total_facts > budget:
+                        raise BudgetExceeded(
+                            "fixpoint chase", budget, predicted=predicted,
+                            hint="Lint finding CC002 predicts the chase-size "
+                            "bound; raise budget= or bound the run with "
+                            "max_rounds=.",
+                        )
+                    if fact_hook is not None:
+                        fact_hook(fact)
         delta = new_delta
     if hierarchy is not None:
         termination_class = hierarchy.cls

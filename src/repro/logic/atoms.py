@@ -20,6 +20,7 @@ from repro.logic.terms import FuncTerm, is_ground, substitute_term, term_variabl
 from repro.logic.values import Constant, Null, Variable
 
 _ATOMS = intern.new_table()
+_DEAD = intern.DEAD
 
 
 class Atom:
@@ -34,7 +35,7 @@ class Atom:
         if not isinstance(args, tuple):
             args = tuple(args)
         key = (relation, args)
-        existing = _ATOMS.get(key)
+        existing = _ATOMS.get(key, _DEAD)()
         if existing is not None:
             intern.note_hit()
             return existing

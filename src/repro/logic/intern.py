@@ -14,7 +14,15 @@ be computed once at intern time and shared by all users.
 
 The tables hold weak references: an interned object lives exactly as long
 as something outside the table references it, so long-running processes do
-not accumulate every value ever constructed.
+not accumulate every value ever constructed.  A table is a plain ``dict``
+from key to a :class:`KeyedRef` (a ``weakref.ref`` that also carries its
+key), so a constructor hit is ``table.get(key, DEAD)()`` -- a dict lookup
+and a ref call, both in C, with no Python-level dict method in between (a
+``weakref.WeakValueDictionary`` spends a Python frame on every ``get``).
+Each table has one removal callback, shared by all its refs, which deletes
+an entry only while that entry is still the dying ref itself: a key
+re-interned after its object died (a dead ref found on a miss is replaced)
+keeps its newer entry.
 
 Pickling round-trips through the constructor (``__reduce__`` on each
 interned class), so objects read back from the persistent store re-intern
@@ -35,8 +43,8 @@ the content-derived fingerprints of :mod:`repro.cache.fingerprint`.
 
 from __future__ import annotations
 
-from typing import TypeVar
-from weakref import WeakValueDictionary
+from typing import Callable, TypeVar
+from weakref import ref
 
 _T = TypeVar("_T")
 
@@ -52,24 +60,73 @@ _published_misses = 0
 _dense_next: dict[str, int] = {}
 
 
-def new_table() -> "WeakValueDictionary[object, object]":
-    """Return a fresh weak intern table (one per interned class)."""
-    return WeakValueDictionary()
+class KeyedRef(ref):
+    """A weak reference to an interned object that remembers its table key.
+
+    The key lets the table's shared removal callback find the entry to
+    delete when the referent dies.  It is set right after construction, so
+    making a ref runs no Python-level ``__new__`` or ``__init__``.
+    """
+
+    __slots__ = ("key",)
+    key: object
 
 
-def intern_into(table: "WeakValueDictionary[object, _T]", key: object, candidate: _T) -> _T:
+class _Gone:
+    pass
+
+
+#: A ref whose referent is already gone: ``table.get(key, DEAD)()`` is the
+#: whole hit path of a constructor, and gives ``None`` on a miss.
+DEAD = ref(_Gone())
+
+#: The removal callback of each table, by ``id(table)`` (tables live for the
+#: whole process, so their ids are never reused).
+_removers: dict[int, Callable[[KeyedRef], None]] = {}
+
+
+def new_table() -> dict:
+    """Return a fresh weak intern table (one per interned class).
+
+    The table maps a key to a :class:`KeyedRef`.  A constructor looks a key
+    up with ``table.get(key, DEAD)()``: the canonical object on a hit,
+    ``None`` on a miss (no entry, or a dead one), handled by
+    :func:`intern_into`.
+    """
+    table: dict = {}
+
+    def remove(dead: KeyedRef) -> None:
+        # Delete the entry only while it is still this ref: a key whose object
+        # died and was then re-interned maps to the newer ref, which stays.
+        key = dead.key
+        if table.get(key) is dead:
+            del table[key]
+
+    _removers[id(table)] = remove
+    return table
+
+
+def intern_into(table: dict, key: object, candidate: _T) -> _T:
     """Intern *candidate* under *key*; return the canonical object.
 
-    ``setdefault`` keeps the invariant under concurrent construction: if two
-    callers race, both receive whichever object landed in the table.
+    Called on a constructor miss.  ``setdefault`` keeps the invariant under
+    concurrent construction: if two callers race, both receive whichever
+    object landed in the table.  An entry whose object has died but whose
+    removal callback has not run yet (the collector clears refs before it
+    calls their callbacks) is replaced by *candidate*.
     """
     global _hits, _misses
-    canon = table.setdefault(key, candidate)
-    if canon is candidate:
-        _misses += 1
-    else:
-        _hits += 1
-    return canon
+    entry = KeyedRef(candidate, _removers[id(table)])
+    entry.key = key
+    found = table.setdefault(key, entry)
+    if found is not entry:
+        canon = found()
+        if canon is not None:
+            _hits += 1
+            return canon
+        table[key] = entry
+    _misses += 1
+    return candidate
 
 
 def note_hit() -> None:
@@ -141,6 +198,8 @@ def publish_stats() -> dict[str, int]:
 
 
 __all__ = [
+    "DEAD",
+    "KeyedRef",
     "new_table",
     "intern_into",
     "note_hit",

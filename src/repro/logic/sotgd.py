@@ -71,6 +71,12 @@ class SOClause:
                             "not occurring in the body"
                         )
 
+    def __getstate__(self) -> dict:
+        # The chase keeps a compiled head emitter on the clause
+        # (repro.engine.chase.clause_emitter): derived, unpicklable, and
+        # rebuilt on first use, so only the fields are pickled.
+        return {"body": self.body, "equalities": self.equalities, "head": self.head}
+
     @property
     def universal_variables(self) -> tuple[Variable, ...]:
         """The clause's variables, in order of first body occurrence."""

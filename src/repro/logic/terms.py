@@ -21,6 +21,7 @@ from repro.logic import intern
 from repro.logic.values import Variable
 
 _TERMS = intern.new_table()
+_DEAD = intern.DEAD
 
 
 class FuncTerm:
@@ -40,7 +41,7 @@ class FuncTerm:
         if not isinstance(args, tuple):
             args = tuple(args)
         key = (function, args)
-        existing = _TERMS.get(key)
+        existing = _TERMS.get(key, _DEAD)()
         if existing is not None:
             intern.note_hit()
             return existing

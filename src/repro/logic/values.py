@@ -25,6 +25,7 @@ from repro.logic import intern
 _CONSTANTS = intern.new_table()
 _NULLS = intern.new_table()
 _VARIABLES = intern.new_table()
+_DEAD = intern.DEAD
 
 
 class _InternedLeaf:
@@ -55,7 +56,7 @@ class _InternedLeaf:
 
 
 def _intern_leaf(cls: type, table: Any, name: object) -> Any:
-    existing = table.get(name)
+    existing = table.get(name, _DEAD)()
     if existing is not None:
         intern.note_hit()
         return existing

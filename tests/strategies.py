@@ -246,6 +246,56 @@ def schema_mappings(draw, max_tgds: int = 3, max_body_atoms: int = 2):
     return tgds
 
 
+#: Function symbols of :func:`so_tgds` with their fixed arities (two unary
+#: ones, so distinct terms over the same arguments occur).
+SO_FUNCTIONS = (("f", 1), ("g", 2), ("h", 1))
+
+
+@st.composite
+def so_tgds(draw, max_clauses: int = 2, max_depth: int = 2):
+    """Generate an SO tgd whose clauses use equalities and nested terms.
+
+    Bodies draw source atoms over a shared universal pool ``x0..x2``; head
+    and equality terms are variables in scope, constants ``c0`` / ``c1``, or
+    ``f`` / ``g`` / ``h`` applied to such terms up to *max_depth* deep, so draws mix
+    plain and nested terms, and equalities that hold on some matches (a
+    variable against a variable, a term against a term) with ones that never
+    hold over the term algebra (a constant against a function term).
+    """
+    from repro.logic.sotgd import SOClause, SOTgd
+    from repro.logic.terms import FuncTerm
+
+    universal = [Variable(f"x{i}") for i in range(3)]
+    constants = [Constant("c0"), Constant("c1")]
+
+    def term(scope: list, depth: int):
+        kind = draw(st.integers(0, 1 + len(SO_FUNCTIONS) if depth < max_depth else 1))
+        if kind == 0:
+            return draw(st.sampled_from(scope))
+        if kind == 1:
+            return draw(st.sampled_from(scope + constants))
+        function, arity = SO_FUNCTIONS[kind - 2]
+        return FuncTerm(function, tuple(term(scope, depth + 1) for __ in range(arity)))
+
+    clauses = []
+    for __ in range(draw(st.integers(1, max_clauses))):
+        body = []
+        for __ in range(draw(st.integers(1, 2))):
+            name, arity = draw(st.sampled_from(SOURCE_RELATIONS))
+            args = tuple(draw(st.sampled_from(universal)) for __ in range(arity))
+            body.append(Atom(name, args))
+        scope = sorted({arg for atom in body for arg in atom.args}, key=lambda v: v.name)
+        equalities = tuple(
+            (term(scope, 0), term(scope, 0)) for __ in range(draw(st.integers(0, 2)))
+        )
+        head = []
+        for __ in range(draw(st.integers(1, 2))):
+            name, arity = draw(st.sampled_from(TARGET_RELATIONS))
+            head.append(Atom(name, tuple(term(scope, 0) for __ in range(arity))))
+        clauses.append(SOClause(body=tuple(body), equalities=equalities, head=tuple(head)))
+    return SOTgd(functions=[name for name, __ in SO_FUNCTIONS], clauses=clauses)
+
+
 @st.composite
 def patterns(draw, tgd: NestedTgd | None = None, max_nodes: int = 6, k: int = 3):
     """Generate ``(tgd, pattern, k)`` with *pattern* a k-pattern of *tgd*.
@@ -289,6 +339,7 @@ __all__ = [
     "patterns",
     "same_schema_tgds",
     "schema_mappings",
+    "so_tgds",
     "SOURCE_RELATIONS",
     "TARGET_RELATIONS",
     "INSTANCE_RELATIONS",

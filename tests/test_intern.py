@@ -16,17 +16,21 @@ objects are the *same* object.  The invariants under test:
 
 from __future__ import annotations
 
+import gc
 import pickle
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from repro.engine.chase import chase
 from repro.logic import intern
-from repro.logic.atoms import Atom
-from repro.logic.terms import FuncTerm
-from repro.logic.values import Constant, Null, Variable
+from repro.logic.atoms import _ATOMS, Atom
+from repro.logic.parser import parse_nested_tgd
+from repro.logic.terms import _TERMS, FuncTerm
+from repro.logic.values import _CONSTANTS, Constant, Null, Variable
 from repro.core.patterns import Pattern
+from repro.workloads import star_instance
 
 from tests.strategies import nested_tgds, patterns
 
@@ -194,3 +198,93 @@ def test_nested_tgd_atoms_are_interned(tgd):
     for part_id in tgd.part_ids():
         for atom in tgd.part(part_id).body:
             assert Atom(atom.relation, atom.args) is atom
+
+
+# ------------------------------------------------------------- table layout
+
+
+def _table_entry(table, key):
+    entry = table.get(key)
+    return None if entry is None else entry()
+
+
+def test_entry_dies_with_its_last_reference():
+    probe = Constant("intern-lifetime-probe")
+    assert _table_entry(_CONSTANTS, "intern-lifetime-probe") is probe
+    del probe
+    gc.collect()
+    assert "intern-lifetime-probe" not in _CONSTANTS
+
+
+def test_tables_return_to_baseline_after_a_dropped_chase():
+    tgd = parse_nested_tgd("S(x1,x2) -> exists y . (R(y,x2) & (S(x1,x3) -> R(y,x3)))")
+    source = star_instance(12)
+    chase(source, tgd)  # compiles (and caches) the clause program once
+    gc.collect()
+    baseline = (len(_ATOMS), len(_TERMS))
+    result = chase(source, tgd)
+    assert len(_ATOMS) >= baseline[0] + len(result)
+    del result
+    gc.collect()
+    assert (len(_ATOMS), len(_TERMS)) == baseline
+
+
+def test_reinterned_key_gets_a_new_object_and_dense_id():
+    key = ("intern-reintern-probe", (Constant("a"),))
+    first = FuncTerm(*key)
+    first_id = first.dense_id
+    del first
+    gc.collect()
+    assert key not in _TERMS
+    again = FuncTerm(*key)
+    assert again.dense_id > first_id  # ids are never recycled
+    assert FuncTerm(*key) is again
+
+
+def test_dead_entry_found_on_a_miss_is_replaced():
+    class Gone:
+        pass
+
+    doomed = Gone()
+    _CONSTANTS["intern-dead-probe"] = intern.KeyedRef(doomed, None)
+    del doomed
+    gc.collect()
+    assert _CONSTANTS["intern-dead-probe"]() is None
+    misses = intern.stats()["misses"]
+    fresh = Constant("intern-dead-probe")
+    assert isinstance(fresh, Constant) and fresh.name == "intern-dead-probe"
+    assert intern.stats()["misses"] == misses + 1
+    assert _table_entry(_CONSTANTS, "intern-dead-probe") is fresh
+    assert Constant("intern-dead-probe") is fresh
+
+
+def test_removal_callback_never_deletes_a_newer_entry():
+    older = Constant("intern-newer-probe")
+    # Drop the entry by hand so the same key interns a second, newer object
+    # while the older one is still alive.
+    del _CONSTANTS["intern-newer-probe"]
+    newer = Constant("intern-newer-probe")
+    assert newer is not older
+    del older  # its ref's callback runs now and must leave the newer entry
+    gc.collect()
+    assert _table_entry(_CONSTANTS, "intern-newer-probe") is newer
+    assert Constant("intern-newer-probe") is newer
+
+
+def test_hits_and_misses_of_a_fixed_construction_sequence():
+    before = intern.stats()
+    c = Constant("seq-a")
+    Constant("seq-a")
+    n, v = Null("seq-n"), Variable("seq-v")
+    Variable("seq-v")
+    t = FuncTerm("seq-f", (c, n))
+    FuncTerm("seq-f", (Constant("seq-a"), n))
+    a = Atom("SeqR", (t, c, v))
+    Atom("SeqR", (t, c, v))
+    p = Pattern(987_654, (Pattern(987_655), Pattern(987_656)))
+    Pattern(987_654, (Pattern(987_656), Pattern(987_655)))
+    copy = pickle.loads(pickle.dumps((a, p)))
+    assert copy == (a, p)
+    after = intern.stats()
+    # the counts of the same sequence on WeakValueDictionary tables
+    assert (after["hits"] - before["hits"], after["misses"] - before["misses"]) == (16, 8)
