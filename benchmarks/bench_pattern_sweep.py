@@ -17,6 +17,12 @@ Example 3.10 query, and that on every workload its seeded pattern checks
 take no more hom-kernel search nodes than the from-scratch sweep's -- the
 CI perf gate.  The full run also sweeps the deep workload and asserts the
 incremental sweep is at least 5x faster there.
+
+Both runs also sweep ``wide4``, the ``_wide(4)`` shape of the e2e
+``decide-mix`` deck (2,401 patterns, every one a chase-cache miss),
+incremental only, cold, best of 3, and assert its pinned counts: patterns,
+candidate attachments built (``implies.sweep.candidates``), chase-cache
+hits and misses, and hom-kernel calls.
 The rows are merged into the artifact in place, so other axes stored in it
 (``bench_warm_restart.py``'s ``warm_restart``) survive a regeneration.
 """
@@ -49,6 +55,16 @@ DEEP_LHS = parse_nested_tgd(
     "S1(u1) -> exists w . (S2(u2) -> R2(w, u2) & (S3(u3) -> R3(w, u3)))"
 )
 
+
+def _wide(branches: int, var: str, exist: str):
+    """The ``_wide`` shape of ``benchmarks/e2e/ops.py``: *branches* sibling
+    parts ``S_i(x_i) -> R_i(y, x_i)`` under one existential."""
+    parts = " & ".join(
+        f"(S{i}({var}{i}) -> R{i}({exist}, {var}{i}))" for i in range(2, branches + 2)
+    )
+    return parse_nested_tgd(f"S1({var}1) -> exists {exist} . ({parts})")
+
+
 #: (label, Sigma, sigma): implication holds in each, so the sweep runs to the
 #: end (renamed copies dodge the syntactic membership shortcut; the
 #: subsumption pre-pass is disabled explicitly).
@@ -58,14 +74,28 @@ WORKLOADS = [
     ("deep", [DEEP_LHS], DEEP_RHS),
 ]
 
+#: The incremental-only row: decide-mix's widest sweep.
+WIDE4 = ("wide4", [_wide(4, "u", "w")], _wide(4, "x", "y"))
+
+#: wide4's counts per cold sweep.  Every pattern is built from one
+#: candidate attachment but the root, and none shares a canonical source.
+WIDE4_PINNED = {
+    "patterns": 2401,
+    "candidates": 2400,
+    "chase_cache_hits": 0,
+    "chase_cache_misses": 2401,
+    "kernel_calls": 2401,
+}
+
 
 def _timed_sweep(lhs, rhs, modes, *, cold=True, repeat=1):
     """Best-of-*repeat* wall time of one sweep per ``incremental`` flag in *modes*.
 
     The repetitions interleave the modes, so a drift in machine speed hits
     each mode alike, and the garbage collector is paused while a sweep is
-    timed, as ``timeit`` does.  Cold clears the chase cache before each
-    sweep.  Returns one ``(best_s, result, counters)`` per mode; *counters*
+    timed, as ``timeit`` does.  Cold clears the chase cache and collects
+    garbage before each sweep, so no value of an earlier sweep is still
+    interned.  Returns one ``(best_s, result, counters)`` per mode; *counters*
     are the ``perf`` counters summed over the mode's repetitions.
     """
     best = [None] * len(modes)
@@ -75,6 +105,7 @@ def _timed_sweep(lhs, rhs, modes, *, cold=True, repeat=1):
         for slot, incremental in enumerate(modes):
             if cold:
                 clear_chase_cache()
+                gc.collect()
             perf.reset()
             gc_was_enabled = gc.isenabled()
             gc.disable()
@@ -91,6 +122,17 @@ def _timed_sweep(lhs, rhs, modes, *, cold=True, repeat=1):
     return list(zip(best, results, counters))
 
 
+def _incremental_counts(counters, repeat):
+    """One cold incremental sweep's counts (each repetition adds the same)."""
+    return {
+        "candidates": counters.get("implies.sweep.candidates", 0) // repeat,
+        "chase_cache_hits": counters.get("implies.cache_hits", 0) // repeat,
+        "chase_cache_misses": counters.get("implies.cache_misses", 0) // repeat,
+        "kernel_calls": counters.get("hom.kernel_calls", 0) // repeat,
+        "incremental_hits": counters.get("implies.sweep.incremental_hits", 0) // repeat,
+    }
+
+
 def sweep_workload(label, lhs, rhs, *, repeat=1):
     """Measure one workload every way; return a result row."""
     from repro.core.implication import _normalize_lhs, implication_bound
@@ -100,7 +142,6 @@ def sweep_workload(label, lhs, rhs, *, repeat=1):
         lhs, rhs, (False, True), repeat=repeat)
     # every cold repetition contributes the same counts; report one run's worth
     fresh_nodes = fresh_counters.get("hom.search_nodes", 0) // repeat
-    hits_per_run = counters.get("implies.sweep.incremental_hits", 0) // repeat
     incr_nodes = counters.get("hom.search_nodes", 0) // repeat
     # warm: same query again without clearing the cache
     [(warm_s, __, __)] = _timed_sweep(lhs, rhs, (True,), cold=False, repeat=repeat)
@@ -115,10 +156,31 @@ def sweep_workload(label, lhs, rhs, *, repeat=1):
         "incremental_cold_s": round(incr_s, 6),
         "incremental_warm_s": round(warm_s, 6),
         "speedup_cold": round(fresh_s / incr_s, 2) if incr_s else float("inf"),
-        "incremental_hits": hits_per_run,
+        **_incremental_counts(counters, repeat),
         "fresh_search_nodes": fresh_nodes,
         "incremental_search_nodes": incr_nodes,
     }
+
+
+def incremental_workload(label, lhs, rhs, *, repeat=3):
+    """The incremental sweep alone, cold, best of *repeat*; return a result row."""
+    [(incr_s, incr, counters)] = _timed_sweep(lhs, rhs, (True,), repeat=repeat)
+    assert incr.holds
+    return {
+        "workload": label,
+        "k": incr.k,
+        "patterns": incr.patterns_checked,
+        "pattern_count_formula": count_k_patterns(rhs, incr.k),
+        "incremental_cold_s": round(incr_s, 6),
+        **_incremental_counts(counters, repeat),
+    }
+
+
+def _assert_wide4_pinned(row) -> None:
+    counts = {name: row[name] for name in WIDE4_PINNED}
+    assert counts == WIDE4_PINNED, (
+        f"wide4 sweep counts moved: {counts}, pinned {WIDE4_PINNED}"
+    )
 
 
 # ------------------------------------------------------------ pytest entry
@@ -138,6 +200,10 @@ def test_sweep_wide_incremental_agrees(benchmark):
     row = benchmark(sweep_workload, *WORKLOADS[1], repeat=3)
     assert row["patterns"] == row["pattern_count_formula"]
     assert row["incremental_hits"] == row["patterns"] - 1
+
+
+def test_sweep_wide4_pinned_counts():
+    _assert_wide4_pinned(incremental_workload(*WIDE4))
 
 
 def test_sweep_deep_speedup():
@@ -163,6 +229,7 @@ def main(argv=None) -> dict:
     repeat = 5 if args.smoke else 1
     rows = [sweep_workload(label, lhs, rhs, repeat=repeat)
             for label, lhs, rhs in workloads]
+    rows.append(incremental_workload(*WIDE4))
     try:
         with open(args.json) as handle:
             report = json.load(handle)
@@ -172,6 +239,14 @@ def main(argv=None) -> dict:
     with open(args.json, "w") as handle:
         json.dump(report, handle, indent=2)
     for row in rows:
+        if "fresh_cold_s" not in row:
+            print(f"{row['workload']:>6}: {row['patterns']:>5} patterns  "
+                  f"incr {row['incremental_cold_s']:.4f}s  "
+                  f"candidates {row['candidates']}  "
+                  f"chase cache {row['chase_cache_hits']} hits / "
+                  f"{row['chase_cache_misses']} misses  "
+                  f"kernel calls {row['kernel_calls']}")
+            continue
         print(f"{row['workload']:>6}: {row['patterns']:>5} patterns  "
               f"fresh {row['fresh_cold_s']:.4f}s  "
               f"incr {row['incremental_cold_s']:.4f}s  "
@@ -181,6 +256,7 @@ def main(argv=None) -> dict:
               f"{row['incremental_search_nodes']}")
     print(f"wrote {args.json}")
     by_label = {row["workload"]: row for row in rows}
+    _assert_wide4_pinned(by_label["wide4"])
     gate = by_label["ex310"]
     assert gate["incremental_cold_s"] <= gate["fresh_cold_s"], (
         "perf gate: the incremental sweep regressed below the from-scratch "
@@ -188,6 +264,8 @@ def main(argv=None) -> dict:
         f"{gate['fresh_cold_s']:.4f}s)"
     )
     for row in rows:
+        if "fresh_search_nodes" not in row:
+            continue
         assert row["incremental_search_nodes"] <= row["fresh_search_nodes"], (
             f"perf gate: the seeded pattern checks searched more than the "
             f"from-scratch sweep on {row['workload']} "

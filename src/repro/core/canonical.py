@@ -25,7 +25,7 @@ from repro.logic.egds import Egd
 from repro.logic.instances import Instance
 from repro.logic.nested import NestedTgd
 from repro.logic.terms import FuncTerm
-from repro.logic.values import FreshValueFactory
+from repro.logic.values import Constant, FreshValueFactory
 from repro.core.patterns import Pattern
 from repro.engine.egd_chase import chase_egds
 
@@ -92,25 +92,31 @@ def canonical_extension(
     tgd: NestedTgd,
     part_id: int,
     inherited: Mapping,
-    factory: FreshValueFactory,
+    ordinal: int,
 ) -> tuple[dict, list[Atom], list[Atom]]:
     """The canonical-instance delta of attaching one leaf node for *part_id*.
 
     Returns ``(assignment, source_delta, target_delta)``: the node's full
     variable assignment (the ancestor assignment *inherited* extended with
-    fresh constants for the part's own universal variables, drawn from
-    *factory*), the part's body atoms under it (the source-instance delta),
-    and the part's Skolemized head atoms under it (the target-instance
-    delta).  Extending a pattern's canonical instances one leaf at a time
-    with this function yields instances isomorphic to a from-scratch
+    fresh constants for the part's own universal variables), the part's body
+    atoms under it (the source-instance delta), and the part's Skolemized
+    head atoms under it (the target-instance delta).
+
+    The fresh constants are named by the node's part and *ordinal*, its rank
+    among the pattern's part-*part_id* nodes: the part's ``i``-th universal
+    variable becomes ``a{part_id}_{ordinal}_{i}``.  Names never collide
+    within a pattern, and two patterns whose nodes agree on part, ordinal
+    and inherited assignment get identical deltas, whatever leaf order
+    built them.  Extending a pattern's canonical instances one leaf at a
+    time with this function yields instances isomorphic to a from-scratch
     :func:`canonical_instances` build (Definition 3.7 determines them up to
     renaming of the fresh constants), which is what the incremental IMPLIES
     sweep relies on.
     """
     part = tgd.part(part_id)
     assignment = dict(inherited)
-    for var in part.universal_vars:
-        assignment[var] = factory.constant()
+    for index, var in enumerate(part.universal_vars, start=1):
+        assignment[var] = Constant(f"a{part_id}_{ordinal}_{index}")
     source_delta = [atom.substitute(assignment) for atom in part.body]
     target_delta = [
         atom.substitute(assignment) for atom in tgd.skolemized_head(part_id)

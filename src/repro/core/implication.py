@@ -26,17 +26,26 @@ Engine-level accelerations on top of the paper's procedure:
 
 - a **DAG-incremental sweep** (the default): ``P_k(sigma)`` is enumerated as
   a frontier-ordered DAG in which every pattern with ``n > 1`` nodes is
-  produced from a pattern with ``n - 1`` nodes by attaching one leaf (see
-  ``docs/algorithms.md`` for why such a parent always exists), and each
-  pattern's canonical instances and chase are *extended* from its parent's
-  cached state by the delta the new leaf contributes, instead of being
-  rebuilt and re-chased from scratch.  Patterns are swept smallest first
+  built once, from its *canonical parent*: the ``n - 1``-node pattern that
+  drops the leaf its minimum descent reaches (from the root, always into a
+  child of least ``(node_count, sort_key)``; ``docs/algorithms.md`` shows
+  that parent is a k-pattern).  A leaf is attached only where it ends the
+  child's minimum descent, so no candidate is a duplicate, and most
+  attachments are rejected by node counts before any :class:`Pattern` is
+  built.  Each pattern's canonical instances and chase are *extended* from
+  its parent's state by the delta the new leaf contributes, instead of
+  being rebuilt and re-chased from scratch.  The new leaf's constants are
+  named by its part and its ordinal among that part's nodes, so patterns
+  built along different derivations still share canonical sources, and
+  chases, through the chase cache.  Patterns are swept smallest first
   (levels by node count, canonical order within a level -- exactly the
   enumeration order of ``enumerate_k_patterns``), so counterexamples
   short-circuit before the deep frontier is ever generated.  Generation is
   path-copied: a child pattern's mirror tree shares every subtree off the
-  new leaf's root path with its parent's, and the parent's source instance
-  is copied and indexed only when the child's chase misses the chase cache.
+  new leaf's root path with its parent's.  The sweep state is two frozen
+  instances, ``I_p`` and its chase; a chase-cache miss extends both by the
+  delta (:meth:`Instance.extended` hands an indexed parent's indexes on),
+  and a hit extends nothing.
 - a **seeded pattern check** inside that sweep: each state keeps the
   homomorphism ``h`` found for its ``J_p`` and the image ``h(J_p)``.  A child
   whose chase still contains the parent's image searches only the new leaf's
@@ -81,14 +90,12 @@ from repro.logic.instances import Instance
 from repro.logic.nested import NestedTgd
 from repro.logic.sotgd import SOTgd
 from repro.logic.tgds import STTgd
-from repro.logic.values import FreshValueFactory
 from repro.core.canonical import (
     canonical_extension,
     canonical_instances,
     legal_canonical_instances,
 )
 from repro.core.patterns import Pattern, enumerate_k_patterns
-from repro.engine.builder import InstanceBuilder
 from repro.engine.chase import (
     chase,
     compile_clause_program,
@@ -187,31 +194,24 @@ def clear_chase_cache() -> None:
     _CHASE_CACHE.clear()
 
 
-def _chase_tier(
-    source_facts: frozenset, fingerprint: tuple[str, ...], compute
-) -> tuple[Instance, InstanceBuilder | None]:
-    """Look one chase up in the LRU, running *compute* on a miss.
-
-    *compute* returns ``(chased, builder)``; the returned builder is None
-    whenever the chase came from the cache.
-    """
+def _chase_tier(source_facts: frozenset, fingerprint: tuple[str, ...], compute) -> Instance:
+    """Look one chase up in the LRU, running *compute* on a miss."""
     key = (source_facts, fingerprint)
     cached = _CHASE_CACHE.get(key)
     if cached is not None:
         _CHASE_CACHE.move_to_end(key)
         perf.incr("implies.cache_hits")
-        return cached, None
+        return cached
     perf.incr("implies.cache_misses")
-    chased, builder = compute()
+    chased = compute()
     _CHASE_CACHE[key] = chased
     if len(_CHASE_CACHE) > _CHASE_CACHE_LIMIT:
         _CHASE_CACHE.popitem(last=False)
-    return chased, builder
+    return chased
 
 
 def _cached_chase(source: Instance, lhs: Sequence, fingerprint: tuple[str, ...]) -> Instance:
-    chased, _ = _chase_tier(source.facts, fingerprint, lambda: (chase(source, lhs), None))
-    return chased
+    return _chase_tier(source.facts, fingerprint, lambda: chase(source, lhs))
 
 
 def cached_chase(source: Instance, dependencies: Sequence) -> Instance:
@@ -274,54 +274,68 @@ class _MirrorNode:
         self.canon = canon
 
 
-def _collect_attach_positions(
-    node: _MirrorNode, path: tuple[_MirrorNode, ...], out: list[tuple[_MirrorNode, ...]]
-) -> None:
-    """Preorder root-to-node attach paths, skipping duplicate-canon siblings.
+def _attach_spine(root: _MirrorNode) -> list[_MirrorNode]:
+    """The nodes under which a new leaf can end the child's minimum descent.
 
-    Attaching a leaf anywhere inside a subtree isomorphic to an
-    already-visited sibling subtree yields the same canonical pattern (swap
-    the two siblings), so the whole duplicate subtree is skipped.
+    A pattern's canonical parent drops the leaf its *minimum descent*
+    reaches: from the root, always into a child of least
+    ``(node_count, sort_key)``.  A leaf attached under ``v`` lies on that
+    descent only if every subtree it grows, one node larger, is still no
+    larger than any of its siblings -- so, at every level, the subtree was
+    the unique child of fewest nodes.  The spine is the root, then that
+    child, repeatedly, while one exists.  The rest of the rule compares
+    sort keys and clone counts (:func:`_attach_candidate`).
     """
-    path = path + (node,)
-    out.append(path)
-    seen: set[Pattern] = set()
-    for child in node.children:
-        if child.canon in seen:
-            continue
-        seen.add(child.canon)
-        _collect_attach_positions(child, path, out)
+    spine = [root]
+    node = root
+    while node.children:
+        counts = [child.canon.node_count for child in node.children]
+        least = min(counts)
+        if counts.count(least) > 1:
+            break
+        node = node.children[counts.index(least)]
+        spine.append(node)
+    return spine
 
 
 def _attach_candidate(
-    path: tuple[_MirrorNode, ...], part_id: int, k: int
+    path: list[_MirrorNode], part_id: int, k: int
 ) -> list[Pattern] | None:
     """The canonical subtrees after attaching a *part_id* leaf under
     ``path[-1]``, bottom-up (the leaf, then one per path node, the whole
-    pattern last), or None when the attachment would break the clone bound *k*.
+    pattern last), or None when the child breaks the clone bound *k* or
+    does not have the parent as its canonical parent.
 
-    Only the sibling groups along the path change: the new leaf joins the
-    attach node's children, and each ancestor sees exactly one child subtree
-    replaced -- so checking those multiplicities *is* ``is_k_pattern(k)``
-    (the parent pattern is a k-pattern already).  Canonical subtrees of
-    untouched siblings come from the ``canon`` cache, so a candidate costs
-    O(depth) interned constructions, not a full-tree rebuild.
+    *path* is a prefix of the parent's :func:`_attach_spine` and the caller
+    has checked the leaf against its new siblings, so node counts already
+    place each grown subtree first among its siblings, up to ties.  Only a
+    sibling of equal node count can precede it (by sort key) or be a clone
+    of it, so those alone are compared -- and those clone counts *are*
+    ``is_k_pattern(k)`` (only the sibling groups along the path change).
+    Canonical subtrees of untouched siblings come from the ``canon``
+    cache, so a candidate costs O(depth) interned constructions.
     """
     leaf = Pattern(part_id)
     node = path[-1]
     current = Pattern(node.part_id, tuple(c.canon for c in node.children) + (leaf,))
-    if current.multiplicity(leaf) > k:
-        return None
     canons = [leaf, current]
     for depth in range(len(path) - 2, -1, -1):
         parent, replaced = path[depth], path[depth + 1]
+        size, key, copies = current.node_count, current.sort_key(), 1
+        for child in parent.children:
+            canon = child.canon
+            if child is replaced or canon.node_count != size:
+                continue
+            if canon is current:
+                copies += 1
+            elif canon.sort_key() < key:
+                return None
+        if copies > k:
+            return None
         kids = tuple(current if child is replaced else child.canon
                      for child in parent.children)
-        parent_pat = Pattern(parent.part_id, kids)
-        if parent_pat.multiplicity(current) > k:
-            return None
-        canons.append(parent_pat)
-        current = parent_pat
+        current = Pattern(parent.part_id, kids)
+        canons.append(current)
     return canons
 
 
@@ -344,7 +358,7 @@ class _SweepEntry:
 
 
 def _path_copy(
-    path: tuple[_MirrorNode, ...], canons: list[Pattern]
+    path: list[_MirrorNode], canons: list[Pattern]
 ) -> tuple[_MirrorNode, _MirrorNode, _MirrorNode]:
     """Attach the leaf ``canons[0]`` under ``path[-1]`` without touching the old tree.
 
@@ -366,18 +380,23 @@ def _path_copy(
 def _iter_pattern_levels(rhs: NestedTgd, k: int):
     """Yield ``P_k(rhs)`` level by level as lists of :class:`_SweepEntry`.
 
-    Level ``n`` holds the k-patterns with ``n`` nodes, each produced by one
-    leaf attachment to a level ``n - 1`` pattern; within a level, entries are
-    in canonical (sort-key) order.  The concatenation of the levels is
-    exactly ``enumerate_k_patterns(rhs, k)``'s order.  Generation is lazy:
-    a sweep that fails early never materializes the deeper frontier.
+    Level ``n`` holds the k-patterns with ``n`` nodes, each produced from
+    its *canonical parent* -- the level ``n - 1`` pattern that drops the
+    leaf of its minimum descent (:func:`_attach_spine`) -- by one leaf
+    attachment; within a level, entries are in canonical (sort-key) order.
+    The concatenation of the levels is exactly ``enumerate_k_patterns(rhs,
+    k)``'s order.  Generation is lazy: a sweep that fails early never
+    materializes the deeper frontier.
 
-    Completeness: every k-pattern with ``n > 1`` nodes has a k-pattern parent
-    with ``n - 1`` nodes -- remove a leaf reached by descending into a child
-    of minimum node count at every step.  The modified subtree along that
-    path ends up strictly smaller than every sibling, so it cannot collide
-    with one and no sibling multiplicity ever rises (the correctness argument
-    is spelled out in ``docs/algorithms.md``).
+    Every k-pattern with ``n > 1`` nodes has a k-pattern canonical parent:
+    the subtree the dropped leaf shrinks ends up strictly smaller than each
+    sibling, so it cannot collide with one and no sibling multiplicity ever
+    rises (``docs/algorithms.md``).  Attaching only where the new leaf ends
+    the child's minimum descent, at one position per automorphism orbit
+    (the spine never enters one of two equal subtrees), builds each pattern
+    exactly once, so nothing is deduplicated.  Attachments are rejected by
+    node counts and the leaf's part before any :class:`Pattern` is built;
+    those built count as ``implies.sweep.candidates``.
 
     No tree is ever copied whole: a level-``n + 1`` tree shares every
     subtree off the attach path with its level-``n`` parent tree (see
@@ -391,19 +410,29 @@ def _iter_pattern_levels(rhs: NestedTgd, k: int):
     next_index = 1
     while level:
         yield level
-        candidates: dict[Pattern, tuple] = {}
+        found: list[tuple] = []
+        candidates = 0
         for entry in level:
-            paths: list[tuple[_MirrorNode, ...]] = []
-            _collect_attach_positions(entry.tree, (), paths)
-            for path in paths:
-                for part in rhs.children_of(path[-1].part_id):
-                    canons = _attach_candidate(path, part, k)
-                    if canons is None or canons[-1] in candidates:
+            spine = _attach_spine(entry.tree)
+            for depth, node in enumerate(spine):
+                # The leaf must precede (or clone) every leaf child; a
+                # larger child always follows it.
+                leaves = [child.part_id for child in node.children if not child.children]
+                first = min(leaves, default=None)
+                for part in rhs.children_of(node.part_id):
+                    if first is not None and (
+                        part > first or (part == first and leaves.count(part) >= k)
+                    ):
                         continue
-                    candidates[canons[-1]] = (entry.index, path, canons)
+                    candidates += 1
+                    path = spine[:depth + 1]
+                    canons = _attach_candidate(path, part, k)
+                    if canons is not None:
+                        found.append((canons[-1], entry.index, path, canons))
+        perf.incr("implies.sweep.candidates", candidates)
+        found.sort(key=lambda item: item[0].sort_key())
         level = []
-        for pattern in sorted(candidates, key=lambda p: p.sort_key()):
-            parent_index, path, canons = candidates[pattern]
+        for pattern, parent_index, path, canons in found:
             tree, attach, leaf = _path_copy(path, canons)
             level.append(_SweepEntry(next_index, pattern, parent_index, tree, attach, leaf))
             next_index += 1
@@ -412,26 +441,24 @@ def _iter_pattern_levels(rhs: NestedTgd, k: int):
 class _SweepState:
     """The incrementally maintained per-pattern state of the sweep.
 
-    ``source_builder`` and ``chase_builder`` are None when the chase came
-    straight from the chase cache: only a cache miss indexes the source
-    and builds the chase.  A child extension that misses then re-indexes
-    what it needs from ``source_facts`` and ``chased``.  Once the pattern is
-    checked, ``hom`` is the homomorphism found for ``targets`` and
-    ``images`` the set of target facts under it.
+    ``source`` and ``chased`` are the frozen ``I_p`` and
+    ``chase(I_p, Sigma)``.  A child that misses the chase cache extends
+    both by its delta (:meth:`Instance.extended`), so an indexed parent
+    hands its indexes on; a hit only wraps the source facts, and a later
+    miss indexes them on its first lookup.  ``ordinals[part]`` counts the
+    pattern's nodes of each part, which names the constants of the next
+    such node (:func:`canonical_extension`).  Once the pattern is checked,
+    ``hom`` is the homomorphism found for ``targets`` and ``images`` the
+    set of target facts under it.
     """
 
-    __slots__ = (
-        "factory", "source_builder", "source_facts",
-        "chased", "chase_builder", "targets", "hom", "images",
-    )
+    __slots__ = ("ordinals", "source", "chased", "targets", "hom", "images")
 
-    def __init__(self, factory, source_builder, source_facts,
-                 chased, chase_builder, targets):
-        self.factory = factory
-        self.source_builder = source_builder
-        self.source_facts = source_facts
+    def __init__(self, ordinals: tuple[int, ...], source: Instance,
+                 chased: Instance, targets: tuple[Atom, ...]):
+        self.ordinals = ordinals
+        self.source = source
         self.chased = chased
-        self.chase_builder = chase_builder
         self.targets = targets
         self.hom: dict = {}
         self.images: frozenset[Atom] = frozenset()
@@ -441,24 +468,14 @@ def _root_sweep_state(
     rhs: NestedTgd, root: _MirrorNode, clauses, fingerprint: tuple[str, ...]
 ) -> _SweepState:
     """The state of the single-node root pattern (full chase or cache hit)."""
-    factory = FreshValueFactory()
-    assignment, source_delta, target_delta = canonical_extension(rhs, 1, {}, factory)
+    assignment, source_delta, target_delta = canonical_extension(rhs, 1, {}, 1)
     root.assignment = assignment
-    source_builder = None
-
-    def compute() -> tuple[Instance, InstanceBuilder]:
-        nonlocal source_builder
-        source_builder = InstanceBuilder(source_delta)
-        builder = InstanceBuilder()
-        builder.add_all(run_clause_program(clauses, source_builder))
-        return builder.freeze(), builder
-
-    source_facts = frozenset(source_delta)
-    chased, chase_builder = _chase_tier(source_facts, fingerprint, compute)
-    return _SweepState(
-        factory, source_builder, source_facts, chased, chase_builder,
-        tuple(target_delta),
+    source = Instance(source_delta)
+    chased = _chase_tier(
+        source.facts, fingerprint, lambda: Instance(run_clause_program(clauses, source))
     )
+    ordinals = (0, 1) + (0,) * (rhs.part_count - 1)
+    return _SweepState(ordinals, source, chased, tuple(target_delta))
 
 
 def _extend_sweep_state(
@@ -469,35 +486,29 @@ def _extend_sweep_state(
     fingerprint: tuple[str, ...],
 ) -> _SweepState:
     """Extend *parent* by the one leaf *entry* attaches, chasing only the delta."""
-    factory = parent.factory.clone()
+    part_id = entry.leaf.part_id
+    ordinal = parent.ordinals[part_id] + 1
     assignment, source_delta, target_delta = canonical_extension(
-        rhs, entry.leaf.part_id, entry.attach.assignment, factory
+        rhs, part_id, entry.attach.assignment, ordinal
     )
     entry.leaf.assignment = assignment
-    source_facts = parent.source_facts.union(source_delta)
-    targets = parent.targets + tuple(target_delta)
-    source_builder = None
+    ordinals = parent.ordinals[:part_id] + (ordinal,) + parent.ordinals[part_id + 1:]
+    delta = [fact for fact in dict.fromkeys(source_delta) if fact not in parent.source]
+    source_facts = parent.source.facts.union(delta)
+    source = None
 
-    def compute() -> tuple[Instance, InstanceBuilder]:
-        nonlocal source_builder
+    def compute() -> Instance:
+        nonlocal source
         perf.incr("implies.sweep.incremental_hits")
-        if parent.source_builder is not None:
-            source_builder = parent.source_builder.copy()
-        else:
-            source_builder = InstanceBuilder(parent.source_facts)
-        delta = source_builder.add_all(source_delta)
-        if parent.chase_builder is not None:
-            builder = parent.chase_builder.copy()
-        else:
-            builder = InstanceBuilder(parent.chased)
-        if delta:
-            builder.add_all(run_clause_program_delta(clauses, source_builder, delta))
-        return builder.freeze(), builder
+        source = parent.source.extended(delta)
+        if not delta:
+            return parent.chased
+        return parent.chased.extended(run_clause_program_delta(clauses, source, delta))
 
-    chased, chase_builder = _chase_tier(source_facts, fingerprint, compute)
-    return _SweepState(
-        factory, source_builder, source_facts, chased, chase_builder, targets
-    )
+    chased = _chase_tier(source_facts, fingerprint, compute)
+    if source is None:
+        source = Instance(source_facts)
+    return _SweepState(ordinals, source, chased, parent.targets + tuple(target_delta))
 
 
 def _check_sweep_state(state: _SweepState, parent: _SweepState | None) -> bool:
@@ -555,7 +566,7 @@ def _sweep_incremental_serial(
                     k=k,
                     patterns_checked=checked,
                     failing_pattern=entry.pattern,
-                    counterexample_source=Instance(state.source_facts),
+                    counterexample_source=state.source,
                     counterexample_target=Instance(state.targets),
                 )
             states[entry.index] = state
@@ -610,7 +621,7 @@ def _verdict_key(
     """
     mode = "incremental" if incremental else "scratch"
     return fingerprint_texts((
-        f"implies-v1:k={k}:mode={mode}:lhs={len(fingerprint)}",
+        f"implies-v2:k={k}:mode={mode}:lhs={len(fingerprint)}",
         *fingerprint,
         repr(rhs),
         *[repr(egd) for egd in source_egds],

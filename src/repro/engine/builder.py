@@ -103,22 +103,6 @@ class InstanceBuilder:
                     del self._by_value[value]
         return True
 
-    def copy(self) -> "InstanceBuilder":
-        """Return an independent builder with the same facts and indexes.
-
-        One linear pass over the index buckets (no re-indexing and no
-        re-hashing of facts).  The incremental IMPLIES sweep copies a parent
-        pattern's source and chase builders only on a chase-tier miss, so
-        extending its state starts from a copy instead of rebuilding indexes
-        from the fact set; a tier hit copies nothing.
-        """
-        clone = InstanceBuilder.__new__(InstanceBuilder)
-        clone._facts = set(self._facts)
-        clone._by_relation = {rel: dict(bucket) for rel, bucket in self._by_relation.items()}
-        clone._by_position = {key: dict(slot) for key, slot in self._by_position.items()}
-        clone._by_value = {val: set(holder) for val, holder in self._by_value.items()}
-        return clone
-
     # ----------------------------------------------------------------- lookups
 
     def facts_of(self, relation: str) -> Collection[Atom]:

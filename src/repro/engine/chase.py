@@ -35,7 +35,7 @@ from repro import perf
 from repro.errors import ChaseError
 from repro.logic.atoms import Atom
 from repro.logic.instances import Instance
-from repro.logic.sotgd import SOTgd
+from repro.logic.sotgd import SOClause, SOTgd
 from repro.logic.terms import FuncTerm
 from repro.logic.tgds import STTgd
 from repro.logic.values import Variable
@@ -118,7 +118,6 @@ def dependency_clauses(dependencies) -> list[tuple[int, tuple]]:
         [(1, [(T(d1_f(?x)),)]), (0, [(R(?x, t0_y(?x)),)])]
     """
     from repro.logic.nested import NestedTgd
-    from repro.logic.sotgd import SOClause
 
     if isinstance(dependencies, (STTgd, NestedTgd, SOTgd)):
         dependencies = [dependencies]
@@ -130,15 +129,42 @@ def dependency_clauses(dependencies) -> list[tuple[int, tuple]]:
         elif isinstance(dep, NestedTgd):
             program.append((index, dep.skolemize(function_prefix=f"d{index}_").clauses))
         elif isinstance(dep, SOTgd):
-            program.append((index, _rename_functions_apart(dep, f"d{index}_").clauses))
+            program.append((index, _memoized_clauses(dep, f"d{index}_", _renamed_clauses)))
         else:
             raise ChaseError(f"cannot chase with dependency {dep!r}")
     for batch_index, (index, tgd) in enumerate(st_batch):
-        head = tgd.skolem_head(
-            function_namer=lambda var, batch_index=batch_index: f"t{batch_index}_{var.name}"
-        )
-        program.append((index, (SOClause(body=tgd.body, equalities=(), head=head),)))
+        program.append((index, _memoized_clauses(tgd, f"t{batch_index}_", _skolem_clauses)))
     return program
+
+
+def _skolem_clauses(tgd: STTgd, prefix: str) -> tuple:
+    """The one clause of an s-t tgd, its Skolem functions named ``{prefix}{var}``."""
+    head = tgd.skolem_head(function_namer=lambda var: f"{prefix}{var.name}")
+    return (SOClause(body=tgd.body, equalities=(), head=head),)
+
+
+def _renamed_clauses(so_tgd: SOTgd, prefix: str) -> tuple:
+    """The clauses of an SO tgd, its function symbols prefixed with *prefix*."""
+    return _rename_functions_apart(so_tgd, prefix).clauses
+
+
+def _memoized_clauses(dependency, prefix: str, build: Callable[[object, str], tuple]) -> tuple:
+    """``build(dependency, prefix)``, the dependency's clauses under a Skolem
+    *prefix*, built once.
+
+    Kept on the dependency object outside its fields, as
+    :meth:`~repro.logic.nested.NestedTgd.skolemize` keeps its result, so a
+    later ``chase`` over the same s-t or SO tgd reuses the clauses and their
+    compiled emitters (:func:`clause_emitter`).
+    """
+    memo = dependency.__dict__.get("_clause_memo")
+    if memo is None:
+        memo = {}
+        object.__setattr__(dependency, "_clause_memo", memo)
+    clauses = memo.get(prefix)
+    if clauses is None:
+        clauses = memo[prefix] = build(dependency, prefix)
+    return clauses
 
 
 def _getter(slots: tuple) -> Callable[[dict], tuple]:

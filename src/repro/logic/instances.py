@@ -223,6 +223,52 @@ class Instance:
 
     # ------------------------------------------------------------- construction
 
+    def extended(self, delta: Iterable[Atom]) -> "Instance":
+        """Return ``Instance(self.facts | delta)``, reusing this instance's indexes.
+
+        An indexed instance hands its indexes on: the result shallow-copies
+        the three index dicts and appends each new fact to the tuples it
+        touches, so adding a few facts costs the dict copies, not a
+        re-index.  A not-yet-indexed instance yields a not-yet-indexed one.
+        Facts of *delta* already present are ignored; with none left, the
+        result is this instance itself.
+        """
+        facts = self._facts
+        new = [fact for fact in dict.fromkeys(delta) if fact not in facts]
+        if not new:
+            return self
+        # _index assigns _constants last, so it marks a complete index.
+        if self._constants is None:
+            return Instance(facts.union(new))
+        by_relation = dict(self._by_relation)
+        by_position = dict(self._by_position)
+        by_value = dict(self._by_value)
+        added: list = []
+        for fact in new:
+            relation, args = fact.relation, fact.args
+            by_relation[relation] = by_relation.get(relation, _EMPTY) + (fact,)
+            for pos, value in enumerate(args):
+                key = (relation, pos, value)
+                by_position[key] = by_position.get(key, _EMPTY) + (fact,)
+                if value in args[:pos]:
+                    continue
+                bucket = by_value.get(value)
+                if bucket is None:
+                    added.append(value)
+                    by_value[value] = (fact,)
+                else:
+                    by_value[value] = bucket + (fact,)
+        nulls, constants = self._nulls, self._constants
+        if added:
+            fresh = [value for value in added if isinstance(value, Constant)]
+            if fresh:
+                constants = constants.union(fresh)
+            if len(fresh) < len(added):
+                nulls = nulls.union(value for value in added if not isinstance(value, Constant))
+        return Instance._from_indexes(
+            facts.union(new), by_relation, by_position, by_value, nulls, constants
+        )
+
     def union(self, other: "Instance | Iterable[Atom]") -> "Instance":
         """Return the union of this instance with *other*."""
         other_facts = other.facts if isinstance(other, Instance) else frozenset(other)

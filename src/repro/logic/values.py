@@ -162,16 +162,3 @@ class FreshValueFactory:
         """Return a fresh labeled null, distinct from all previously returned ones."""
         self._null_counter += 1
         return Null(f"{self._null_prefix}{self._null_counter}")
-
-    def clone(self) -> "FreshValueFactory":
-        """Return an independent factory that continues this one's numbering.
-
-        The incremental IMPLIES sweep branches a pattern's canonical-instance
-        state into several children; each child clones the factory so sibling
-        extensions draw the same (deterministic) fresh names without sharing
-        mutable state.
-        """
-        twin = FreshValueFactory(self._constant_prefix, self._null_prefix)
-        twin._constant_counter = self._constant_counter
-        twin._null_counter = self._null_counter
-        return twin

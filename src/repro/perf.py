@@ -49,6 +49,10 @@ Counter names are dotted strings, grouped by subsystem:
                           the parent pattern's cached chase by the new
                           leaf's delta (DAG-incremental sweep), instead of
                           being re-chased from scratch
+``implies.sweep.candidates``  leaf attachments the incremental sweep built
+                          canonical patterns for: those left after the
+                          node-count and leaf-part checks of the
+                          canonical-parent rule
 ``implies.sweep.hom_fallbacks``  incremental-sweep patterns whose check
                           ran the full hom search: the chase lost the
                           parent's image, or the parent's homomorphism did

@@ -14,4 +14,4 @@ def test_pattern_sweep_keeps_warm_restart_axis(tmp_path):
     sweep_main(["--smoke", "--json", str(path)])
     report = json.loads(path.read_text())
     assert report["warm_restart"] == warm_restart
-    assert [row["workload"] for row in report["rows"]] == ["ex310", "wide"]
+    assert [row["workload"] for row in report["rows"]] == ["ex310", "wide", "wide4"]

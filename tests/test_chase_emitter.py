@@ -223,3 +223,29 @@ def test_compiled_emitter_leaves_clause_identity_alone():
     restored = pickle.loads(pickle.dumps(clause))
     assert restored == clause and hash(restored) == hash(clause)
     assert "_emitter" not in vars(restored)
+
+
+def test_repeated_chase_compiles_no_emitter(monkeypatch):
+    """s-t and SO tgds keep their renamed-apart clauses per naming prefix
+    (as nested tgds keep their Skolemization), so a second ``chase`` over
+    the same dependencies reuses every compiled emitter."""
+    import importlib
+
+    from repro.logic.parser import parse_tgd
+
+    # the package re-exports the chase function under the module's name
+    chase_module = importlib.import_module("repro.engine.chase")
+
+    deps = [parse_tgd("S(x, y) -> exists z . R(x, z)"),
+            parse_so_tgd("S(x, y) -> R(f(x), y)"),
+            parse_tgd("S(x, y) -> R(y, x)")]
+    source = parse_instance("S(a, b), S(b, c)")
+    compiled = []
+    real = chase_module._compile_emitter
+    monkeypatch.setattr(chase_module, "_compile_emitter",
+                        lambda clause: compiled.append(clause) or real(clause))
+    first = chase_module.chase(source, deps)
+    assert len(compiled) == 3
+    second = chase_module.chase(source, deps)
+    assert len(compiled) == 3
+    assert second == first

@@ -103,7 +103,7 @@ def _rebuild(node):
 
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.data_too_large])
-@given(nested_tgds(max_depth=2), st.sampled_from([1, 2]))
+@given(nested_tgds(max_depth=3), st.sampled_from([1, 2, 3]))
 def test_pattern_levels_follow_enumeration_and_keep_shared_trees(rhs, k):
     """The levels concatenate to ``enumerate_k_patterns`` in its order, and
     building level n + 1 by path copying leaves every level-n tree intact."""
@@ -129,7 +129,7 @@ DEEP_LHS = parse_nested_tgd(
 def test_deep_sweep_pins_chase_tier_counts():
     """The deep workload of ``bench_pattern_sweep.py``: most patterns hit the
     chase cache, so a later miss indexes its source from the parent's facts
-    (the parent kept no source builder)."""
+    (a hit never indexes the parent's source)."""
     clear_chase_cache()
     perf.reset()
     result = implies_tgd([DEEP_LHS], DEEP_RHS, subsumption=False, incremental=True)
@@ -184,6 +184,23 @@ def test_seeded_checks_pin_wide3_search_counts():
     assert snap.get("implies.sweep.hom_fallbacks", 0) == 0
     assert snap["hom.kernel_calls"] == 216
     assert snap.get("hom.search_nodes", 0) <= 3
+
+
+@pytest.mark.parametrize("lhs, rhs", [
+    ([DEEP_LHS], DEEP_RHS),
+    ([_wide(4, "u", "w")], _wide(4, "x", "y")),
+], ids=["deep", "wide4"])
+def test_canonical_parent_rule_builds_few_candidates(lhs, rhs):
+    """Attaching only where the new leaf ends the child's minimum descent
+    builds each pattern once: at most 1.3 candidate attachments reach
+    ``Pattern`` construction per pattern (the earlier generation, which
+    deduplicated every attachment, built 5.0 on deep and 4.0 on wide4)."""
+    clear_chase_cache()
+    perf.reset()
+    result = implies_tgd(lhs, rhs, subsumption=False, incremental=True)
+    assert result.holds
+    assert result.patterns_checked == count_k_patterns(rhs, result.k)
+    assert perf.snapshot()["implies.sweep.candidates"] <= 1.3 * result.patterns_checked
 
 
 # ----------------------------------------------------------- perf counters

@@ -178,6 +178,51 @@ class TestConstruction:
         assert mapped == parse_instance("R(a,b)")
 
 
+def _lookups(inst: Instance, values) -> tuple:
+    """Every index lookup of *inst* over the drawn schema and *values*, as sets.
+
+    Each lookup must also list a fact at most once.
+    """
+    views = []
+    for name, arity in INSTANCE_RELATIONS:
+        views.append(inst.facts_of(name))
+        views.extend(inst.facts_with(name, pos, value)
+                     for pos in range(arity) for value in values)
+    views.extend(inst.facts_containing(value) for value in values)
+    assert all(len(view) == len(set(view)) for view in views)
+    return tuple(frozenset(view) for view in views)
+
+
+class TestExtended:
+    @settings(max_examples=200, deadline=None)
+    @given(instances(), st.data())
+    def test_agrees_with_a_fresh_instance(self, parent, data):
+        """``extended`` equals ``Instance(facts | delta)`` on every lookup,
+        from an indexed parent or a not-yet-indexed one, for deltas that
+        repeat facts and overlap the parent, and leaves the parent alone."""
+        delta = list(data.draw(instances(max_facts=4)))
+        if len(parent):
+            delta += data.draw(st.lists(st.sampled_from(sorted(parent, key=repr)), max_size=2))
+        delta += delta[:1]
+        if data.draw(st.booleans()):
+            parent.facts_of("R")  # builds every index; otherwise none is built
+        original = Instance(parent.facts)
+        child = parent.extended(delta)
+        values = [Constant(f"a{i}") for i in range(4)] + [Null(f"n{i}") for i in range(4)]
+        for instance, reference in ((child, Instance(parent.facts | set(delta))),
+                                    (parent, original)):
+            assert instance == reference and len(instance) == len(reference)
+            assert _lookups(instance, values) == _lookups(reference, values)
+            assert instance.nulls() == reference.nulls()
+            assert instance.constants() == reference.constants()
+
+    def test_nothing_new_returns_the_instance_itself(self):
+        inst = parse_instance("S(a,b), Q(a)")
+        inst.facts_of("S")
+        assert inst.extended(parse_instance("Q(a)")) is inst
+        assert inst.extended([]) is inst
+
+
 class TestIsomorphism:
     def test_null_renaming_isomorphism(self):
         left = parse_instance("R(a,_x), R(_x,_y)")
