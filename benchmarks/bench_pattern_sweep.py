@@ -1,8 +1,9 @@
 """SWEEP -- from-scratch vs DAG-incremental k-pattern sweeps for IMPLIES.
 
 The from-scratch sweep rebuilds and re-chases the canonical instances of
-every k-pattern independently; the DAG-incremental sweep (the default of
-``implies_tgd``) extends each pattern's chase state from its parent pattern
+every k-pattern independently (``_sweep_serial`` over
+``enumerate_k_patterns``, which ``implies_tgd`` runs only under source egds);
+the DAG-incremental sweep (``implies_tgd`` without source egds) extends each pattern's chase state from its parent pattern
 by the delta one new leaf contributes.  This benchmark measures both on
 implication queries whose right-hand sides nest progressively deeper, cold
 (empty chase cache) and warm (second run).
@@ -11,9 +12,10 @@ Run as a script to record the results in ``BENCH_sweep.json``::
 
     PYTHONPATH=src python benchmarks/bench_pattern_sweep.py [--json PATH] [--smoke]
 
-``--smoke`` runs only the small workloads with repetitions and asserts the
-incremental sweep is not slower than the from-scratch sweep on the
-Example 3.10 query, and that on every workload its seeded pattern checks
+``--smoke`` runs only the small workloads with repetitions (best of 25 on
+the Example 3.10 query, whose sweep takes about a millisecond, and best of 5
+on ``wide``) and asserts the incremental sweep is not slower than the
+from-scratch sweep on the Example 3.10 query, and that on every workload its seeded pattern checks
 take no more hom-kernel search nodes than the from-scratch sweep's -- the
 CI perf gate.  The full run also sweeps the deep workload and asserts the
 incremental sweep is at least 5x faster there.
@@ -34,8 +36,16 @@ import time
 from collections import Counter
 
 from repro import perf
-from repro.core.implication import clear_chase_cache, implies_tgd
-from repro.core.patterns import count_k_patterns
+from repro.core.implication import (
+    _normalize_lhs,
+    _normalize_rhs,
+    _sigma_fingerprint,
+    _sweep_serial,
+    clear_chase_cache,
+    implication_bound,
+    implies_tgd,
+)
+from repro.core.patterns import count_k_patterns, enumerate_k_patterns
 from repro.logic.parser import parse_nested_tgd, parse_tgd
 
 EX310_TAU = parse_nested_tgd("S1(x1) -> exists y . (S2(x2) -> R(x2, y))")
@@ -74,6 +84,12 @@ WORKLOADS = [
     ("deep", [DEEP_LHS], DEEP_RHS),
 ]
 
+#: Best-of repetitions per ``--smoke`` workload.  The Example 3.10 sweep
+#: takes about a millisecond and its gate has about a 1.2x margin, so it
+#: takes enough repetitions for a machine busy with other work to leave one
+#: quiet pair.
+SMOKE_REPEAT = {"ex310": 25, "wide": 5}
+
 #: The incremental-only row: decide-mix's widest sweep.
 WIDE4 = ("wide4", [_wide(4, "u", "w")], _wide(4, "x", "y"))
 
@@ -88,8 +104,21 @@ WIDE4_PINNED = {
 }
 
 
+def _fresh_sweep(lhs, rhs):
+    """The from-scratch sweep: every k-pattern built and chased on its own."""
+    lhs, rhs = _normalize_lhs(lhs), _normalize_rhs(rhs)
+    k = implication_bound(lhs, rhs)
+    patterns = enumerate_k_patterns(rhs, k, max_patterns=100_000)
+    return _sweep_serial(patterns, lhs, rhs, (), _sigma_fingerprint(lhs), k)
+
+
+def _incremental_sweep(lhs, rhs):
+    """The DAG-incremental sweep, as ``implies_tgd`` runs it."""
+    return implies_tgd(lhs, rhs, max_patterns=100_000, subsumption=False)
+
+
 def _timed_sweep(lhs, rhs, modes, *, cold=True, repeat=1):
-    """Best-of-*repeat* wall time of one sweep per ``incremental`` flag in *modes*.
+    """Best-of-*repeat* wall time of one sweep per sweep function in *modes*.
 
     The repetitions interleave the modes, so a drift in machine speed hits
     each mode alike, and the garbage collector is paused while a sweep is
@@ -102,7 +131,7 @@ def _timed_sweep(lhs, rhs, modes, *, cold=True, repeat=1):
     results = [None] * len(modes)
     counters = [Counter() for __ in modes]
     for __ in range(repeat):
-        for slot, incremental in enumerate(modes):
+        for slot, sweep in enumerate(modes):
             if cold:
                 clear_chase_cache()
                 gc.collect()
@@ -111,8 +140,7 @@ def _timed_sweep(lhs, rhs, modes, *, cold=True, repeat=1):
             gc.disable()
             try:
                 start = time.perf_counter()
-                results[slot] = implies_tgd(lhs, rhs, max_patterns=100_000,
-                                            subsumption=False, incremental=incremental)
+                results[slot] = sweep(lhs, rhs)
                 elapsed = time.perf_counter() - start
             finally:
                 if gc_was_enabled:
@@ -135,16 +163,15 @@ def _incremental_counts(counters, repeat):
 
 def sweep_workload(label, lhs, rhs, *, repeat=1):
     """Measure one workload every way; return a result row."""
-    from repro.core.implication import _normalize_lhs, implication_bound
-
     k = implication_bound(_normalize_lhs(lhs), rhs)
     (fresh_s, fresh, fresh_counters), (incr_s, incr, counters) = _timed_sweep(
-        lhs, rhs, (False, True), repeat=repeat)
+        lhs, rhs, (_fresh_sweep, _incremental_sweep), repeat=repeat)
     # every cold repetition contributes the same counts; report one run's worth
     fresh_nodes = fresh_counters.get("hom.search_nodes", 0) // repeat
     incr_nodes = counters.get("hom.search_nodes", 0) // repeat
     # warm: same query again without clearing the cache
-    [(warm_s, __, __)] = _timed_sweep(lhs, rhs, (True,), cold=False, repeat=repeat)
+    [(warm_s, __, __)] = _timed_sweep(lhs, rhs, (_incremental_sweep,), cold=False,
+                                      repeat=repeat)
     assert incr.holds == fresh.holds
     assert incr.patterns_checked == fresh.patterns_checked
     return {
@@ -164,7 +191,8 @@ def sweep_workload(label, lhs, rhs, *, repeat=1):
 
 def incremental_workload(label, lhs, rhs, *, repeat=3):
     """The incremental sweep alone, cold, best of *repeat*; return a result row."""
-    [(incr_s, incr, counters)] = _timed_sweep(lhs, rhs, (True,), repeat=repeat)
+    [(incr_s, incr, counters)] = _timed_sweep(lhs, rhs, (_incremental_sweep,),
+                                              repeat=repeat)
     assert incr.holds
     return {
         "workload": label,
@@ -190,7 +218,7 @@ def test_sweep_incremental_not_slower_ex310(benchmark):
     """CI smoke property: the incremental sweep beats (or ties) the
     from-scratch sweep on the Example 3.10 workload, and every non-root
     pattern is an incremental extension."""
-    row = benchmark(sweep_workload, *WORKLOADS[0], repeat=5)
+    row = benchmark(sweep_workload, *WORKLOADS[0], repeat=SMOKE_REPEAT["ex310"])
     assert row["incremental_hits"] == row["patterns"] - 1
     assert row["incremental_cold_s"] <= row["fresh_cold_s"]
     assert row["incremental_search_nodes"] <= row["fresh_search_nodes"]
@@ -226,8 +254,8 @@ def main(argv=None) -> dict:
     args = parser.parse_args(argv)
 
     workloads = WORKLOADS[:2] if args.smoke else WORKLOADS
-    repeat = 5 if args.smoke else 1
-    rows = [sweep_workload(label, lhs, rhs, repeat=repeat)
+    rows = [sweep_workload(label, lhs, rhs,
+                           repeat=SMOKE_REPEAT[label] if args.smoke else 1)
             for label, lhs, rhs in workloads]
     rows.append(incremental_workload(*WIDE4))
     try:

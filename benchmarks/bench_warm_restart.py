@@ -53,8 +53,7 @@ def _run_sweep(lhs, rhs):
     from repro.core.implication import implies_tgd
 
     start = time.perf_counter()
-    result = implies_tgd(lhs, rhs, max_patterns=100_000, subsumption=False,
-                         incremental=True)
+    result = implies_tgd(lhs, rhs, max_patterns=100_000, subsumption=False)
     return time.perf_counter() - start, result
 
 

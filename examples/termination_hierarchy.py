@@ -1,7 +1,7 @@
-"""Termination hierarchy tour: weak < joint < super-weak < MFA < stratified.
+"""Termination hierarchy tour: weak < joint < MFA < stratified.
 
 One dependency set per rung of the chase-termination hierarchy, each refuting
-every narrower rung -- and each run *unbounded* to a fixpoint by the engine,
+every narrower rung (two for MFA) -- and each run *unbounded* to a fixpoint by the engine,
 because `fixpoint_chase` consults the hierarchy instead of the bare
 weak-acyclicity test.  A diverging set shows the other side of the gate: no
 rung certifies it, so the unbounded chase is refused with lint code TD001.
@@ -36,17 +36,18 @@ WEAKLY_ACYCLIC = [parse_tgd("P(x,y) -> Q(x,y)")]
 # of y, so its Mov set cannot re-feed the existential.
 JOINTLY_ACYCLIC = [parse_tgd("E(x,y) & E(y,x) -> exists z . E(y,z)")]
 
-# Super-weakly but not jointly acyclic: position sets see a cycle f -> h -> f,
-# but place-level unification shows R(f(x), g(x)) can never match the body
-# atom R(u,u) -- the trigger cannot actually fire.
-SUPER_WEAKLY_ACYCLIC = [
+# Certified by MFA, not jointly acyclic: position sets see a cycle
+# f -> h -> f, but R(f(x), g(x)) never matches the body atom R(u,u), so the
+# critical-instance chase stops at depth 2.  The set is also super-weakly
+# acyclic (Marnette), and every such set is MFA.
+MFA_UNMATCHED_HEAD = [
     parse_tgd("S(x) -> exists y, z . R(y,z) & R(z,y)"),
     parse_tgd("R(u,u) -> exists w . S(w)"),
 ]
 
 # Certified only by MFA: B() guards the second rule, and no rule ever derives
 # B of a null, so the critical-instance chase saturates at depth 2 -- a guard
-# no place-based movement analysis can see.
+# no position- or place-based movement analysis can see.
 MODEL_FAITHFUL = [
     parse_tgd("A(x) -> exists y . L(x,y)"),
     parse_tgd("L(x,y) & B(y) -> exists w . A(w)"),
@@ -77,7 +78,7 @@ TRIANGULAR_TEXT = "R(x,y) -> exists z . R(y,z) & R(z,x)"
 INSTANCES = {
     "weak": "P(a,b)",
     "joint": "E(a,b), E(b,a)",
-    "super-weak": "S(a)",
+    "mfa-unmatched": "S(a)",
     "mfa": "A(a), B(b)",
 }
 
@@ -103,8 +104,9 @@ def show(label: str, dependencies, instance_text: str) -> None:
 def main() -> None:
     show("weakly acyclic", WEAKLY_ACYCLIC, INSTANCES["weak"])
     show("jointly acyclic (not weakly)", JOINTLY_ACYCLIC, INSTANCES["joint"])
-    show("super-weakly acyclic (not jointly)", SUPER_WEAKLY_ACYCLIC, INSTANCES["super-weak"])
-    show("model-faithful acyclic (not super-weakly)", MODEL_FAITHFUL, INSTANCES["mfa"])
+    show("model-faithful acyclic (not jointly: unmatched head)", MFA_UNMATCHED_HEAD,
+         INSTANCES["mfa-unmatched"])
+    show("model-faithful acyclic (not jointly: guarded rule)", MODEL_FAITHFUL, INSTANCES["mfa"])
 
     from repro.workloads.families import (
         stratified_chain_instance,

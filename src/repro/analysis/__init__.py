@@ -11,7 +11,8 @@ It also hosts the *static analyzer* over dependency programs:
 - :mod:`repro.analysis.termination` -- the shared dependency-graph IR,
   position graphs, the weak-acyclicity test, and chase depth bounds;
 - :mod:`repro.analysis.acyclicity` -- the termination hierarchy (joint /
-  super-weak / model-faithful acyclicity) as a lattice verdict;
+  model-faithful / stratified model-faithful acyclicity) as a lattice
+  verdict;
 - :mod:`repro.analysis.cost` -- the static cost model (chase-size degree
   bounds and IMPLIES sweep budgets);
 - :mod:`repro.analysis.frontier` -- the decidability-frontier analyzer

@@ -1,26 +1,19 @@
-"""The chase-termination hierarchy: weak ⊂ joint ⊂ super-weak ⊂ MFA.
+"""The chase-termination hierarchy: weak ⊂ joint ⊂ MFA ⊂ stratified MFA.
 
 Weak acyclicity (:mod:`repro.analysis.termination`) is the classic but
 coarsest decidable termination guarantee for the Skolem chase.  Following
 the acyclicity hierarchy mapped out by Krötzsch/Rudolph, Marnette, and
 Cuenca Grau et al. (and pushed further by "Chase Termination Beyond
-Polynomial Time"), this module climbs three strictly wider rungs, all
-computed over the shared :class:`~repro.analysis.termination.DependencyGraphIR`
-so they are faithful to the exact Skolemized clauses
-:mod:`repro.engine.fixpoint_chase` executes:
+Polynomial Time"), this module climbs strictly wider rungs, all faithful to
+the exact Skolemized clauses :mod:`repro.engine.fixpoint_chase` executes:
 
 - **Joint acyclicity** (JA): instead of single position-graph edges, track
   the full *set* of positions each Skolem function's nulls can reach
   (``Mov``), requiring a variable's *every* body occurrence to be reachable
   before its null propagates.  The function-dependency graph has an edge
   ``f -> g`` when ``f``-nulls can feed an argument of ``g``; acyclicity of
-  that graph bounds the nesting depth of every null.
-- **Super-weak acyclicity** (SWA, Marnette): refine JA's position sets to
-  *places* (atom occurrences) and filter propagation through first-order
-  unification of head atoms against body atoms, so nulls only "move" along
-  joins that can actually fire.  ``f`` *triggers* ``g`` when some argument
-  variable of ``g`` has all of its body places reachable from ``f``'s
-  output places; SWA holds when the trigger graph is acyclic.
+  that graph bounds the nesting depth of every null.  It is computed over
+  the shared :class:`~repro.analysis.termination.DependencyGraphIR`.
 - **Model-faithful acyclicity** (MFA, Cuenca Grau et al.): run the Skolem
   chase of the *critical instance* (every relation filled with the single
   constant ``*``) via :func:`repro.engine.fixpoint_chase.fixpoint_chase`,
@@ -41,8 +34,10 @@ so they are faithful to the exact Skolemized clauses
 :func:`classify_termination` returns the *widest* rung that certifies the
 set as a :class:`TerminationClass` lattice verdict, which
 ``engine/fixpoint_chase.py`` consults to run unbounded and ``repro lint``
-surfaces as the findings ``TD001`` (no rung) and ``TD002``-``TD004`` /
-``TD007`` (which rung admitted the set).
+surfaces as the findings ``TD001`` (no rung) and ``TD002`` / ``TD004`` /
+``TD007`` (which rung admitted the set).  Super-weak acyclicity (Marnette)
+is not a rung: every super-weakly acyclic set is MFA (Cuenca Grau et al.),
+so a set that fails JA goes straight to the bounded MFA chase.
 
     >>> from repro.logic.parser import parse_tgd
     >>> classify_termination([parse_tgd("S(x,y) -> R(x,y)")]).cls.name
@@ -57,18 +52,15 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import networkx as nx
 
 from repro.logic.atoms import Atom
 from repro.logic.egds import Egd
 from repro.logic.instances import Instance
-from repro.logic.nested import NestedTgd
 from repro.logic.printer import dependency_label
-from repro.logic.sotgd import SOTgd
 from repro.logic.terms import FuncTerm, Term
-from repro.logic.tgds import STTgd
 from repro.logic.values import Constant, Variable
 from repro.analysis.termination import (
     DependencyGraphIR,
@@ -85,10 +77,9 @@ class TerminationClass(enum.Enum):
     """The lattice of chase-termination certificates, widest rung last.
 
     The classes form a chain ``WEAKLY_ACYCLIC < JOINTLY_ACYCLIC <
-    SUPER_WEAKLY_ACYCLIC < MODEL_FAITHFUL < STRATIFIED_MFA <
-    NOT_GUARANTEED``: every set certified at a rung is also certified at
-    every later rung, and ``NOT_GUARANTEED`` means no rung of the hierarchy
-    admits the set.  ``STRATIFIED_MFA`` widens the *decided* frontier rather
+    MODEL_FAITHFUL < STRATIFIED_MFA < NOT_GUARANTEED``: every set certified
+    at a rung is also certified at every later rung, and ``NOT_GUARANTEED``
+    means no rung of the hierarchy admits the set.  ``STRATIFIED_MFA`` widens the *decided* frontier rather
     than the theoretical one: it certifies sets whose monolithic bounded
     critical chase blows the MFA budget but whose dependency-level strongly
     connected components each admit a per-stratum certificate.
@@ -96,14 +87,13 @@ class TerminationClass(enum.Enum):
 
     WEAKLY_ACYCLIC = "weakly-acyclic"
     JOINTLY_ACYCLIC = "jointly-acyclic"
-    SUPER_WEAKLY_ACYCLIC = "super-weakly-acyclic"
     MODEL_FAITHFUL = "model-faithful-acyclic"
     STRATIFIED_MFA = "stratified-mfa"
     NOT_GUARANTEED = "not-guaranteed"
 
     @property
     def rank(self) -> int:
-        """Position in the chain (0 = weakly acyclic, 5 = not guaranteed)."""
+        """Position in the chain (0 = weakly acyclic, 4 = not guaranteed)."""
         return list(TerminationClass).index(self)
 
     @property
@@ -139,7 +129,6 @@ class TerminationVerdict:
     weak: TerminationReport
     depth_bound: int | None
     ja_cycle: tuple[str, ...] | None = None
-    swa_cycle: tuple[str, ...] | None = None
     mfa_cyclic_term: str | None = None
     mfa_facts: int | None = None
     mfa_conclusive: bool = True
@@ -161,7 +150,6 @@ class TerminationVerdict:
             "depth_bound": self.depth_bound,
             "weakly_acyclic": self.weak.weakly_acyclic,
             "ja_cycle": None if self.ja_cycle is None else list(self.ja_cycle),
-            "swa_cycle": None if self.swa_cycle is None else list(self.swa_cycle),
             "mfa_cyclic_term": self.mfa_cyclic_term,
             "mfa_facts": self.mfa_facts,
             "mfa_conclusive": self.mfa_conclusive,
@@ -261,169 +249,6 @@ def jointly_acyclic(
                 ):
                     graph.add_edge(source, target)
                     break
-    cycle = _cycle_witness(graph)
-    if cycle is not None:
-        return False, cycle, 0
-    return True, None, _depth_from_dag(graph)
-
-
-# ------------------------------------------------------- super-weak acyclicity
-
-#: A place is (clause index, "B"/"H", atom index, argument index).
-_Place = tuple[int, str, int, int]
-
-
-def _unifiable(left: Sequence[Term], right: Sequence[Term]) -> bool:
-    """First-order unifiability of two argument tuples (renamed apart by caller)."""
-    substitution: dict[Variable, Term] = {}
-
-    def resolve(term: Term) -> Term:
-        while isinstance(term, Variable) and term in substitution:
-            term = substitution[term]
-        return term
-
-    def occurs(var: Variable, term: Term) -> bool:
-        term = resolve(term)
-        if term == var:
-            return True
-        if isinstance(term, FuncTerm):
-            return any(occurs(var, arg) for arg in term.args)
-        return False
-
-    def unify(a: Term, b: Term) -> bool:
-        a, b = resolve(a), resolve(b)
-        if a == b:
-            return True
-        if isinstance(a, Variable):
-            if occurs(a, b):
-                return False
-            substitution[a] = b
-            return True
-        if isinstance(b, Variable):
-            return unify(b, a)
-        if isinstance(a, FuncTerm) and isinstance(b, FuncTerm):
-            if a.function != b.function or len(a.args) != len(b.args):
-                return False
-            return all(unify(x, y) for x, y in zip(a.args, b.args))
-        return False
-
-    return all(unify(a, b) for a, b in zip(left, right))
-
-
-def _rename_apart(atom: Atom, tag: int) -> tuple[Term, ...]:
-    """The argument tuple of *atom* with variables tagged by clause index."""
-
-    def rename(term: Term) -> Term:
-        if isinstance(term, Variable):
-            return Variable(f"c{tag}~{term.name}")
-        if isinstance(term, FuncTerm):
-            return FuncTerm(term.function, tuple(rename(arg) for arg in term.args))
-        return term
-
-    return tuple(rename(arg) for arg in atom.args)
-
-
-class _PlaceGraph:
-    """Precomputed place machinery shared by the per-function SWA closures."""
-
-    def __init__(self, ir: DependencyGraphIR):
-        self.ir = ir
-        self.clauses = ir.clauses
-        #: body places of each variable, per clause index.
-        self.body_places: list[dict[Variable, list[_Place]]] = []
-        #: top-level head places of each variable, per clause index.
-        self.head_places: list[dict[Variable, list[_Place]]] = []
-        for ci, clause in enumerate(self.clauses):
-            body: dict[Variable, list[_Place]] = {}
-            for ai, atom in enumerate(clause.body):
-                for pi, arg in enumerate(atom.args):
-                    if isinstance(arg, Variable):
-                        body.setdefault(arg, []).append((ci, "B", ai, pi))
-            head: dict[Variable, list[_Place]] = {}
-            for ai, atom in enumerate(clause.head):
-                for pi, arg in enumerate(atom.args):
-                    if isinstance(arg, Variable):
-                        head.setdefault(arg, []).append((ci, "H", ai, pi))
-            self.body_places.append(body)
-            self.head_places.append(head)
-        self._unifiable_cache: dict[tuple[int, int, int, int], bool] = {}
-
-    def _head_body_unifiable(self, ci: int, ai: int, cj: int, aj: int) -> bool:
-        key = (ci, ai, cj, aj)
-        cached = self._unifiable_cache.get(key)
-        if cached is None:
-            head_atom = self.clauses[ci].head[ai]
-            body_atom = self.clauses[cj].body[aj]
-            cached = head_atom.relation == body_atom.relation and _unifiable(
-                _rename_apart(head_atom, ci), _rename_apart(body_atom, len(self.clauses) + cj)
-            )
-            self._unifiable_cache[key] = cached
-        return cached
-
-    def move(self, start: Iterable[_Place]) -> set[_Place]:
-        """Marnette's ``Move``: all places a null at *start* places can reach."""
-        moved: set[_Place] = set()
-        queue = list(start)
-        while queue:
-            place = queue.pop()
-            if place in moved:
-                continue
-            moved.add(place)
-            ci, kind, ai, pi = place
-            if kind == "H":
-                # The null sits at a fact position; it can match any body atom
-                # of any clause whose atom unifies with this head atom.
-                for cj, clause in enumerate(self.clauses):
-                    for aj, body_atom in enumerate(clause.body):
-                        if pi < body_atom.arity and self._head_body_unifiable(
-                            ci, ai, cj, aj
-                        ):
-                            queue.append((cj, "B", aj, pi))
-            else:
-                # A trigger binds the variable at this body place to a single
-                # value, which must then occur at *every* body place of the
-                # variable; only once all of them are reachable does the value
-                # flow to the variable's top-level head places.
-                var = self.clauses[ci].body[ai].args[pi]
-                if isinstance(var, Variable):
-                    in_places = self.body_places[ci].get(var, ())
-                    if all(p in moved for p in in_places):
-                        queue.extend(self.head_places[ci].get(var, ()))
-        return moved
-
-    def out_places(self, function: str) -> list[_Place]:
-        """Head places where a term rooted at *function* occurs."""
-        places = []
-        for ci, clause in enumerate(self.clauses):
-            for ai, atom in enumerate(clause.head):
-                for pi, arg in enumerate(atom.args):
-                    if isinstance(arg, FuncTerm) and arg.function == function:
-                        places.append((ci, "H", ai, pi))
-        return places
-
-
-def super_weakly_acyclic(
-    ir: DependencyGraphIR,
-) -> tuple[bool, tuple[str, ...] | None, int]:
-    """Decide super-weak acyclicity; return (verdict, witness cycle, depth bound)."""
-    places = _PlaceGraph(ir)
-    functions = _function_occurrences(ir)
-    movement = {fn: places.move(places.out_places(fn)) for fn in functions}
-    graph = nx.DiGraph()
-    graph.add_nodes_from(functions)
-    for source, moved in movement.items():
-        for target, occs in functions.items():
-            triggered = False
-            for ci, args, _positions in occs:
-                for x in args:
-                    in_places = places.body_places[ci].get(x, ())
-                    if in_places and all(p in moved for p in in_places):
-                        triggered = True
-                        break
-                if triggered:
-                    break
-            if triggered:
-                graph.add_edge(source, target)
     cycle = _cycle_witness(graph)
     if cycle is not None:
         return False, cycle, 0
@@ -530,28 +355,6 @@ def model_faithful_acyclic(
 # --------------------------------------------------------------- stratified MFA
 
 
-def _dep_relations(dep: object) -> tuple[set[str], set[str]]:
-    """The (body relations, head relations) a dependency reads and writes."""
-    bodies: set[str] = set()
-    heads: set[str] = set()
-    if isinstance(dep, STTgd):
-        parts: Iterable[tuple[Sequence[Atom], Sequence[Atom]]] = [
-            (dep.body, dep.head)
-        ]
-    elif isinstance(dep, NestedTgd):
-        parts = [
-            (dep.part(pid).body, dep.part(pid).head) for pid in dep.part_ids()
-        ]
-    elif isinstance(dep, SOTgd):
-        parts = [(clause.body, clause.head) for clause in dep.clauses]
-    else:
-        return bodies, heads
-    for body, head in parts:
-        bodies.update(atom.relation for atom in body)
-        heads.update(atom.relation for atom in head)
-    return bodies, heads
-
-
 def stratified_mfa(
     dependencies: Sequence[object],
     *,
@@ -578,15 +381,24 @@ def stratified_mfa(
     labels)``, or ``None`` when the partition is trivial (fewer than two
     strata -- the monolithic MFA verdict already covers that case).
     """
+    from repro.engine.chase import dependency_clauses
+
     tgds = [dep for dep in dependencies if not isinstance(dep, Egd)]
     if len(tgds) < 2:
         return None
-    relations = [_dep_relations(dep) for dep in tgds]
+    # A nested clause's body repeats its ancestors' atoms, so a dependency's
+    # clauses read every relation its parts read (bar head-less leaf parts,
+    # which never fire).
+    bodies: dict[int, set[str]] = {}
+    heads: dict[int, set[str]] = {}
+    for index, clauses in dependency_clauses(tgds):
+        bodies[index] = {atom.relation for clause in clauses for atom in clause.body}
+        heads[index] = {atom.relation for clause in clauses for atom in clause.head}
     graph = nx.DiGraph()
     graph.add_nodes_from(range(len(tgds)))
-    for i, (_bodies_i, heads_i) in enumerate(relations):
-        for j, (bodies_j, _heads_j) in enumerate(relations):
-            if heads_i & bodies_j:
+    for i in graph:
+        for j in graph:
+            if heads[i] & bodies[j]:
                 graph.add_edge(i, j)
     components = [sorted(scc) for scc in nx.strongly_connected_components(graph)]
     if len(components) < 2:
@@ -655,15 +467,6 @@ def _classify(
             depth_bound=ja_depth,
         )
 
-    swa, swa_cycle, swa_depth = super_weakly_acyclic(ir)
-    if swa:
-        return TerminationVerdict(
-            cls=TerminationClass.SUPER_WEAKLY_ACYCLIC,
-            weak=report,
-            depth_bound=swa_depth,
-            ja_cycle=ja_cycle,
-        )
-
     mfa, cyclic_term, mfa_depth, mfa_facts = model_faithful_acyclic(
         deps, max_rounds=mfa_max_rounds, max_facts=mfa_max_facts
     )
@@ -673,7 +476,6 @@ def _classify(
             weak=report,
             depth_bound=mfa_depth,
             ja_cycle=ja_cycle,
-            swa_cycle=swa_cycle,
             mfa_facts=mfa_facts,
         )
 
@@ -685,7 +487,6 @@ def _classify(
         weak=report,
         depth_bound=None,
         ja_cycle=ja_cycle,
-        swa_cycle=swa_cycle,
         mfa_cyclic_term=cyclic_term,
         mfa_facts=mfa_facts,
         mfa_conclusive=mfa is not None,
@@ -714,5 +515,4 @@ __all__ = [
     "jointly_acyclic",
     "model_faithful_acyclic",
     "stratified_mfa",
-    "super_weakly_acyclic",
 ]

@@ -38,11 +38,10 @@ astronomical ``A * w^D`` bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
 
 from repro.errors import DependencyError
 from repro.logic.nested import NestedTgd
-from repro.logic.sotgd import SOTgd
 from repro.logic.tgds import STTgd
 from repro.analysis.acyclicity import TerminationVerdict, classify_termination
 from repro.analysis.termination import dependency_graph_ir, dependency_list
@@ -302,27 +301,14 @@ class SweepCostEstimate:
         }
 
 
-def _max_universal_variables(dependencies: Sequence[object]) -> int:
-    """The quantity ``w`` of IMPLIES, over any mix of formalisms."""
-    best = 0
-    for dep in dependencies:
-        if isinstance(dep, NestedTgd):
-            best = max(best, dep.universal_variable_count())
-        elif isinstance(dep, STTgd):
-            best = max(best, len(dep.universal_variables))
-        elif isinstance(dep, SOTgd):
-            best = max(best, dep.max_universal_variables())
-    return best
-
-
 def sweep_cost(
     sigma_set: object, sigma: object, *, k: int | None = None
 ) -> SweepCostEstimate:
     """Predict the cost of ``implies_tgd(sigma_set, sigma)`` without running it.
 
     With *k* omitted, the clone bound ``k = v * w + 1`` of line 4 of IMPLIES
-    is computed exactly as :func:`repro.core.implication.implication_bound`
-    does.  The estimate is *a priori*: nothing is enumerated or chased.
+    is :func:`repro.core.implication.implication_bound`.  The estimate is
+    *a priori*: nothing is enumerated or chased.
 
         >>> from repro.logic.parser import parse_nested_tgd, parse_tgd
         >>> s = parse_nested_tgd(
@@ -332,30 +318,27 @@ def sweep_cost(
         >>> est.k, est.non_elementary
         (9, True)
     """
-    deps = dependency_list(sigma_set)
+    from repro.core.implication import implication_bound
+
+    if not isinstance(sigma, (STTgd, NestedTgd)):
+        raise DependencyError(
+            f"sweep_cost needs an s-t or nested tgd right-hand side, got {sigma!r}"
+        )
+    if k is None:
+        k = implication_bound(dependency_list(sigma_set), sigma)
     if isinstance(sigma, STTgd):
         # A flat tgd has a single part and hence exactly one k-pattern for
-        # every k.  Computed directly: to_nested() would reject same-schema
+        # every k.  Counted directly: to_nested() would reject same-schema
         # tgds, which the fixpoint engine (and the linter) accept.
-        if k is None:
-            k = len(sigma.existential_variables) * _max_universal_variables(deps) + 1
         return SweepCostEstimate(
             k=k,
             pattern_count=1,
             atoms_per_check=len(sigma.body) + len(sigma.head),
             saturated=False,
         )
-    if isinstance(sigma, NestedTgd):
-        rhs = sigma
-    else:
-        raise DependencyError(
-            f"sweep_cost needs an s-t or nested tgd right-hand side, got {sigma!r}"
-        )
-    if k is None:
-        k = rhs.skolem_function_count() * _max_universal_variables(deps) + 1
-    pattern_count = count_k_patterns_saturating(rhs, k)
+    pattern_count = count_k_patterns_saturating(sigma, k)
     atoms = sum(
-        len(rhs.part(pid).body) + len(rhs.part(pid).head) for pid in rhs.part_ids()
+        len(sigma.part(pid).body) + len(sigma.part(pid).head) for pid in sigma.part_ids()
     )
     return SweepCostEstimate(
         k=k,

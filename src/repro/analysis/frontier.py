@@ -51,7 +51,7 @@ tier their lattice rung implies.
 
 Tier assignment: uncertified sets get ``NON_ELEMENTARY`` (no elementary
 bound is provable); MFA-certified sets get ``2-EXPTIME`` (the critical
-chase admits doubly-exponential term counts in the program); WA/JA/SWA sets
+chase admits doubly-exponential term counts in the program); WA/JA sets
 get ``EXPTIME`` (``n^{w^D}`` with program-sized ``D``) unless the degree
 program certifies ``PTIME``.
 
@@ -406,15 +406,6 @@ def tier_report(dependencies: object) -> TierReport:
             max_degree=max_degree,
         )
 
-    if verdict.cls is TerminationClass.SUPER_WEAKLY_ACYCLIC:
-        return TierReport(
-            tier=ComplexityTier.EXPTIME,
-            basis=verdict.cls,
-            reason="super-weak acyclicity bounds the chase exponentially in "
-            "the program; its cyclic function graph admits no per-relation "
-            "degree witnesses",
-            refined=False,
-        )
     return TierReport(
         tier=ComplexityTier.TWO_EXPTIME,
         basis=verdict.cls,
@@ -498,10 +489,6 @@ def describe_witnesses(report: FrontierReport) -> list[str]:
         lines.append(f"weak-acyclicity cycle: {rendered}")
     if verdict.ja_cycle:
         lines.append("joint-acyclicity cycle: " + " -> ".join(verdict.ja_cycle))
-    if verdict.swa_cycle:
-        lines.append(
-            "super-weak-acyclicity cycle: " + " -> ".join(verdict.swa_cycle)
-        )
     if verdict.mfa_cyclic_term is not None:
         lines.append(f"MFA cyclic term: {verdict.mfa_cyclic_term}")
     if report.triangular.witness is not None:

@@ -10,8 +10,9 @@ Pass 1 -- **termination** (:mod:`repro.analysis.termination` and the
 hierarchy of :mod:`repro.analysis.acyclicity`): the position graph with
 special edges decides weak acyclicity and bounds the chase depth; a
 non-weakly-acyclic program is classified further on the termination
-hierarchy, reporting which rung admitted it (``TD002``-``TD004``) or the
-error ``TD001`` with a witness cycle when *no* rung certifies termination.
+hierarchy, reporting which rung admitted it (``TD002``, ``TD004``,
+``TD007``) or the error ``TD001`` with a witness cycle when *no* rung
+certifies termination.
 
 Pass 2 -- **frontier** (:mod:`repro.analysis.frontier`): the triangular-
 guardedness certificate (``TD005`` when reasoning stays decidable despite a
@@ -52,7 +53,6 @@ NT009    info      dependency subsumed by another one in the set
 NT010    info      existential variable used only in descendant parts
 TD001    error     no termination-hierarchy rung certifies the set
 TD002    info      set is jointly but not weakly acyclic
-TD003    info      set is super-weakly but not jointly acyclic
 TD004    warning   set is MFA-certified only (critical-instance chase)
 TD005    warning   triangularly guarded only: BCQ reasoning decidable,
                    chase termination not certified
@@ -126,7 +126,6 @@ LINT_CATALOG: dict[str, tuple[str, str]] = {
     "NT010": ("info", "existential variable used only in descendant parts"),
     "TD001": ("error", "no termination-hierarchy rung certifies the set"),
     "TD002": ("info", "set is jointly but not weakly acyclic"),
-    "TD003": ("info", "set is super-weakly but not jointly acyclic"),
     "TD004": ("warning", "set is certified only by MFA (critical-instance chase)"),
     "TD005": (
         "warning",
@@ -169,7 +168,6 @@ LINT_CATALOG: dict[str, tuple[str, str]] = {
 #: needs no finding; NOT_GUARANTEED is the error TD001).
 _HIERARCHY_CODES = {
     TerminationClass.JOINTLY_ACYCLIC: "TD002",
-    TerminationClass.SUPER_WEAKLY_ACYCLIC: "TD003",
     TerminationClass.MODEL_FAITHFUL: "TD004",
     TerminationClass.STRATIFIED_MFA: "TD007",
 }

@@ -67,7 +67,7 @@ def format_position(position: Position) -> str:
 #: The shared intermediate representation of a dependency set: one
 #: :class:`ClauseIR` per Skolemized clause, with every variable/position
 #: relationship the static analyses need precomputed.  The weak-acyclicity
-#: position graph (this module), the joint/super-weak acyclicity tests
+#: position graph (this module), the joint-acyclicity test
 #: (:mod:`repro.analysis.acyclicity`), and the cost model
 #: (:mod:`repro.analysis.cost`) are all views of this IR.
 

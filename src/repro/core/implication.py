@@ -24,12 +24,13 @@ variables per clause.
 
 Engine-level accelerations on top of the paper's procedure:
 
-- a **DAG-incremental sweep** (the default): ``P_k(sigma)`` is enumerated as
-  a frontier-ordered DAG in which every pattern with ``n > 1`` nodes is
-  built once, from its *canonical parent*: the ``n - 1``-node pattern that
-  drops the leaf its minimum descent reaches (from the root, always into a
-  child of least ``(node_count, sort_key)``; ``docs/algorithms.md`` shows
-  that parent is a k-pattern).  A leaf is attached only where it ends the
+- a **DAG-incremental sweep** (whenever there are no source egds):
+  ``P_k(sigma)`` is enumerated as a frontier-ordered DAG in which every
+  pattern with ``n > 1`` nodes is built once, from its *canonical parent*:
+  the ``n - 1``-node pattern that drops the leaf its minimum descent
+  reaches (from the root, always into a child of least
+  ``(node_count, sort_key)``; ``docs/algorithms.md`` shows that parent is a
+  k-pattern).  A leaf is attached only where it ends the
   child's minimum descent, so no candidate is a duplicate, and most
   attachments are rejected by node counts before any :class:`Pattern` is
   built.  Each pattern's canonical instances and chase are *extended* from
@@ -157,21 +158,29 @@ def _normalize_rhs(dep) -> NestedTgd:
 
 
 def _max_universal_variables(dependencies: Sequence) -> int:
-    """The quantity ``w`` of the IMPLIES procedure."""
+    """The quantity ``w`` of the IMPLIES procedure, over any mix of formalisms."""
     best = 0
     for dep in dependencies:
         if isinstance(dep, NestedTgd):
             best = max(best, dep.universal_variable_count())
+        elif isinstance(dep, STTgd):
+            best = max(best, len(dep.universal_variables))
         elif isinstance(dep, SOTgd):
             best = max(best, dep.max_universal_variables())
     return best
 
 
-def implication_bound(sigma_set: Sequence, sigma: NestedTgd) -> int:
-    """The clone bound ``k = v_sigma * w_Sigma + 1`` from line 4 of IMPLIES."""
-    v = sigma.skolem_function_count()
-    w = _max_universal_variables(sigma_set)
-    return v * w + 1
+def implication_bound(sigma_set: Sequence, sigma: NestedTgd | STTgd) -> int:
+    """The clone bound ``k = v_sigma * w_Sigma + 1`` from line 4 of IMPLIES.
+
+    A flat *sigma* counts its existential variables as ``v`` directly, so
+    same-schema tgds (which ``to_nested`` rejects) get a bound too.
+    """
+    if isinstance(sigma, STTgd):
+        v = len(sigma.existential_variables)
+    else:
+        v = sigma.skolem_function_count()
+    return v * _max_universal_variables(sigma_set) + 1
 
 
 # --------------------------------------------------------------- chase cache
@@ -607,19 +616,19 @@ def _verdict_key(
     rhs: NestedTgd,
     source_egds: Sequence[Egd],
     k: int,
-    incremental: bool,
 ) -> str:
     """The disk key of one full IMPLIES verdict.
 
     Includes every input that can change the result *or its diagnostics*:
     Sigma (repr fingerprint), sigma, the source egds, the clone bound, and
-    the sweep mode -- incremental and from-scratch sweeps agree on the
-    verdict but may report different (equally valid) counterexamples, and a
-    cached result must be indistinguishable from a recomputed one.  The
-    leading component pins a format version and the component counts, so
-    concatenated reprs cannot alias across the egd/lhs boundary.
+    the sweep mode, which the source egds decide -- incremental and
+    from-scratch sweeps agree on the verdict but may report different
+    (equally valid) counterexamples, and a cached result must be
+    indistinguishable from a recomputed one.  The leading component pins a
+    format version and the component counts, so concatenated reprs cannot
+    alias across the egd/lhs boundary.
     """
-    mode = "incremental" if incremental else "scratch"
+    mode = "scratch" if source_egds else "incremental"
     return fingerprint_texts((
         f"implies-v2:k={k}:mode={mode}:lhs={len(fingerprint)}",
         *fingerprint,
@@ -675,17 +684,15 @@ def implies_tgd(
     *,
     subsumption: bool = True,
     budget: int | None = None,
-    incremental: bool | None = None,
 ) -> ImplicationResult:
     """Run the procedure IMPLIES and return a result with diagnostics.
 
-    By default the sweep is **DAG-incremental**: each pattern's canonical
-    instances and chase are extended from its parent pattern's state by the
-    delta one new leaf contributes (``incremental=False`` forces the
-    from-scratch sweep; with *source_egds* the from-scratch sweep is always
-    used, because egd merges are not monotone under source extension).
-    Both sweeps run in this process and check patterns in enumeration
-    order, stopping at the first failing one.
+    Without *source_egds* the sweep is **DAG-incremental**: each pattern's
+    canonical instances and chase are extended from its parent pattern's
+    state by the delta one new leaf contributes.  With *source_egds* every
+    pattern is chased from scratch, because egd merges are not monotone
+    under source extension.  Both sweeps run in this process and check
+    patterns in enumeration order, stopping at the first failing one.
 
     A sweep over more than *max_patterns* patterns raises
     :class:`~repro.errors.ResourceLimitExceeded`.  The budget pre-flight
@@ -744,13 +751,7 @@ def implies_tgd(
             )
     source_egds = list(source_egds)
     fingerprint = _sigma_fingerprint(lhs)
-    if incremental is None:
-        incremental = not source_egds
-    elif incremental and source_egds:
-        raise DependencyError(
-            "the incremental sweep does not support source egds (egd merges "
-            "are not monotone under source extension); pass incremental=False"
-        )
+    incremental = not source_egds
 
     try:
         from repro.core.patterns import count_k_patterns
@@ -767,7 +768,7 @@ def implies_tgd(
         # single pattern.
         verdict_key: str | None = None
         if use_store:
-            verdict_key = _verdict_key(fingerprint, rhs, source_egds, k, incremental)
+            verdict_key = _verdict_key(fingerprint, rhs, source_egds, k)
             cached_verdict = _disk_verdict_get(verdict_key)
             if cached_verdict is not None:
                 return cached_verdict
@@ -791,7 +792,6 @@ def implies(
     *,
     subsumption: bool = True,
     budget: int | None = None,
-    incremental: bool | None = None,
 ) -> bool:
     """Decide ``Sigma |= Sigma'`` for finite sets of (nested) tgds.
 
@@ -804,7 +804,7 @@ def implies(
     return all(
         implies_tgd(
             sigma_set, sigma, source_egds=source_egds, max_patterns=max_patterns,
-            subsumption=subsumption, budget=budget, incremental=incremental,
+            subsumption=subsumption, budget=budget,
         ).holds
         for sigma in sigma_prime_set
     )
@@ -818,17 +818,16 @@ def equivalent(
     *,
     subsumption: bool = True,
     budget: int | None = None,
-    incremental: bool | None = None,
 ) -> bool:
     """Decide logical equivalence of two finite sets of nested tgds (Corollary 3.11)."""
     return implies(
         sigma_set, sigma_prime_set, source_egds=source_egds,
         max_patterns=max_patterns, subsumption=subsumption,
-        budget=budget, incremental=incremental,
+        budget=budget,
     ) and implies(
         sigma_prime_set, sigma_set, source_egds=source_egds,
         max_patterns=max_patterns, subsumption=subsumption,
-        budget=budget, incremental=incremental,
+        budget=budget,
     )
 
 

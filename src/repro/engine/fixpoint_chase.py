@@ -15,8 +15,8 @@ Before chasing, the engine consults the static termination analyses:
   the tests verify.
 - **not weakly acyclic**: the engine climbs the termination hierarchy of
   :func:`repro.analysis.acyclicity.classify_termination` (joint acyclicity,
-  super-weak acyclicity, MFA, stratified MFA -- lint findings
-  ``TD002``-``TD004`` and ``TD007``).  Any rung that certifies the set lets
+  MFA, stratified MFA -- lint findings ``TD002``, ``TD004`` and
+  ``TD007``).  Any rung that certifies the set lets
   the chase run unbounded; only when *no* rung admits it does the engine
   refuse without an explicit ``max_rounds``, with a
   :class:`~repro.errors.ChaseError` pointing at the ``TD001`` finding.
@@ -110,7 +110,7 @@ def fixpoint_chase(
     input facts.
 
     The static termination hierarchy gates the run: a program certified by
-    *any* rung (weakly/jointly/super-weakly/model-faithfully acyclic) runs
+    *any* rung (weakly/jointly/model-faithfully acyclic, or MFA per stratum) runs
     unbounded; otherwise *max_rounds* is required and the result's
     ``reached_fixpoint`` records whether the bound was actually reached.
 
@@ -134,8 +134,8 @@ def fixpoint_chase(
         if not hierarchy.guarantees_termination:
             raise ChaseError(
                 "no rung of the termination hierarchy certifies the dependency "
-                "set (lint finding TD001: not weakly, jointly, or super-weakly "
-                "acyclic, not MFA even per stratum, and MFA found "
+                "set (lint finding TD001: not weakly or jointly acyclic, "
+                "not MFA even per stratum, and MFA found "
                 + (
                     f"the cyclic term {hierarchy.mfa_cyclic_term}"
                     if hierarchy.mfa_cyclic_term is not None

@@ -3,6 +3,7 @@
 import re
 
 import pytest
+from hypothesis import given, settings
 
 from repro.analysis.acyclicity import (
     TerminationClass,
@@ -11,7 +12,6 @@ from repro.analysis.acyclicity import (
     critical_instance,
     jointly_acyclic,
     model_faithful_acyclic,
-    super_weakly_acyclic,
 )
 from repro.analysis.termination import dependency_graph_ir, termination_report
 from repro.engine.chase import compile_clause_program
@@ -24,10 +24,14 @@ from repro.logic.parser import parse_egd, parse_nested_tgd, parse_so_tgd, parse_
 from repro.logic.terms import FuncTerm
 from repro.logic.values import Constant
 
+from tests.strategies import instances, same_schema_tgds
+
 
 # One witness set per rung of the hierarchy, each refuting all narrower rungs.
 WA_SET = [parse_tgd("S(x,y) -> R(x,y)")]
 JA_NOT_WA_SET = [parse_tgd("E(x,y) & E(y,x) -> exists z . E(y,z)")]
+# Super-weakly but not jointly acyclic (Marnette).  Super-weak acyclicity is
+# not a rung: every such set is MFA, and so is this one.
 SWA_NOT_JA_SET = [
     parse_tgd("S(x) -> exists y, z . R(y,z) & R(z,y)"),
     parse_tgd("R(u,u) -> exists w . S(w)"),
@@ -66,6 +70,13 @@ def engine_functions(deps) -> set[str]:
     }
 
 
+def term_depth(term: object) -> int:
+    """Skolem-term nesting depth: 0 for constants, 1 + max(args) for terms."""
+    if isinstance(term, FuncTerm):
+        return 1 + max((term_depth(arg) for arg in term.args), default=0)
+    return 0
+
+
 def nested_below_itself(term: str) -> bool:
     """Does some function of the rendered *term* occur inside its own arguments?"""
     enclosing: list[str] = []
@@ -83,9 +94,15 @@ class TestLattice:
     def test_rank_order(self):
         ranks = [cls.rank for cls in TerminationClass]
         assert ranks == sorted(ranks)
-        assert TerminationClass.WEAKLY_ACYCLIC < TerminationClass.JOINTLY_ACYCLIC
+        assert list(TerminationClass) == [
+            TerminationClass.WEAKLY_ACYCLIC,
+            TerminationClass.JOINTLY_ACYCLIC,
+            TerminationClass.MODEL_FAITHFUL,
+            TerminationClass.STRATIFIED_MFA,
+            TerminationClass.NOT_GUARANTEED,
+        ]
         assert (
-            TerminationClass.SUPER_WEAKLY_ACYCLIC
+            TerminationClass.JOINTLY_ACYCLIC
             < TerminationClass.MODEL_FAITHFUL
             < TerminationClass.NOT_GUARANTEED
         )
@@ -109,17 +126,24 @@ class TestClassification:
         assert not verdict.weak.weakly_acyclic
         assert verdict.depth_bound == 1
 
-    def test_super_weakly_acyclic_not_jointly(self):
+    def test_super_weakly_acyclic_set_is_model_faithful(self):
+        from repro.analysis.cost import chase_budget, chase_cost
+        from repro.analysis.frontier import ComplexityTier, tier_report
+
         verdict = classify_termination(SWA_NOT_JA_SET)
-        assert verdict.cls is TerminationClass.SUPER_WEAKLY_ACYCLIC
+        assert verdict.cls is TerminationClass.MODEL_FAITHFUL
         # the JA refutation is witnessed by a function cycle
         assert verdict.ja_cycle
         assert verdict.depth_bound == 2
+        tier = tier_report(SWA_NOT_JA_SET)
+        assert tier.tier is ComplexityTier.TWO_EXPTIME
+        assert not tier.refined
+        assert chase_budget(SWA_NOT_JA_SET, 10) == chase_cost(SWA_NOT_JA_SET).fact_bound(10)
 
     def test_model_faithful_not_super_weak(self):
         verdict = classify_termination(MFA_NOT_SWA_SET)
         assert verdict.cls is TerminationClass.MODEL_FAITHFUL
-        assert verdict.ja_cycle and verdict.swa_cycle
+        assert verdict.ja_cycle
         assert verdict.mfa_facts is not None
         assert verdict.depth_bound == 2
 
@@ -148,7 +172,8 @@ class TestClassification:
         payload = classify_termination(MFA_NOT_SWA_SET).to_dict()
         assert payload["class"] == "model-faithful-acyclic"
         assert payload["guarantees_termination"] is True
-        assert payload["ja_cycle"] and payload["swa_cycle"]
+        assert payload["ja_cycle"]
+        assert "swa_cycle" not in payload
 
     def test_verdicts_are_cached(self):
         first = classify_termination(SWA_NOT_JA_SET)
@@ -240,19 +265,10 @@ class TestRungInternals:
         ok, cycle, _depth = jointly_acyclic(dependency_graph_ir(SWA_NOT_JA_SET))
         assert not ok and cycle
 
-    def test_super_weakly_acyclic_direct(self):
-        assert super_weakly_acyclic(dependency_graph_ir(SWA_NOT_JA_SET))[0]
-        ok, cycle, _depth = super_weakly_acyclic(dependency_graph_ir(MFA_NOT_SWA_SET))
-        assert not ok and cycle
-
     def test_containment_on_certified_sets(self):
         # every rung's witness set is admitted by all wider rungs
-        ir = dependency_graph_ir(JA_NOT_WA_SET)
-        assert jointly_acyclic(ir)[0]
-        assert super_weakly_acyclic(ir)[0]
+        assert jointly_acyclic(dependency_graph_ir(JA_NOT_WA_SET))[0]
         assert model_faithful_acyclic(JA_NOT_WA_SET)[0]
-        ir = dependency_graph_ir(SWA_NOT_JA_SET)
-        assert super_weakly_acyclic(ir)[0]
         assert model_faithful_acyclic(SWA_NOT_JA_SET)[0]
 
     def test_critical_instance_covers_all_positions(self):
@@ -302,3 +318,16 @@ class TestEngineGate:
         result = fixpoint_chase(instance, DIVERGING_SET, max_rounds=3)
         assert not result.reached_fixpoint
         assert result.termination_class is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(tgds=same_schema_tgds(), instance=instances(max_nulls=0))
+    def test_every_certificate_bounds_the_chase(self, tgds, instance):
+        # Whatever rung certifies a set, the unbounded chase of any ground
+        # instance reaches its fixpoint within the certified Skolem depth.
+        verdict = classify_termination(tgds)
+        if not verdict.guarantees_termination:
+            return
+        result = fixpoint_chase(instance, tgds)
+        assert result.reached_fixpoint
+        deepest = max((term_depth(arg) for fact in result.instance for arg in fact.args), default=0)
+        assert deepest <= verdict.depth_bound

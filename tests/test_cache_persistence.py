@@ -320,6 +320,26 @@ def test_cold_implies_writes_only_its_verdict(tmp_path):
     assert get_store().entry_counts() == {"implies": 1}
 
 
+def test_verdict_keys_of_default_calls_are_pinned(tmp_path):
+    """The sweep mode in a verdict key follows from the source egds alone,
+    and the keys of default calls, one per mode, are the ones earlier
+    releases wrote, so their stores keep answering."""
+    from repro import implies_tgd
+    from repro.logic.parser import parse_egd, parse_nested_tgd, parse_tgd
+
+    tau = parse_nested_tgd("S1(x1) -> exists y . (S2(x2) -> R(x2, y))")
+    tau_prime = parse_tgd("S2(x2) -> exists z . R(x2, z)")
+    egd = parse_egd("S2(x, y) & S2(x, z) -> y = z")
+    configure(tmp_path)
+    cache.clear_all_caches()
+    implies_tgd([tau_prime], tau)  # incremental sweep
+    implies_tgd([tau_prime], tau, source_egds=[egd])  # from-scratch sweep
+    assert get_store().keys() == [
+        ("implies", "9fc08d0e14846fd5610585b769f152fa17c16c9b319873bbb44bd331f6537c0a"),
+        ("implies", "cf0cf02c2b41d163aeb8ab394180de88c651de3ad4b3c023ed29ab8e2febfe66"),
+    ]
+
+
 def _off_cold_warm(directory, run):
     """*run*'s result with the store off, on a cold store, and warm (memory
     tiers cleared, disk kept)."""

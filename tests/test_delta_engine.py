@@ -28,6 +28,7 @@ from repro.logic.values import Constant
 from repro.workloads.generators import random_instance
 
 from tests.strategies import SOURCE_RELATIONS, nested_tgds
+from tests.test_incremental_sweep import fresh_sweep
 
 
 random_sources = st.integers(0, 10_000).map(
@@ -175,9 +176,9 @@ class TestParallelImpliesAgreesWithSerial:
         """The incremental sweep against the from-scratch one, subsumption
         off so that every pair runs a real pattern sweep."""
         clear_chase_cache()
-        fresh = implies_tgd(lhs, rhs, incremental=False, subsumption=False)
+        fresh = fresh_sweep(lhs, rhs)
         clear_chase_cache()
-        incremental = implies_tgd(lhs, rhs, incremental=True, subsumption=False)
+        incremental = implies_tgd(lhs, rhs, subsumption=False)
         assert incremental.patterns_checked > 0
         assert incremental.holds == fresh.holds
         assert incremental.k == fresh.k

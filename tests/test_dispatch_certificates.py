@@ -47,7 +47,7 @@ PROGRAMS = {
         ],
         ["E"],
     ),
-    # tier EXPTIME, super-weakly acyclic
+    # tier 2-EXPTIME, model-faithful acyclic (super-weakly, not jointly)
     "swa": (
         [
             parse_tgd("S(x) -> exists y, z . R(y,z) & R(z,y)"),

@@ -29,7 +29,13 @@ from repro.cache import clear_all_caches
 from repro.cli import main
 from repro.engine.fixpoint_chase import fixpoint_chase
 from repro.errors import ChaseError
-from repro.logic.parser import parse_egd, parse_instance, parse_tgd
+from repro.logic.parser import (
+    parse_egd,
+    parse_instance,
+    parse_nested_tgd,
+    parse_so_tgd,
+    parse_tgd,
+)
 from repro.workloads.families import (
     ladder_instance,
     ladder_tgds,
@@ -140,10 +146,11 @@ class TestComplexityTiers:
         assert report.refined  # witnesses exist, they are just too big
         assert report.max_degree == 13
 
-    def test_swa_is_exptime_without_witnesses(self):
+    def test_swa_set_is_two_exptime_without_witnesses(self):
+        # super-weakly but not jointly acyclic: MFA certifies it
         report = tier_report(tgds(*SWA_SET))
-        assert report.tier is ComplexityTier.EXPTIME
-        assert report.basis is TerminationClass.SUPER_WEAKLY_ACYCLIC
+        assert report.tier is ComplexityTier.TWO_EXPTIME
+        assert report.basis is TerminationClass.MODEL_FAITHFUL
         assert not report.refined
 
     def test_mfa_is_two_exptime(self):
@@ -209,6 +216,24 @@ class TestStratifiedMfa:
         assert verdict.strata_witness == ("#43",)
         with pytest.raises(ChaseError, match="TD001"):
             fixpoint_chase(parse_instance("P(a)"), deps)
+
+    def test_strata_read_every_formalism_through_its_clauses(self):
+        # The nested tgd reads Q only in its child part, so the s-t tgd
+        # writing Q feeds it through the child's clause alone; the SO tgd
+        # reads what the nested tgd's child writes.
+        gadget = tgds(*MFA_SET)
+        chain = gadget + [
+            parse_nested_tgd("L(x,y) -> exists u . (P(x,u) & (Q(y,z) -> exists v . N(u,z,v)))"),
+            parse_so_tgd("N(x,y,z) -> M(f(x), z)"),
+            parse_tgd("S(x) -> exists y . Q(x,y)"),
+            parse_tgd("M(x,y) -> exists z . T(y,z)"),
+        ]
+        assert stratified_mfa(chain) == (True, 5, 6, None)
+        assert stratified_mfa(chain[::-1]) == (True, 5, 6, None)
+        diverging = chain + tgds("T(x,y) -> exists z . T(y,z)")
+        assert stratified_mfa(diverging) == (False, 6, None, ("#7",))
+        assert stratified_mfa(diverging[::-1]) == (False, 6, None, ("#1",))
+        assert stratified_mfa(stratified_chain_tgds(40)) == (True, 42, 42, None)
 
     def test_single_scc_yields_no_stratification(self):
         assert stratified_mfa(tgds(DIVERGING)) is None
