@@ -313,8 +313,8 @@ def engine_counters() -> None:
     )
 
     # The same core in id-space: canonical-block fingerprints are
-    # byte-identical to the tuple engine's, and the id-space kernel runs
-    # AC-3 and search over integer ids, decoding only the core itself.
+    # byte-identical to the tuple engine's, and the kernel's value-id seeder
+    # runs AC-3 and search over integer ids, decoding only the core itself.
     with perf.measuring() as stats:
         folded = core(chased_star, backend="columnar")
     print(

@@ -344,7 +344,7 @@ class _ClausePlan:
     # ---------------------------------------------------------------- matching
 
     def _candidates(
-        self, step: _AtomStep, env: list[int], stats: "_Stats"
+        self, step: _AtomStep, env: list[int], stats: "_JoinStats"
     ) -> Iterable[tuple[_RelGroup, Iterable[int]]]:
         """Candidate (group, rows) for *step*, from the most selective index."""
         groups = self.source._groups.get(step.relation)
@@ -370,7 +370,7 @@ class _ClausePlan:
         return out
 
     def _match(
-        self, steps: list[_AtomStep], index: int, env: list[int], stats: "_Stats"
+        self, steps: list[_AtomStep], index: int, env: list[int], stats: "_JoinStats"
     ) -> Iterator[list[int]]:
         if index == len(steps):
             yield env
@@ -401,7 +401,7 @@ class _ClausePlan:
         for _, slot in binds:
             env[slot] = -1
 
-    def stream_assignments(self, stats: "_Stats") -> Iterator[list[int]]:
+    def stream_assignments(self, stats: "_JoinStats") -> Iterator[list[int]]:
         """Yield live environments over the full source store.
 
         The yielded list is *borrowed*: it is mutated by the next step of the
@@ -436,7 +436,9 @@ class _ClausePlan:
         return new
 
 
-class _Stats:
+class _JoinStats:
+    """Join steps of one columnar exchange, flushed to :mod:`repro.perf` once."""
+
     __slots__ = ("joins",)
 
     def __init__(self) -> None:
@@ -463,7 +465,7 @@ def columnar_execute_exchange(
     values = ValueTable()
     source_store = ColumnarInstance(source, values=values)
     target_store = ColumnarInstance(values=values)
-    stats = _Stats()
+    stats = _JoinStats()
     try:
         facts = 0
         for clause in clauses:

@@ -71,8 +71,10 @@ above, :class:`_ColumnarCore` runs the same worklist in *id-space* over a
 :class:`~repro.engine.columnar.ColumnarInstance` -- f-blocks are connected
 components of a union-find over integer value ids, canonical labelings
 permute null *ids* and compare memoized repr strings, eliminating
-homomorphisms go through :func:`~repro.engine.hom_kernel_columnar.
-solve_encoded` with per-group forbidden row sets, and eliminations are
+homomorphisms go through :func:`~repro.engine.hom_kernel.solve_encoded`
+(the value-id seeder of the one homomorphism kernel, whose Atom seeder
+:func:`~repro.engine.hom_kernel.block_homomorphism` serves the tuple
+engine) with per-group forbidden row sets, and eliminations are
 tombstone row discards.  All engines record the same ``core.*`` counters.
 Canonical-block fingerprints are computed from the id tuples via
 :func:`~repro.cache.fingerprint.encode_atom_parts` /
@@ -106,11 +108,11 @@ from repro.cache.fingerprint import (
 from repro.engine.builder import InstanceBuilder
 from repro.engine.columnar import ColumnarInstance, _RelGroup
 from repro.engine.gaifman import fact_blocks
-from repro.engine.hom_kernel import block_homomorphism
-from repro.engine.hom_kernel_columnar import (
+from repro.engine.hom_kernel import (
     _CONST as _ID_CONST,
     _VAR as _ID_VAR,
     EncodedFact,
+    block_homomorphism,
     solve_encoded,
 )
 from repro.logic.atoms import Atom
@@ -690,7 +692,7 @@ class _ColumnarCore:
     # ------------------------------------------------------------ elimination
 
     def encode_block(self, block: Sequence[_Row]) -> list[EncodedFact]:
-        """Encode block rows for the id-space kernel: null ids are the vars."""
+        """Encode block rows for :func:`solve_encoded`: null ids are the vars."""
         null_flags = self.null_flags
         return [
             EncodedFact(

@@ -1,55 +1,86 @@
-"""Indexed homomorphism kernel: domains, arc consistency, ordered search.
+"""Homomorphism kernel: seeded candidates, arc consistency, ordered search.
 
 Deciding whether a homomorphism ``J1 -> J2`` exists is a constraint
 satisfaction problem (Chandra-Merlin): the variables are the nulls of J1,
 the values are the elements of J2, and every fact of J1 is a hyper-constraint
-"this fact, with its nulls substituted, is a fact of J2".  The kernel applies
-the standard CSP toolkit on top of the per-relation / per-(relation,
-position, value) / per-value indexes that :class:`~repro.logic.instances.Instance`
-and :class:`~repro.engine.builder.InstanceBuilder` maintain:
+"this fact, with its nulls substituted, is a fact of J2".  One search serves
+every caller; only the way a source fact gets its candidate target facts
+differs, and two seeders provide them:
 
-1. **Index-seeded candidates** -- the candidate target facts of a source fact
-   are looked up from the most selective bound position (a constant or a
-   pre-bound null), never found by scanning a relation.
-2. **Per-null domains with AC-3 pruning** -- each null starts from the
-   intersection of the values its occurrences can take, and generalized
-   arc consistency is enforced before any search: a value survives only
-   while some candidate target fact supports it.  An emptied domain fails
-   the whole block without search.
-3. **Most-constrained-first search** -- the search assigns nulls (not facts),
-   always branching on the null with the smallest remaining domain, and
-   re-propagates after each assignment (full look-ahead).
-4. **Connected-component decomposition** -- facts are grouped by shared
-   *free* (unfixed) nulls and each component is solved independently; ground
-   and fully-fixed facts reduce to membership tests.
+- :func:`block_homomorphism` (behind
+  :func:`~repro.engine.homomorphism.find_homomorphism`, the IMPLIES sweep,
+  containment, the standard chase and the tuple core engine) seeds
+  :class:`~repro.logic.atoms.Atom` facts from the per-relation /
+  per-(relation, position, value) indexes of an
+  :class:`~repro.logic.instances.Instance` or
+  :class:`~repro.engine.builder.InstanceBuilder`.  It looks candidates up
+  from the most selective bound position (a constant or a pre-bound null),
+  drops forbidden facts, facts of another arity and facts that fail any
+  other bound position, and hands the search the survivors' argument
+  columns.  Variables are free nulls; values are tried in repr order.
+- :func:`solve_encoded` (the id-space core engine of
+  :mod:`repro.engine.core_instance`) seeds row ids of a columnar fact table
+  from the bucket of the most selective constant position of its
+  per-(position, value id) index.  Variables are the block's null value ids
+  and values are value ids, ordered numerically; no Atom is decoded.
 
-Callers pass an optional ``forbidden`` fact set: those target facts are
-treated as absent.  This is how the core engine searches for a retraction
-into "the instance minus the facts containing null x" without materializing
-a new instance per candidate null.
+Seeding is the only constant check: candidate lists only ever shrink, so
+the search proper looks at variable positions alone.
+
+1. **Per-variable domains with AC-3 pruning** -- each variable starts from
+   the intersection of the values its occurrences take in the seeded
+   candidates, and generalized arc consistency is enforced before any
+   search: a revision filters a fact's candidate rows column by column, and
+   a value survives only while some candidate supports it.  An emptied
+   domain fails the whole block without search.
+2. **Most-constrained-first search** -- the search assigns variables (not
+   facts), always branching on the variable with the smallest remaining
+   domain, and re-propagates after each assignment (full look-ahead).
+3. **Connected-component decomposition** -- facts are grouped by shared
+   variables and each component is solved independently; facts without a
+   variable reduce to membership tests.
+
+Callers pass an optional ``forbidden`` set (facts, or rows per fact table):
+those target facts are treated as absent.  This is how the core engines
+search for a retraction into "the instance minus the facts containing null
+x" without materializing a new instance per candidate null.
 
 The naive reference implementation (no indexes, no decomposition, no
 propagation) is preserved in :func:`repro.engine.naive.find_homomorphism_naive`
 for differential testing and for the speedup curves of
 ``benchmarks/bench_scaling_hom.py``.
+
+Perf counters (``hom.*``): ``kernel_calls``, ``ac3_revisions``,
+``ac3_wipeouts``, ``search_nodes`` and ``backtracks``, flushed once per call
+of either entry point.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Collection, Iterable, Mapping
+from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 from collections.abc import Set as AbstractSet
-from typing import Protocol
+from typing import TYPE_CHECKING, Any, Protocol, TypeVar
 
 from repro import perf
 from repro.logic.atoms import Atom
 from repro.logic.values import is_null
 
+if TYPE_CHECKING:
+    from repro.engine.columnar import _RelGroup
+
 _EMPTY_FORBIDDEN: frozenset[Atom] = frozenset()
+
+#: A source fact as a seeder takes it: an Atom, or an EncodedFact.
+_F = TypeVar("_F")
+
+#: Argument kinds of an :class:`EncodedFact`.
+_CONST = 0
+_VAR = 1
 
 
 class FactIndex(Protocol):
-    """The read API the kernel needs from a target (Instance or builder)."""
+    """The read API the Atom seeder needs from a target (Instance or builder)."""
 
     def facts_of(self, relation: str) -> Collection[Atom]:
         """Return the facts of *relation*."""
@@ -85,205 +116,46 @@ class _Stats:
             perf.incr("hom.backtracks", self.backtracks)
 
 
-def _seed_candidates(
-    fact: Atom,
-    target: FactIndex,
-    bound: Mapping[object, object],
-    forbidden: AbstractSet[Atom],
-) -> list[Atom]:
-    """Candidate target facts for *fact*, seeded by the most selective bound position."""
-    best: Collection[Atom] | None = None
-    for pos, arg in enumerate(fact.args):
-        value = bound.get(arg) if is_null(arg) else arg
-        if value is None:
-            continue
-        candidates = target.facts_with(fact.relation, pos, value)
-        if best is None or len(candidates) < len(best):
-            best = candidates
-            if not best:
-                return []
-    if best is None:
-        best = target.facts_of(fact.relation)
-    if forbidden:
-        return [t for t in best if t not in forbidden]
-    return list(best)
+class _Fact:
+    """One source fact as the search sees it.
 
-
-def _consistent(
-    fact: Atom,
-    candidate: Atom,
-    bound: Mapping[object, object],
-    domains: Mapping[object, AbstractSet[object]],
-) -> bool:
-    """Is *candidate* compatible with *fact* under current bounds and domains?"""
-    if fact.relation != candidate.relation or fact.arity != candidate.arity:
-        return False
-    seen: dict[object, object] = {}
-    for arg, value in zip(fact.args, candidate.args):
-        if is_null(arg):
-            fixed_value = bound.get(arg)
-            if fixed_value is not None:
-                if fixed_value != value:
-                    return False
-                continue
-            previous = seen.get(arg)
-            if previous is None:
-                domain = domains.get(arg)
-                if domain is not None and value not in domain:
-                    return False
-                seen[arg] = value
-            elif previous != value:
-                return False
-        elif arg != value:
-            return False
-    return True
-
-
-class _Component:
-    """One connected component of a block: facts sharing free nulls."""
-
-    __slots__ = ("facts", "free_nulls", "null_positions", "facts_of_null")
-
-    def __init__(self, facts: list[Atom], bound: Mapping[object, object]) -> None:
-        self.facts = facts
-        # fact index -> list of (position, null) for free nulls, first occurrence only
-        self.null_positions: list[list[tuple[int, object]]] = []
-        self.facts_of_null: dict[object, list[int]] = {}
-        free: set[object] = set()
-        for index, fact in enumerate(facts):
-            positions: list[tuple[int, object]] = []
-            seen: set[object] = set()
-            for pos, arg in enumerate(fact.args):
-                if is_null(arg) and arg not in bound and arg not in seen:
-                    seen.add(arg)
-                    positions.append((pos, arg))
-                    free.add(arg)
-                    self.facts_of_null.setdefault(arg, []).append(index)
-            self.null_positions.append(positions)
-        self.free_nulls = free
-
-
-def _propagate(
-    component: _Component,
-    candidates: list[list[Atom]],
-    domains: dict[object, set[object]],
-    bound: Mapping[object, object],
-    queue: Iterable[int],
-    stats: _Stats,
-) -> bool:
-    """AC-3 style propagation; return False on a domain or candidate wipeout."""
-    pending: deque[int] = deque(queue)
-    queued = set(pending)
-    while pending:
-        index = pending.popleft()
-        queued.discard(index)
-        stats.revisions += 1
-        fact = component.facts[index]
-        filtered = [
-            t for t in candidates[index] if _consistent(fact, t, bound, domains)
-        ]
-        candidates[index] = filtered
-        if not filtered:
-            stats.wipeouts += 1
-            return False
-        for pos, null in component.null_positions[index]:
-            supported = {t.args[pos] for t in filtered}
-            domain = domains[null]
-            if supported >= domain:
-                continue
-            shrunk = domain & supported
-            if not shrunk:
-                stats.wipeouts += 1
-                return False
-            domains[null] = shrunk
-            for other in component.facts_of_null[null]:
-                if other != index and other not in queued:
-                    pending.append(other)
-                    queued.add(other)
-    return True
-
-
-def _search(
-    component: _Component,
-    candidates: list[list[Atom]],
-    domains: dict[object, set[object]],
-    bound: dict[object, object],
-    stats: _Stats,
-) -> dict[object, object] | None:
-    """Most-constrained-null backtracking with full look-ahead propagation."""
-    stats.nodes += 1
-    undecided = [n for n in component.free_nulls if n not in bound]
-    if not undecided:
-        return dict(bound)
-    null = min(undecided, key=lambda n: (len(domains[n]), repr(n)))
-    for value in sorted(domains[null], key=repr):
-        child_bound = dict(bound)
-        child_bound[null] = value
-        child_domains = {n: set(d) for n, d in domains.items()}
-        child_domains[null] = {value}
-        child_candidates = [list(c) for c in candidates]
-        if _propagate(
-            component, child_candidates, child_domains, child_bound,
-            component.facts_of_null[null], stats,
-        ):
-            # Propagation can pin further nulls to singleton domains; adopt them.
-            for n, domain in child_domains.items():
-                if n not in child_bound and len(domain) == 1:
-                    child_bound[n] = next(iter(domain))
-            result = _search(component, child_candidates, child_domains, child_bound, stats)
-            if result is not None:
-                return result
-        stats.backtracks += 1
-    return None
-
-
-def _solve_component(
-    component: _Component,
-    target: FactIndex,
-    fixed: Mapping[object, object],
-    forbidden: AbstractSet[Atom],
-    stats: _Stats,
-) -> dict[object, object] | None:
-    """Solve one component: domains, AC-3, then most-constrained search."""
-    domains: dict[object, set[object]] = {}
-    candidates: list[list[Atom]] = []
-    for index, fact in enumerate(component.facts):
-        cands = _seed_candidates(fact, target, fixed, forbidden)
-        candidates.append(cands)
-        if not cands:
-            stats.wipeouts += 1
-            return None
-        for pos, null in component.null_positions[index]:
-            occurrence = {t.args[pos] for t in cands}
-            domain = domains.get(null)
-            domains[null] = occurrence if domain is None else domain & occurrence
-            if not domains[null]:
-                stats.wipeouts += 1
-                return None
-    bound: dict[object, object] = dict(fixed)
-    if not _propagate(
-        component, candidates, domains, bound, range(len(component.facts)), stats
-    ):
-        return None
-    for null, domain in domains.items():
-        if null not in bound and len(domain) == 1:
-            bound[null] = next(iter(domain))
-    solution = _search(component, candidates, domains, bound, stats)
-    if solution is None:
-        return None
-    return {n: solution[n] for n in component.free_nulls}
-
-
-def _components(
-    facts: Iterable[Atom], fixed: Mapping[object, object]
-) -> tuple[list[list[Atom]], list[Atom]]:
-    """Split facts into components connected by free nulls, plus the rest.
-
-    The second element collects facts with no free null (ground facts and
-    facts whose nulls are all pre-bound): they reduce to membership tests.
+    ``columns[pos][row]`` is the value at position *pos* of candidate row
+    *row*.  ``var_positions`` lists the first occurrence of each distinct
+    variable -- the positions whose columns define its domain.  ``repeats``
+    pairs each later occurrence of a variable with its first position: a
+    candidate row must hold equal values in both columns.
     """
-    grounded: list[Atom] = []
-    fact_free: list[tuple[Atom, list[object]]] = []
+
+    __slots__ = ("columns", "var_positions", "repeats")
+
+    def __init__(self, columns: Sequence[Sequence[Any]], variables: Iterable[object]) -> None:
+        """*variables* holds one entry per position: its variable, or None."""
+        self.columns = columns
+        first: dict[object, int] = {}
+        positions: list[tuple[int, object]] = []
+        repeats: list[tuple[int, int]] = []
+        for pos, var in enumerate(variables):
+            if var is None:
+                continue
+            if var in first:
+                repeats.append((pos, first[var]))
+            else:
+                first[var] = pos
+                positions.append((pos, var))
+        self.var_positions = tuple(positions)
+        self.repeats = tuple(repeats)
+
+
+#: What a seeder returns for a fact that has no candidate at all.
+_NO_FACT = _Fact((), ())
+
+
+def _split_components(
+    facts: Iterable[_F], variables_of: Callable[[_F], Sequence[object]]
+) -> tuple[list[list[_F]], list[_F]]:
+    """Group facts connected by shared variables; facts with none separately."""
+    grounded: list[_F] = []
+    with_vars: list[_F] = []
     anchor_of: dict[object, int] = {}
     parent: list[int] = []
 
@@ -294,23 +166,222 @@ def _components(
         return i
 
     for fact in facts:
-        free = [a for a in fact.nulls() if a not in fixed]
-        if not free:
+        variables = variables_of(fact)
+        if not variables:
             grounded.append(fact)
             continue
-        index = len(fact_free)
-        fact_free.append((fact, free))
+        index = len(with_vars)
+        with_vars.append(fact)
         parent.append(index)
-        for null in free:
-            anchor = anchor_of.setdefault(null, index)
+        for var in variables:
+            anchor = anchor_of.setdefault(var, index)
             if anchor != index:
                 root_a, root_b = find(anchor), find(index)
                 if root_a != root_b:
                     parent[root_b] = root_a
-    groups: dict[int, list[Atom]] = {}
-    for index, (fact, __) in enumerate(fact_free):
-        groups.setdefault(find(index), []).append(fact)
-    return list(groups.values()), grounded
+    components: dict[int, list[_F]] = {}
+    for index, fact in enumerate(with_vars):
+        components.setdefault(find(index), []).append(fact)
+    return list(components.values()), grounded
+
+
+def _propagate(
+    facts: list[_Fact],
+    facts_of_var: dict[object, list[int]],
+    candidates: list[list[int]],
+    domains: dict[object, set[Any]],
+    queue: Iterable[int],
+    stats: _Stats,
+) -> bool:
+    """AC-3 style propagation; return False on a domain or candidate wipeout.
+
+    A revision filters a fact's candidate rows one column at a time: the
+    value at each variable's first position must lie in that variable's
+    domain, and repeated positions must agree.  A bound variable's domain is
+    the singleton of its value, so bindings need no check of their own.
+    """
+    pending: deque[int] = deque(queue)
+    queued = set(pending)
+    while pending:
+        index = pending.popleft()
+        queued.discard(index)
+        stats.revisions += 1
+        fact = facts[index]
+        columns = fact.columns
+        filtered = candidates[index]
+        for pos, var in fact.var_positions:
+            column, domain = columns[pos], domains[var]
+            filtered = [row for row in filtered if column[row] in domain]
+        for pos, first in fact.repeats:
+            column, other = columns[pos], columns[first]
+            filtered = [row for row in filtered if column[row] == other[row]]
+        candidates[index] = filtered
+        if not filtered:
+            stats.wipeouts += 1
+            return False
+        for pos, var in fact.var_positions:
+            column = columns[pos]
+            supported = {column[row] for row in filtered}
+            domain = domains[var]
+            if supported >= domain:
+                continue
+            shrunk = domain & supported
+            if not shrunk:
+                stats.wipeouts += 1
+                return False
+            domains[var] = shrunk
+            for other in facts_of_var[var]:
+                if other != index and other not in queued:
+                    pending.append(other)
+                    queued.add(other)
+    return True
+
+
+def _search(
+    facts: list[_Fact],
+    facts_of_var: dict[object, list[int]],
+    candidates: list[list[int]],
+    domains: dict[object, set[Any]],
+    bound: dict[object, Any],
+    value_order: Callable[[Any], Any] | None,
+    stats: _Stats,
+) -> dict[object, Any] | None:
+    """Most-constrained-variable backtracking with full look-ahead.
+
+    Ties between equally constrained variables break by repr; the values
+    of the chosen variable are tried in *value_order* (natural order when
+    None).
+    """
+    stats.nodes += 1
+    undecided = [var for var in domains if var not in bound]
+    if not undecided:
+        return dict(bound)
+    var = min(undecided, key=lambda v: (len(domains[v]), repr(v)))
+    for value in sorted(domains[var], key=value_order):
+        child_bound = dict(bound)
+        child_bound[var] = value
+        child_domains = {v: set(d) for v, d in domains.items()}
+        child_domains[var] = {value}
+        child_candidates = [list(c) for c in candidates]
+        if _propagate(
+            facts, facts_of_var, child_candidates, child_domains,
+            facts_of_var[var], stats,
+        ):
+            # Propagation can pin further variables to singletons; adopt them.
+            for v, domain in child_domains.items():
+                if v not in child_bound and len(domain) == 1:
+                    child_bound[v] = next(iter(domain))
+            result = _search(
+                facts, facts_of_var, child_candidates, child_domains,
+                child_bound, value_order, stats,
+            )
+            if result is not None:
+                return result
+        stats.backtracks += 1
+    return None
+
+
+def _solve_component(
+    seeded: Iterator[tuple[_Fact, list[int]]],
+    value_order: Callable[[Any], Any] | None,
+    stats: _Stats,
+) -> dict[object, Any] | None:
+    """Solve one component: domains from seeded rows, AC-3, then search.
+
+    *seeded* yields the component's facts lazily, so a fact without
+    candidates fails the component before the rest are seeded.
+    """
+    facts: list[_Fact] = []
+    candidates: list[list[int]] = []
+    domains: dict[object, set[Any]] = {}
+    facts_of_var: dict[object, list[int]] = {}
+    for index, (fact, rows) in enumerate(seeded):
+        facts.append(fact)
+        candidates.append(rows)
+        if not rows:
+            stats.wipeouts += 1
+            return None
+        columns = fact.columns
+        for pos, var in fact.var_positions:
+            facts_of_var.setdefault(var, []).append(index)
+            column = columns[pos]
+            occurrence = {column[row] for row in rows}
+            domain = domains.get(var)
+            domains[var] = occurrence if domain is None else domain & occurrence
+            if not domains[var]:
+                stats.wipeouts += 1
+                return None
+    if not _propagate(
+        facts, facts_of_var, candidates, domains, range(len(facts)), stats
+    ):
+        return None
+    bound = {var: next(iter(domain)) for var, domain in domains.items() if len(domain) == 1}
+    return _search(facts, facts_of_var, candidates, domains, bound, value_order, stats)
+
+
+def _solve(
+    components: list[list[_F]],
+    seed: Callable[[_F], tuple[_Fact, list[int]]],
+    value_order: Callable[[Any], Any] | None,
+    stats: _Stats,
+) -> dict[object, Any] | None:
+    """Solve every component in turn; the union of their maps, or None.
+
+    *seed* gives a source fact its kernel fact and candidate rows; values
+    are tried in *value_order* (natural order when None).
+    """
+    result: dict[object, Any] = {}
+    for component in components:
+        solution = _solve_component(map(seed, component), value_order, stats)
+        if solution is None:
+            return None
+        result.update(solution)
+    return result
+
+
+# ------------------------------------------------------------- Atom seeder
+
+
+def _seed_atoms(
+    fact: Atom,
+    target: FactIndex,
+    fixed: Mapping[object, object],
+    forbidden: AbstractSet[Atom],
+) -> tuple[_Fact, list[int]]:
+    """Candidate target facts for *fact*, as argument columns.
+
+    Candidates come from the index bucket of the most selective bound
+    position (a constant, or a null pre-bound in *fixed*); forbidden facts,
+    facts of another arity and facts that fail another bound position are
+    dropped here, once.  The variables are the free nulls of *fact*.
+    """
+    relation, arity = fact.relation, len(fact.args)
+    variables: list[object] = []
+    bound: list[tuple[int, object]] = []
+    best: Collection[Atom] | None = None
+    best_pos = -1
+    for pos, arg in enumerate(fact.args):
+        value = fixed.get(arg) if is_null(arg) else arg
+        if value is None:
+            variables.append(arg)
+            continue
+        variables.append(None)
+        bound.append((pos, value))
+        bucket = target.facts_with(relation, pos, value)
+        if not bucket:
+            return _NO_FACT, []
+        if best is None or len(bucket) < len(best):
+            best, best_pos = bucket, pos
+    if best is None:
+        best = target.facts_of(relation)
+    if forbidden:
+        args = [t.args for t in best if len(t.args) == arity and t not in forbidden]
+    else:
+        args = [t.args for t in best if len(t.args) == arity]
+    for pos, value in bound:
+        if pos != best_pos:
+            args = [row for row in args if row[pos] == value]
+    return _Fact(list(zip(*args)), variables), list(range(len(args)))
 
 
 def block_homomorphism(
@@ -325,48 +396,114 @@ def block_homomorphism(
     facts in *forbidden* count as absent from the target.  The returned dict
     binds exactly the free nulls of *facts*.
     """
-    fixed = fixed or {}
+    bindings: Mapping[object, object] = fixed or {}
     stats = _Stats()
-    result: dict[object, object] = {}
     try:
-        components, grounded = _components(facts, fixed)
-        fixed_map = dict(fixed) if fixed else None
+        components, grounded = _split_components(
+            facts, lambda fact: [a for a in fact.nulls() if a not in bindings]
+        )
+        fixed_map = dict(bindings) if bindings else None
         for fact in grounded:
             image = fact.rename_values(fixed_map) if fixed_map else fact
             if image not in target or image in forbidden:
                 return None
-        for component_facts in components:
-            component = _Component(component_facts, fixed)
-            solution = _solve_component(component, target, fixed, forbidden, stats)
-            if solution is None:
-                return None
-            result.update(solution)
+        return _solve(
+            components,
+            lambda fact: _seed_atoms(fact, target, bindings, forbidden),
+            repr,
+            stats,
+        )
     finally:
         stats.flush()
-    return result
 
 
-def find_homomorphism_indexed(
-    source: Iterable[Atom],
-    target: FactIndex,
-    fixed: Mapping[object, object] | None = None,
-) -> dict[object, object] | None:
-    """Find a homomorphism from the facts of *source* into *target*, or None.
+# --------------------------------------------------------- value-id seeder
 
-    The returned dict maps every null of *source* to a value of *target* and
-    includes the *fixed* pre-bindings, matching the contract of
-    :func:`repro.engine.homomorphism.find_homomorphism`.
+
+class EncodedFact(_Fact):
+    """One source fact resolved against a columnar fact table (``group``).
+
+    ``args`` holds one ``(kind, vid)`` pair per position: ``(_CONST, vid)``
+    for a constant, ``(_VAR, vid)`` for a null, the variable being the
+    null's own value id.  The candidate rows are row ids of the group.
     """
-    fixed = dict(fixed) if fixed else {}
-    mapping = block_homomorphism(source, target, fixed)
-    if mapping is None:
-        return None
-    mapping.update(fixed)
-    return mapping
+
+    __slots__ = ("group", "args")
+
+    def __init__(self, group: _RelGroup, args: tuple[tuple[int, int], ...]) -> None:
+        super().__init__(
+            group.columns, [key if kind == _VAR else None for kind, key in args]
+        )
+        self.group = group
+        self.args = args
+
+
+def _seed_rows(
+    fact: EncodedFact, forbidden: dict[_RelGroup, set[int]] | None
+) -> tuple[_Fact, list[int]]:
+    """Candidate rows for *fact*: the bucket of its most selective constant
+    position, narrowed by every other constant position."""
+    group = fact.group
+    best: list[int] | None = None
+    best_pos = -1
+    constants: list[tuple[int, int]] = []
+    for pos, (kind, key) in enumerate(fact.args):
+        if kind != _CONST:
+            continue
+        bucket = group.index[pos].get(key)
+        if bucket is None:
+            return fact, []
+        constants.append((pos, key))
+        if best is None or len(bucket) < len(best):
+            best, best_pos = bucket, pos
+    rows: Iterable[int] = group.live_rows() if best is None else best
+    if forbidden:
+        blocked = forbidden.get(group)
+        if blocked:
+            rows = [row for row in rows if row not in blocked]
+    columns = group.columns
+    for pos, key in constants:
+        if pos != best_pos:
+            column = columns[pos]
+            rows = [row for row in rows if column[row] == key]
+    return fact, list(rows)
+
+
+def _encoded_variables(fact: EncodedFact) -> list[object]:
+    return [var for __, var in fact.var_positions]
+
+
+def solve_encoded(
+    encoded: list[EncodedFact],
+    forbidden: dict[_RelGroup, set[int]] | None = None,
+) -> dict[object, int] | None:
+    """Map every variable key of *encoded* to a value id, or None.
+
+    Grounded facts reduce to row lookups; components solve independently.
+    Rows in *forbidden* count as absent.
+    """
+    stats = _Stats()
+    try:
+        components, grounded = _split_components(encoded, _encoded_variables)
+        for fact in grounded:
+            ids = tuple(key for __, key in fact.args)
+            row = fact.group.row_of.get(ids)
+            if row is None:
+                return None
+            if forbidden:
+                blocked = forbidden.get(fact.group)
+                if blocked and row in blocked:
+                    return None
+        return _solve(
+            components, lambda fact: _seed_rows(fact, forbidden), None, stats
+        )
+    finally:
+        stats.flush()
 
 
 __all__ = [
+    "EncodedFact",
     "FactIndex",
     "block_homomorphism",
-    "find_homomorphism_indexed",
+    "solve_encoded",
 ]

@@ -6,9 +6,11 @@ identity on constants and every fact of J1 is mapped to a fact of J2
 decomposes along the f-blocks of J1: nulls in different f-blocks never
 interact, and ground facts of J1 must simply occur in J2.
 
-The search itself lives in :mod:`repro.engine.hom_kernel` (index-seeded
-candidates, AC-3 domain pruning, most-constrained-null ordering); this
-module keeps the public API.  The unindexed reference search is
+The search itself is :func:`repro.engine.hom_kernel.block_homomorphism`,
+the Atom seeder of the one homomorphism kernel (index-seeded candidates,
+AC-3 domain pruning, most-constrained-null ordering), which the id-space
+core engine shares through its value-id seeder; this module keeps the
+public API.  The unindexed reference search is
 :func:`repro.engine.naive.find_homomorphism_naive`.
 """
 
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
+from repro.engine.hom_kernel import block_homomorphism
 from repro.logic.instances import Instance
 from repro.logic.values import is_null
 
@@ -38,9 +41,12 @@ def find_homomorphism(
         >>> find_homomorphism(J2, J1) is None   # R(a, b) does not occur in J1
         True
     """
-    from repro.engine.hom_kernel import find_homomorphism_indexed
-
-    return find_homomorphism_indexed(source, target, fixed)
+    fixed = dict(fixed) if fixed else {}
+    mapping = block_homomorphism(source, target, fixed)
+    if mapping is None:
+        return None
+    mapping.update(fixed)
+    return mapping
 
 
 def has_homomorphism(source: Instance, target: Instance) -> bool:

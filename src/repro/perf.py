@@ -21,9 +21,9 @@ Counter names are dotted strings, grouped by subsystem:
 ``match.memo_hits``       child-match memoization hits of the
                           ``chase_nested`` forest
 ``hom.backtracks``        value choices undone during homomorphism search
-``hom.kernel_calls``      calls into a homomorphism kernel (the tuple kernel
-                          or the id-space kernel of the columnar core); the
-                          ``hom.*`` counters count both kernels
+``hom.kernel_calls``      calls into the homomorphism kernel, through
+                          either seeder (``block_homomorphism`` or the
+                          columnar core's ``solve_encoded``)
 ``hom.ac3_revisions``     per-fact candidate revisions during AC-3
                           propagation
 ``hom.ac3_wipeouts``      searches refuted by propagation alone (an emptied

@@ -96,20 +96,22 @@ def instances(
     max_constants: int = 4,
     max_nulls: int = 4,
     min_facts: int = 0,
+    relations: list[tuple[str, int]] = INSTANCE_RELATIONS,
 ):
     """Generate a random :class:`Instance` over a small value pool.
 
     Values are drawn from shared pools (``a0..``, ``_n0..``) so that two
     independently drawn instances share constants -- the interesting regime
     for differential homomorphism tests.  ``max_nulls=0`` yields ground
-    instances.
+    instances.  Facts use the ``(name, arity)`` pairs of *relations*; a name
+    may occur at several arities.
     """
     values = [Constant(f"a{i}") for i in range(max_constants)]
     values += [Null(f"n{i}") for i in range(max_nulls)]
     n_facts = draw(st.integers(min_facts, max_facts))
     facts = []
     for __ in range(n_facts):
-        name, arity = draw(st.sampled_from(INSTANCE_RELATIONS))
+        name, arity = draw(st.sampled_from(relations))
         args = tuple(draw(st.sampled_from(values)) for __ in range(arity))
         facts.append(Atom(name, args))
     return Instance(facts)

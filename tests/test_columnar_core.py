@@ -7,11 +7,11 @@ of representative facts), so the correctness bar is: **verdicts agree exactly**
 (homomorphism existence, witness validity) and **cores agree up to
 isomorphism** (the core is unique up to isomorphism; sizes agree exactly).
 
-Also covered here: the id-space kernel against the tuple kernel on every
-retraction attempt the core engine makes, the pinned ``hom.*`` counts of
-Ex 4.8 cores, the single search per canonicalizable block, the
-``choose_core_backend`` dispatch policy, the SQL core's 64-fact block
-limit, and the ``repro core`` CLI.
+Also covered here: the kernel's two seeders against each other and against
+the naive search on every retraction attempt the core engine makes, the
+pinned ``hom.*`` counts of Ex 4.8 cores, the single search per
+canonicalizable block, the ``choose_core_backend`` dispatch policy, the SQL
+core's 64-fact block limit, and the ``repro core`` CLI.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from repro.engine import core_instance
 from repro.engine.columnar import ColumnarInstance
 from repro.engine.core_instance import _ColumnarCore, core, is_core
 from repro.engine.dispatch import CORE_AUTO_REASON, choose_core_backend
-from repro.engine.hom_kernel import block_homomorphism
-from repro.engine.hom_kernel_columnar import solve_encoded
+from repro.engine.hom_kernel import block_homomorphism, solve_encoded
+from repro.engine.naive import find_homomorphism_naive
 from repro.engine.sql_backend import sql_core_supported
 from repro.errors import ChaseError
 from repro.logic.atoms import Atom
@@ -43,14 +43,15 @@ BACKENDS = ["tuple", "columnar", "sql"]
 
 
 def assert_kernels_agree(instance: Instance) -> None:
-    """Both kernels decide every retraction attempt of the core engine alike.
+    """Both seeders decide every retraction attempt of the core engine alike.
 
-    For every null block of *instance* and every null x of the block, the
-    id-space kernel gets the block encoded by the columnar core engine with
-    the rows containing x forbidden, and the tuple kernel gets the block's
-    facts with ``facts_containing(x)`` forbidden.  Both must find a map or
-    both none; an id-space map must send the block into the instance minus
-    the facts containing x.
+    For every null block of *instance* and every null x of the block,
+    :func:`solve_encoded` gets the block encoded by the columnar core engine
+    with the rows containing x forbidden, and :func:`block_homomorphism` gets
+    the block's facts with ``facts_containing(x)`` forbidden.  Both must
+    find a map or both none, and so must the naive search into the instance
+    with those facts removed; an id-space map must send the block into the
+    instance minus the facts containing x.
     """
     store = ColumnarInstance(instance)
     engine = _ColumnarCore(store.values)
@@ -63,7 +64,11 @@ def assert_kernels_agree(instance: Instance) -> None:
             forbidden = frozenset(instance.facts_containing(null))
             tuple_map = block_homomorphism(block, instance, None, forbidden)
             id_map = solve_encoded(encoded, engine.rows_containing(store, vid))
-            assert (tuple_map is None) == (id_map is None), (block, null)
+            naive_map = find_homomorphism_naive(
+                Instance(block), Instance(instance.facts - forbidden)
+            )
+            verdicts = (tuple_map is None, id_map is None, naive_map is None)
+            assert len(set(verdicts)) == 1, (block, null, verdicts)
             if id_map is None:
                 continue
             mapping = {value(var): value(image) for var, image in id_map.items()}
@@ -73,7 +78,7 @@ def assert_kernels_agree(instance: Instance) -> None:
 
 
 class TestHomKernelDifferential:
-    """The id-space kernel agrees with the tuple kernel on the core's inputs."""
+    """The value-id seeder agrees with the Atom seeder on the core's inputs."""
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -114,7 +119,7 @@ def _fact(relation: str, args) -> Atom:
 
 @st.composite
 def _core_inputs(draw):
-    """An instance to core that exercises both filters of the id-space kernel.
+    """An instance to core that exercises both filters of the kernel.
 
     It always holds a fact with a repeated null and a fact with two
     constants and a null, so both the repeat filter of an AC-3 revision and
@@ -147,7 +152,7 @@ def _core_inputs(draw):
 
 
 class TestBlockKernelDifferential:
-    """The kernels agree on blocks that hold repeated nulls and constants."""
+    """The seeders agree on blocks that hold repeated nulls and constants."""
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
