@@ -1,7 +1,9 @@
 """repro.cache -- the persistence layer behind the in-memory cache tiers.
 
 The in-memory cache tiers (the IMPLIES chase cache, the static-analysis
-memo) are process-local.  This package makes the warm state survive restarts:
+memo) are process-local.  This package makes whole verdicts survive
+restarts -- IMPLIES results, containment reports and GLAV-equivalence
+(f-block boundedness) verdicts, one store space each -- in two modules:
 
 - :mod:`repro.cache.fingerprint` -- content-derived SHA-256 keys
   (injective length-prefixed encodings; independent of ``PYTHONHASHSEED``).
@@ -29,6 +31,7 @@ from repro.cache.store import (
 #: The persistent cache spaces (see ``store.SPACE_LIMITS`` for caps).
 SPACE_IMPLIES = "implies"
 SPACE_CONTAIN = "contain"
+SPACE_GLAV = "glav"
 
 
 def disk_get(space: str, key: str) -> object | None:
@@ -99,6 +102,7 @@ __all__ = [
     "DiskStore",
     "SCHEMA_VERSION",
     "SPACE_CONTAIN",
+    "SPACE_GLAV",
     "SPACE_IMPLIES",
     "configure",
     "get_store",

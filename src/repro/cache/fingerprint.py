@@ -1,11 +1,11 @@
 """Canonical content-derived fingerprints for cross-process cache keys.
 
 The in-memory caches key by interned objects -- pointer identity, valid
-only within one process.  The ``implies`` and ``contain`` verdict spaces of
-:mod:`repro.cache.store` need keys that are identical across processes and
-across Python hash seeds, so fingerprints here are built purely from
-*content*: every value and atom is rendered into an injective byte string
-and hashed with SHA-256.  ``hash()`` is never consulted.  The core engines
+only within one process.  The ``implies``, ``contain`` and ``glav`` verdict
+spaces of :mod:`repro.cache.store` need keys that are identical across
+processes and across Python hash seeds, so fingerprints here are built
+purely from *content*: every value and atom is rendered into an injective
+byte string and hashed with SHA-256.  ``hash()`` is never consulted.  The core engines
 also compare canonical f-blocks by these digests.
 
 Injectivity uses the length-prefixed encoding idiom of

@@ -1,11 +1,11 @@
 """Schema-versioned SQLite store behind the in-memory cache tiers.
 
 One SQLite file (``repro-cache.sqlite`` inside the configured directory)
-holds the persistent cache spaces -- the ``implies`` and ``contain``
-verdicts, listed in :data:`SPACE_LIMITS` -- in one ``entries`` table keyed by
-``(space, key)``; ``key`` is always a content-derived fingerprint from
-:mod:`repro.cache.fingerprint`, so two processes -- regardless of hash seed
--- address the same rows.  Design points:
+holds the persistent cache spaces -- the ``implies``, ``contain`` and
+``glav`` verdicts, listed in :data:`SPACE_LIMITS` -- in one ``entries``
+table keyed by ``(space, key)``; ``key`` is always a content-derived
+fingerprint from :mod:`repro.cache.fingerprint`, so two processes --
+regardless of hash seed -- address the same rows.  Design points:
 
 - **Disabled by default.**  The store only exists when a directory is
   configured, via the ``REPRO_CACHE_DIR`` environment variable or
@@ -36,7 +36,8 @@ from pathlib import Path
 from repro import perf
 
 #: Version 2 dropped the ``fold`` space and version 3 the ``chase`` space:
-#: a store written by an older version opens empty.
+#: a store written by an older version opens empty.  Adding a space needs
+#: no bump: an older store simply has no rows in it.
 SCHEMA_VERSION = 3
 STORE_FILENAME = "repro-cache.sqlite"
 
@@ -44,7 +45,7 @@ STORE_FILENAME = "repro-cache.sqlite"
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 
 #: The cache spaces and their entry caps (LRU-evicted beyond these).
-SPACE_LIMITS: dict[str, int] = {"contain": 2048, "implies": 4096}
+SPACE_LIMITS: dict[str, int] = {"contain": 2048, "glav": 2048, "implies": 4096}
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);

@@ -20,6 +20,10 @@ Two procedures are provided:
   Theorem 4.10: test all source instances up to the anchor-derived size
   bound.  Feasible only for toy bounds; exposed for completeness and tested
   on such bounds.
+
+With the persistent store on (:mod:`repro.cache`), the growth test's
+verdict is kept in the ``glav`` space: a repeated decision in a fresh
+process is one disk read (``glav.verdict_disk_hits``).
 """
 
 from __future__ import annotations
@@ -28,6 +32,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
+from repro import perf
+from repro.cache import SPACE_GLAV, disk_get, disk_put, get_store
+from repro.cache.fingerprint import fingerprint_texts
 from repro.errors import ResourceLimitExceeded
 from repro.logic.atoms import Atom
 from repro.logic.egds import Egd
@@ -108,6 +115,102 @@ def _canonical_source(
     return canonical_instances(pattern, tgd).source
 
 
+def _verdict_key(
+    nested: Sequence[NestedTgd],
+    source_egds: Sequence[Egd],
+    clone_limit: int | None,
+    max_patterns: int | None,
+) -> str:
+    """The disk key of one growth-test verdict.
+
+    Covers every input that can change the verdict or its witness: the
+    normalized tgds in order, the source egds, the clone limit, and the
+    pattern limit (a call whose limit would raise has its own key, and a
+    call that raises stores nothing).  The leading component pins a format
+    version and the component counts, so concatenated reprs cannot alias
+    across the tgd/egd boundary.
+    """
+    return fingerprint_texts((
+        f"glav-v1:clone={clone_limit}:max={max_patterns}:"
+        f"deps={len(nested)}:egds={len(source_egds)}",
+        *[repr(tgd) for tgd in nested],
+        *[repr(egd) for egd in source_egds],
+    ))
+
+
+def _verdict_payload(verdict: FBlockVerdict, nested: Sequence[NestedTgd]) -> tuple:
+    """The verdict as builtins: the witness tgd by index, the pattern by key."""
+    if verdict.bounded:
+        return (True, verdict.bound, None, None, None, ())
+    assert verdict.witness_pattern is not None
+    index = next(i for i, tgd in enumerate(nested) if tgd is verdict.witness_tgd)
+    return (
+        False, None, index, verdict.witness_pattern.sort_key(),
+        verdict.witness_path, tuple(verdict.growth),
+    )
+
+
+def _pattern_from_key(key: object, tgd: NestedTgd, parts: Sequence[int]) -> Pattern:
+    """Rebuild a pattern of *tgd* from its sort key.
+
+    Raises ValueError unless the key's root is one of *parts* and every
+    child key is rooted at a part nested directly under its parent's.
+    """
+    if not (isinstance(key, tuple) and len(key) == 2 and type(key[0]) is int
+            and key[0] in parts and isinstance(key[1], tuple)):
+        raise ValueError("malformed pattern key")
+    part_id, children = key
+    nested_parts = tgd.children_of(part_id)
+    return Pattern(
+        part_id, tuple(_pattern_from_key(child, tgd, nested_parts) for child in children)
+    )
+
+
+def _verdict_from_payload(
+    payload: object, nested: Sequence[NestedTgd], clone_limit: int | None
+) -> FBlockVerdict | None:
+    """Rebuild a stored verdict, or None if the payload is malformed or
+    inconsistent with the tgds it is stored for (the caller recomputes)."""
+    if not isinstance(payload, tuple) or len(payload) != 6:
+        return None
+    bounded, bound, index, pattern_key, path, growth = payload
+    if bounded is True:
+        if type(bound) is not int or bound < 0 or growth != ():
+            return None
+        if (index, pattern_key, path) != (None, None, None):
+            return None
+        return FBlockVerdict(bounded=True, bound=bound)
+    if bounded is not False or bound is not None:
+        return None
+    if type(index) is not int or not 0 <= index < len(nested):
+        return None
+    tgd = nested[index]
+    try:
+        pattern = _pattern_from_key(pattern_key, tgd, (tgd.part_ids()[0],))
+    except (ValueError, RecursionError):
+        return None
+    if pattern.sort_key() != pattern_key:
+        return None  # children out of canonical order
+    if not (isinstance(path, tuple) and path and all(type(i) is int for i in path)):
+        return None
+    node = pattern
+    for step in path:
+        if not 0 <= step < len(node.children):
+            return None
+        node = node.children[step]
+    limit = clone_limit if clone_limit is not None else _self_bound(tgd) + 1
+    if not (isinstance(growth, tuple) and len(growth) == limit + 1 >= 2
+            and all(type(size) is int for size in growth) and growth[-1] > growth[-2]):
+        return None
+    return FBlockVerdict(
+        bounded=False,
+        witness_tgd=tgd,
+        witness_pattern=pattern,
+        witness_path=path,
+        growth=list(growth),
+    )
+
+
 def decide_bounded_fblock_size(
     dependencies,
     source_egds: Sequence[Egd] = (),
@@ -124,6 +227,10 @@ def decide_bounded_fblock_size(
     whole range witnesses unboundedness (the extension argument of Theorem
     4.4); otherwise the maximum observed size is an effective bound.
 
+    With the persistent store on, the verdict is read from and written to
+    its ``glav`` space; a stored payload that is malformed or does not fit
+    the tgds counts as a miss and is recomputed and overwritten.
+
         >>> from repro.logic.parser import parse_nested_tgd, parse_tgd
         >>> decide_bounded_fblock_size([parse_tgd("S(x,y) -> R(x,z)")]).bounded
         True
@@ -137,14 +244,32 @@ def decide_bounded_fblock_size(
         source_egds = source_egds or dependencies.source_egds
         dependencies = dependencies.dependencies
     nested = nested_tgds_from(dependencies)
-    all_deps = list(nested)
-    best_bound = 0
+    key: str | None = None
+    if get_store() is not None:
+        key = _verdict_key(nested, source_egds, clone_limit, max_patterns)
+        cached = _verdict_from_payload(disk_get(SPACE_GLAV, key), nested, clone_limit)
+        if cached is not None:
+            perf.incr("glav.verdict_disk_hits")
+            return cached
+    verdict = _growth_test(nested, source_egds, clone_limit, max_patterns)
+    if key is not None:
+        disk_put(SPACE_GLAV, key, _verdict_payload(verdict, nested))
+    return verdict
 
+
+def _growth_test(
+    nested: list[NestedTgd],
+    source_egds: Sequence[Egd],
+    clone_limit: int | None,
+    max_patterns: int | None,
+) -> FBlockVerdict:
+    """The pattern-cloning growth test of :func:`decide_bounded_fblock_size`."""
+    best_bound = 0
     for tgd in nested:
         limit = clone_limit if clone_limit is not None else _self_bound(tgd) + 1
         for pattern in one_patterns(tgd, max_patterns=max_patterns):
             base_size = _core_fblock_size(
-                _canonical_source(pattern, tgd, source_egds), all_deps
+                _canonical_source(pattern, tgd, source_egds), nested
             )
             best_bound = max(best_bound, base_size)
             tried_subtrees: set[tuple] = set()
@@ -159,7 +284,7 @@ def decide_bounded_fblock_size(
                 for copies in range(1, limit + 1):
                     cloned = pattern.with_clones(path, copies)
                     size = _core_fblock_size(
-                        _canonical_source(cloned, tgd, source_egds), all_deps
+                        _canonical_source(cloned, tgd, source_egds), nested
                     )
                     sizes.append(size)
                     best_bound = max(best_bound, size)

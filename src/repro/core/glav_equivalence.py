@@ -97,7 +97,17 @@ def to_glav(
         1
     """
     nested = nested_tgds_from(dependencies)
-    verdict: FBlockVerdict = decide_bounded_fblock_size(nested, source_egds=source_egds)
+    verdict = decide_bounded_fblock_size(nested, source_egds=source_egds)
+    return _glav_for(nested, verdict, source_egds, max_pattern_nodes)
+
+
+def _glav_for(
+    nested: list[NestedTgd],
+    verdict: FBlockVerdict,
+    source_egds: Sequence[Egd],
+    max_pattern_nodes: int,
+) -> list[STTgd]:
+    """:func:`to_glav` once *verdict*, the f-block decision for *nested*, is known."""
     if not verdict.bounded:
         raise UndecidedError(
             "the mapping has unbounded f-block size and is therefore not logically "
@@ -142,7 +152,9 @@ def glav_distance_report(dependencies, source_egds: Sequence[Egd] = ()) -> dict:
     }
     if verdict.bounded:
         try:
-            report["equivalent_glav"] = to_glav(dependencies, source_egds=source_egds)
+            report["equivalent_glav"] = _glav_for(
+                nested_tgds_from(dependencies), verdict, source_egds, max_pattern_nodes=8
+            )
         except UndecidedError:
             report["equivalent_glav"] = None
     return report

@@ -706,45 +706,43 @@ class _ColumnarCore:
             for group, row in block
         ]
 
-    def block_null_vids(self, block: Sequence[_Row]) -> list[int]:
-        """The null ids of a block, repr-sorted (same order the tuple engine
-        tries its elimination candidates in)."""
+    def block_nulls(self, block: Sequence[_Row]) -> dict[int, dict[_RelGroup, set[int]]]:
+        """The null ids of a block, each with the block's rows that hold it.
+
+        The row sets are the forbidden sets of the null's elimination
+        attempt: a null occurs only in its own f-block, and eliminations
+        tombstone rows of the processed block only, so the block's rows are
+        every live row that holds it.  Keys are repr-sorted (the order the
+        tuple engine tries its elimination candidates in); a block with one
+        null skips the sort.
+        """
         null_flags = self.null_flags
-        vids = {
-            vid
-            for group, row in block
-            for column in group.columns
-            if null_flags[vid := column[row]]
-        }
-        return sorted(vids, key=self.vid_repr)
+        rows_of: dict[int, dict[_RelGroup, set[int]]] = {}
+        for group, row in block:
+            for column in group.columns:
+                vid = column[row]
+                if not null_flags[vid]:
+                    continue
+                groups = rows_of.get(vid)
+                if groups is None:
+                    rows_of[vid] = {group: {row}}
+                    continue
+                rows = groups.get(group)
+                if rows is None:
+                    groups[group] = {row}
+                else:
+                    rows.add(row)
+        if len(rows_of) == 1:
+            return rows_of
+        return {vid: rows_of[vid] for vid in sorted(rows_of, key=self.vid_repr)}
 
-    def rows_containing(
-        self, store: ColumnarInstance, vid: int
-    ) -> dict[_RelGroup, set[int]]:
-        """Per-group row sets in which value id *vid* occurs (forbidden sets)."""
-        forbidden: dict[_RelGroup, set[int]] = {}
-        for groups in store._groups.values():
-            for group in groups:
-                rows: set[int] | None = None
-                for position_index in group.index:
-                    bucket = position_index.get(vid)
-                    if bucket:
-                        if rows is None:
-                            rows = set(bucket)
-                        else:
-                            rows.update(bucket)
-                if rows:
-                    forbidden[group] = rows
-        return forbidden
-
-    def eliminating_hom(
-        self, store: ColumnarInstance, block: Sequence[_Row]
-    ) -> dict[object, int] | None:
+    def eliminating_hom(self, block: Sequence[_Row]) -> dict[object, int] | None:
         """Id-space twin of :func:`_eliminating_hom`: retraction dropping a null."""
         encoded = self.encode_block(block)
+        nulls = self.block_nulls(block)
         return _first_retraction(
-            self.block_null_vids(block),
-            lambda vid: solve_encoded(encoded, self.rows_containing(store, vid)),
+            list(nulls),
+            lambda vid: solve_encoded(encoded, nulls[vid]),
             lambda: [
                 (group.relation, tuple(column[row] for column in group.columns))
                 for group, row in block
@@ -758,7 +756,7 @@ class _ColumnarCore:
         """Id-space twin of :func:`_process_blocks`: eliminations tombstone rows."""
         while pending:
             block = pending.popleft()
-            mapping = self.eliminating_hom(store, block)
+            mapping = self.eliminating_hom(block)
             if mapping is None:
                 perf.incr("core.rigid_blocks")
                 continue

@@ -19,10 +19,11 @@ differs, and two seeders provide them:
   other bound position, and hands the search the survivors' argument
   columns.  Variables are free nulls; values are tried in repr order.
 - :func:`solve_encoded` (the id-space core engine of
-  :mod:`repro.engine.core_instance`) seeds row ids of a columnar fact table
-  from the bucket of the most selective constant position of its
-  per-(position, value id) index.  Variables are the block's null value ids
-  and values are value ids, ordered numerically; no Atom is decoded.
+  :mod:`repro.engine.core_instance`) takes one f-block and seeds row ids of
+  a columnar fact table from the bucket of the most selective constant
+  position of its per-(position, value id) index.  Variables are the
+  block's null value ids and values are value ids, ordered numerically; no
+  Atom is decoded.
 
 Seeding is the only constant check: candidate lists only ever shrink, so
 the search proper looks at variable positions alone.
@@ -36,9 +37,10 @@ the search proper looks at variable positions alone.
 2. **Most-constrained-first search** -- the search assigns variables (not
    facts), always branching on the variable with the smallest remaining
    domain, and re-propagates after each assignment (full look-ahead).
-3. **Connected-component decomposition** -- facts are grouped by shared
-   variables and each component is solved independently; facts without a
-   variable reduce to membership tests.
+3. **Connected-component decomposition** -- :func:`block_homomorphism`
+   groups facts by shared variables and solves each component
+   independently; facts without a variable reduce to membership tests.  An
+   f-block is one component already, so :func:`solve_encoded` skips this.
 
 Callers pass an optional ``forbidden`` set (facts, or rows per fact table):
 those target facts are treated as absent.  This is how the core engines
@@ -469,33 +471,20 @@ def _seed_rows(
     return fact, list(rows)
 
 
-def _encoded_variables(fact: EncodedFact) -> list[object]:
-    return [var for __, var in fact.var_positions]
-
-
 def solve_encoded(
     encoded: list[EncodedFact],
     forbidden: dict[_RelGroup, set[int]] | None = None,
 ) -> dict[object, int] | None:
     """Map every variable key of *encoded* to a value id, or None.
 
-    Grounded facts reduce to row lookups; components solve independently.
-    Rows in *forbidden* count as absent.
+    *encoded* is one f-block: connected through its variables, each fact
+    holding at least one, so it is solved as a single component.  Rows in
+    *forbidden* count as absent.
     """
     stats = _Stats()
     try:
-        components, grounded = _split_components(encoded, _encoded_variables)
-        for fact in grounded:
-            ids = tuple(key for __, key in fact.args)
-            row = fact.group.row_of.get(ids)
-            if row is None:
-                return None
-            if forbidden:
-                blocked = forbidden.get(fact.group)
-                if blocked and row in blocked:
-                    return None
-        return _solve(
-            components, lambda fact: _seed_rows(fact, forbidden), None, stats
+        return _solve_component(
+            (_seed_rows(fact, forbidden) for fact in encoded), None, stats
         )
     finally:
         stats.flush()

@@ -95,6 +95,9 @@ Counter names are dotted strings, grouped by subsystem:
                           (lint MC001 / ``optimize(semantic=True)``)
 ``containment.verdict_disk_hits``  whole containment reports answered by
                           the persistent ``contain`` store (``repro.cache``)
+``glav.verdict_disk_hits``  whole f-block boundedness (GLAV-equivalence)
+                          verdicts answered by the persistent ``glav``
+                          store (``repro.cache``)
 ========================  =====================================================
 
 The overhead is one dict update per recorded event; events are recorded at

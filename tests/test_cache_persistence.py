@@ -8,12 +8,14 @@ Three families of invariants:
 - **Fingerprints**: injective on structurally distinct values, invariant
   under fact-set iteration order, and independent of ``PYTHONHASHSEED``
   (checked across real subprocesses with different seeds).
-- **Differential correctness**: IMPLIES / equivalence / containment / core
-  verdicts are bit-identical with the disk store off, cold, and warm --
+- **Differential correctness**: IMPLIES / equivalence / containment /
+  GLAV / core verdicts are bit-identical with the disk store off, cold, and
+  warm --
   including failing implications with counterexamples, random nested tgds
   (Hypothesis), and a simulated warm restart (memory tiers dropped, disk
   kept) that must answer from disk (``cache.disk.hits > 0``) without
-  changing any verdict.
+  changing any verdict.  A malformed stored GLAV verdict is a miss that is
+  recomputed and overwritten.
 """
 
 from __future__ import annotations
@@ -391,3 +393,121 @@ def test_random_containment_identical_off_cold_warm(tmp_path_factory, lhs, rhs):
 
     off, cold, warm = _off_cold_warm(tmp_path_factory.mktemp("store"), run)
     assert off == cold == warm
+
+
+# ------------------------------------------------------- GLAV verdicts
+
+
+_INTRO = "S(x1, x2) -> exists y . (R(y, x2) & (S(x1, x3) -> R(y, x3)))"
+
+
+def _fblock_fields(verdict):
+    return (
+        verdict.bounded,
+        verdict.bound,
+        repr(verdict.witness_tgd),
+        verdict.witness_pattern.sort_key() if verdict.witness_pattern else None,
+        verdict.witness_path,
+        list(verdict.growth),
+    )
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(tgd=nested_tgds(max_depth=3, max_children=2))
+def test_random_glav_verdict_identical_off_cold_warm(tmp_path_factory, tgd):
+    """Store off, cold and warm give the same verdict and witness, and the
+    warm run answers from the ``glav`` space without chasing anything.
+
+    Three clones per subtree keep deep draws fast and make about a third of
+    them unbounded, so stored witnesses get exercised too.
+    """
+    from repro import ResourceLimitExceeded
+    from repro.core.fblock_analysis import decide_bounded_fblock_size
+
+    runs = []
+
+    def run():
+        with perf.measuring() as stats:
+            try:
+                verdict = decide_bounded_fblock_size([tgd], clone_limit=3, max_patterns=50)
+            except ResourceLimitExceeded:
+                verdict = None
+        runs.append(stats.snapshot())
+        return None if verdict is None else _fblock_fields(verdict)
+
+    off, cold, warm = _off_cold_warm(tmp_path_factory.mktemp("store"), run)
+    assert off == cold == warm
+    assert "glav.verdict_disk_hits" not in runs[0]
+    assert "glav.verdict_disk_hits" not in runs[1]
+    if warm is not None:
+        assert runs[2].get("glav.verdict_disk_hits") == 1
+        assert runs[2].get("chase.triggers", 0) == 0
+
+
+def _glav_store(directory):
+    """A store warmed by one default decision on the intro tgd; returns the
+    tgd list, its verdict and its key."""
+    from repro.core.fblock_analysis import _verdict_key, decide_bounded_fblock_size
+    from repro.logic.parser import parse_nested_tgd
+
+    deps = [parse_nested_tgd(_INTRO)]
+    configure(directory)
+    cache.clear_all_caches()
+    verdict = decide_bounded_fblock_size(deps)
+    assert get_store().entry_counts() == {"glav": 1}
+    return deps, verdict, _verdict_key(deps, (), None, 100_000)
+
+
+@pytest.mark.parametrize("mangle", [
+    pytest.param(lambda p: p[:5], id="wrong-length"),
+    pytest.param(lambda p: (1,) + p[1:], id="non-bool-bounded"),
+    pytest.param(lambda p: p[:2] + (1,) + p[3:], id="witness-index-out-of-range"),
+    pytest.param(lambda p: p[:3] + ((1, (("2", ()),)),) + p[4:], id="non-int-in-pattern-key"),
+    pytest.param(lambda p: p[:5] + (p[5][:-1] + (7.5,),), id="non-int-in-growth"),
+])
+def test_malformed_glav_payload_is_recomputed(tmp_path, mangle):
+    from repro.core.fblock_analysis import decide_bounded_fblock_size
+
+    deps, baseline, key = _glav_store(tmp_path)
+    good = cache.disk_get("glav", key)
+    assert good[0] is False and good[2] == 0
+    cache.disk_put("glav", key, mangle(good))
+    cache.clear_all_caches(disk=False)
+    with perf.measuring() as stats:
+        again = decide_bounded_fblock_size(deps)
+    assert stats.get("glav.verdict_disk_hits") == 0
+    assert stats.get("cache.disk.writes") == 1
+    assert _fblock_fields(again) == _fblock_fields(baseline)
+    assert cache.disk_get("glav", key) == good  # overwritten with the verdict
+
+
+def test_glav_pattern_limit_not_masked_by_verdict_store(tmp_path):
+    from repro import ResourceLimitExceeded
+    from repro.core.fblock_analysis import decide_bounded_fblock_size
+
+    deps, __, __ = _glav_store(tmp_path)
+    cache.clear_all_caches(disk=False)
+    with pytest.raises(ResourceLimitExceeded):
+        decide_bounded_fblock_size(deps, max_patterns=1)
+    assert get_store().entry_counts() == {"glav": 1}
+
+
+def test_glav_key_rendered_only_with_the_store_on(tmp_path, monkeypatch):
+    from repro.core import fblock_analysis
+    from repro.logic.parser import parse_tgd
+
+    rendered = []
+
+    def counting(texts):
+        rendered.append(tuple(texts))
+        return fingerprint_texts(rendered[-1])
+
+    monkeypatch.setattr(fblock_analysis, "fingerprint_texts", counting)
+    deps = [parse_tgd("S(x, y) -> R(x, z)")]
+    assert fblock_analysis.decide_bounded_fblock_size(deps).bounded
+    assert rendered == []
+    configure(tmp_path)
+    assert fblock_analysis.decide_bounded_fblock_size(deps).bounded
+    assert len(rendered) == 1
+    assert rendered[0][0] == "glav-v1:clone=None:max=100000:deps=1:egds=0"

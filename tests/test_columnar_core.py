@@ -47,7 +47,8 @@ def assert_kernels_agree(instance: Instance) -> None:
 
     For every null block of *instance* and every null x of the block,
     :func:`solve_encoded` gets the block encoded by the columnar core engine
-    with the rows containing x forbidden, and :func:`block_homomorphism` gets
+    with the block's rows holding x forbidden (these must decode to exactly
+    ``facts_containing(x)``), and :func:`block_homomorphism` gets
     the block's facts with ``facts_containing(x)`` forbidden.  Both must
     find a map or both none, and so must the naive search into the instance
     with those facts removed; an id-space map must send the block into the
@@ -59,11 +60,15 @@ def assert_kernels_agree(instance: Instance) -> None:
     for rows in engine.null_blocks(store):
         block = [store.decode_row(group, row) for group, row in rows]
         encoded = engine.encode_block(rows)
-        for vid in engine.block_null_vids(rows):
+        for vid, forbidden_rows in engine.block_nulls(rows).items():
             null = value(vid)
             forbidden = frozenset(instance.facts_containing(null))
+            assert {
+                store.decode_row(group, row)
+                for group, group_rows in forbidden_rows.items() for row in group_rows
+            } == forbidden
             tuple_map = block_homomorphism(block, instance, None, forbidden)
-            id_map = solve_encoded(encoded, engine.rows_containing(store, vid))
+            id_map = solve_encoded(encoded, forbidden_rows)
             naive_map = find_homomorphism_naive(
                 Instance(block), Instance(instance.facts - forbidden)
             )
@@ -99,11 +104,9 @@ class TestHomKernelDifferential:
         store = ColumnarInstance(parse_instance("R(a,b), R(b,c), R(c,a), R(_x,_x)"))
         engine = _ColumnarCore(store.values)
         [block] = engine.null_blocks(store)
-        [vid] = engine.block_null_vids(block)
+        [forbidden] = engine.block_nulls(block).values()
         with perf.measuring() as stats:
-            assert solve_encoded(
-                engine.encode_block(block), engine.rows_containing(store, vid)
-            ) is None
+            assert solve_encoded(engine.encode_block(block), forbidden) is None
         assert stats.get("hom.kernel_calls") == 1
         assert stats.get("hom.search_nodes") == 0
 

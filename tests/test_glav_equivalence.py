@@ -107,3 +107,21 @@ class TestReport:
         assert not report["bounded_fblock_size"]
         assert report["equivalent_glav"] is None
         assert report["witness_pattern"] is not None
+
+    def test_report_decides_once(self, monkeypatch):
+        """The report hands its verdict to the GLAV construction instead of
+        letting ``to_glav`` decide boundedness a second time."""
+        from repro.core import glav_equivalence
+
+        calls = []
+        decide = glav_equivalence.decide_bounded_fblock_size
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return decide(*args, **kwargs)
+
+        monkeypatch.setattr(glav_equivalence, "decide_bounded_fblock_size", counting)
+        tgd = parse_nested_tgd("S1(x1) -> (S2(x2) -> T(x1, x2))")
+        report = glav_distance_report([tgd])
+        assert len(calls) == 1
+        assert report["equivalent_glav"] == to_glav([tgd])

@@ -91,3 +91,9 @@ class TestDocumentation:
         rows = set(re.findall(r"^``([\w.]+)``", perf.__doc__, flags=re.MULTILINE))
         assert incremented - rows == set(), "counters missing from the table"
         assert rows - incremented == set(), "table rows no code increments"
+        # one whole-verdict hit counter per persistent verdict space
+        assert {
+            "implies.verdict_disk_hits",
+            "containment.verdict_disk_hits",
+            "glav.verdict_disk_hits",
+        } <= rows
