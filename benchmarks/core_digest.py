@@ -5,8 +5,10 @@ For every (shape, n) of the ``exchange-core`` and ``fblock-core`` decks in
 (``execute_exchange(backend="auto")``, then ``core(backend="auto")``) and
 records the solution and core sizes, a SHA-256 digest of the core's
 repr-sorted facts, and every ``core.*`` and ``hom.*`` counter of the core
-call.  A change meant to keep every core and counter is checked by running
-this on the parent commit and on the change and comparing the files::
+call.  It exits with status 1, after writing the file, if a solution or core
+size differs from the deck's closed form (``ops.expected_sizes``).  A change
+meant to keep every core and counter is checked by running this on the
+parent commit and on the change and comparing the files::
 
     PYTHONHASHSEED=0 PYTHONPATH=src python benchmarks/core_digest.py --json PATH
 
@@ -63,7 +65,25 @@ def main(argv=None) -> list[dict]:
         print(f"{row['shape']:18s} n={row['n']:5d}  core {row['core_facts']:6d} facts  "
               f"{row['core_sha256'][:12]}")
     print(f"wrote {args.json}")
+    wrong = wrong_sizes(rows)
+    for line in wrong:
+        print(line, file=sys.stderr)
+    if wrong:
+        raise SystemExit(1)
     return rows
+
+
+def wrong_sizes(rows: list[dict]) -> list[str]:
+    """The rows whose solution or core size is not the deck's closed form
+    (``ops.expected_sizes``), one line each."""
+    wrong = []
+    for row in rows:
+        expected = ops.expected_sizes(row["shape"], row["n"])
+        measured = (row["solution_facts"], row["core_facts"])
+        if measured != expected:
+            wrong.append(f"{row['shape']} n={row['n']}: (solution, core) facts "
+                         f"{measured}, expected {expected}")
+    return wrong
 
 
 if __name__ == "__main__":

@@ -312,9 +312,10 @@ def engine_counters() -> None:
         f"(core size {len(folded)})"
     )
 
-    # The same core in id-space: canonical-block fingerprints are
-    # byte-identical to the tuple engine's, and the kernel's value-id seeder
-    # runs AC-3 and search over integer ids, decoding only the core itself.
+    # The same core in id-space: canonical blocks are compared as integer
+    # row keys, so the same blocks fold as in the tuple engine, and the
+    # kernel's value-id seeder runs AC-3 and search over integer ids,
+    # decoding only the core itself.
     with perf.measuring() as stats:
         folded = core(chased_star, backend="columnar")
     print(

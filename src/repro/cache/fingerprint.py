@@ -5,8 +5,9 @@ only within one process.  The ``implies``, ``contain`` and ``glav`` verdict
 spaces of :mod:`repro.cache.store` need keys that are identical across
 processes and across Python hash seeds, so fingerprints here are built
 purely from *content*: every value and atom is rendered into an injective
-byte string and hashed with SHA-256.  ``hash()`` is never consulted.  The core engines
-also compare canonical f-blocks by these digests.
+byte string and hashed with SHA-256.  ``hash()`` is never consulted.  Each
+core engine also compares the canonical f-blocks of one instance by these
+digests.
 
 Injectivity uses the length-prefixed encoding idiom of
 ``repro.export.sql`` / ``engine.sql_backend``: each component is rendered
@@ -75,9 +76,9 @@ def encode_atom(atom: Atom) -> bytes:
 def encode_canonical_null(index: int) -> bytes:
     """The encoding of the canonical core-block null ``Null(("#", index))``.
 
-    Lets the columnar core engine render a canonical block fingerprint from
-    integer id tuples without constructing the interned ``Null`` object:
-    the bytes are exactly ``encode_value(Null(("#", index)))``.
+    Lets the columnar core engine encode a canonical row from integer id
+    tuples without constructing the interned ``Null`` object: the bytes are
+    exactly ``encode_value(Null(("#", index)))``.
     """
     return b"n" + _prefixed(repr(("#", index)).encode())
 
@@ -86,9 +87,9 @@ def encode_atom_parts(relation: str, arg_encodings: Iterable[bytes]) -> bytes:
     """Assemble an atom encoding from pre-encoded argument byte strings.
 
     ``encode_atom_parts(a.relation, map(encode_value, a.args))`` equals
-    ``encode_atom(a)`` byte for byte, so fingerprints built from id tuples
-    (value encodings memoized per value id) share cache keys with
-    fingerprints built from decoded atoms.
+    ``encode_atom(a)`` byte for byte; the columnar core engine uses it to
+    encode canonical rows it holds as value-id tuples, without building
+    their atoms.
     """
     pieces = [b"A", _prefixed(relation.encode())]
     for encoding in arg_encodings:
@@ -122,9 +123,9 @@ def fingerprint_encoded_sequence(encodings: Iterable[bytes]) -> str:
     """Fingerprint an ordered sequence of pre-encoded atoms.
 
     Equals ``fingerprint_fact_sequence`` of the corresponding atoms when each
-    element was built with :func:`encode_atom_parts`, so the columnar core
-    engine's id-space fingerprints of canonical blocks equal the tuple
-    engine's.
+    element was built with :func:`encode_atom_parts`.  The columnar core
+    engine hashes its canonical blocks with it; their row order is that
+    engine's own, so its fingerprints differ from the tuple engine's.
     """
     return _digest(_prefixed(encoding) for encoding in encodings)
 

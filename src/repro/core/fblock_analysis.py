@@ -211,6 +211,23 @@ def _verdict_from_payload(
     )
 
 
+def nested_mapping(
+    dependencies, source_egds: Sequence[Egd] = ()
+) -> tuple[list[NestedTgd], Sequence[Egd]]:
+    """The nested tgds and source egds of a mapping.
+
+    *dependencies* is a :class:`~repro.mappings.mapping.SchemaMapping`,
+    whose own source egds apply unless *source_egds* is given, or an
+    iterable of s-t and nested tgds.
+    """
+    from repro.mappings.mapping import SchemaMapping
+
+    if isinstance(dependencies, SchemaMapping):
+        source_egds = source_egds or dependencies.source_egds
+        dependencies = dependencies.dependencies
+    return nested_tgds_from(dependencies), source_egds
+
+
 def decide_bounded_fblock_size(
     dependencies,
     source_egds: Sequence[Egd] = (),
@@ -237,13 +254,13 @@ def decide_bounded_fblock_size(
         >>> decide_bounded_fblock_size([parse_nested_tgd(
         ...     "S(x1,x2) -> exists y . (R(y,x2) & (S(x1,x3) -> R(y,x3)))")]).bounded
         False
-    """
-    from repro.mappings.mapping import SchemaMapping
 
-    if isinstance(dependencies, SchemaMapping):
-        source_egds = source_egds or dependencies.source_egds
-        dependencies = dependencies.dependencies
-    nested = nested_tgds_from(dependencies)
+    A *clone_limit* below 1 raises :class:`ValueError`: the growth test
+    needs at least one clone to see growth.
+    """
+    if clone_limit is not None and clone_limit < 1:
+        raise ValueError(f"clone_limit must be at least 1, got {clone_limit}")
+    nested, source_egds = nested_mapping(dependencies, source_egds)
     key: str | None = None
     if get_store() is not None:
         key = _verdict_key(nested, source_egds, clone_limit, max_patterns)
@@ -472,4 +489,5 @@ __all__ = [
     "bounded_anchor_witness",
     "enumerate_source_instances",
     "max_pattern_body_atoms",
+    "nested_mapping",
 ]

@@ -23,11 +23,11 @@ from typing import Sequence
 from repro.errors import UndecidedError
 from repro.logic.atoms import Atom
 from repro.logic.egds import Egd
-from repro.logic.nested import NestedTgd, nested_tgds_from
+from repro.logic.nested import NestedTgd
 from repro.logic.tgds import STTgd
 from repro.logic.values import Variable, is_null
 from repro.core.canonical import canonical_instances
-from repro.core.fblock_analysis import FBlockVerdict, decide_bounded_fblock_size
+from repro.core.fblock_analysis import FBlockVerdict, decide_bounded_fblock_size, nested_mapping
 from repro.core.implication import implies
 from repro.core.patterns import patterns_up_to_size
 
@@ -96,7 +96,7 @@ def to_glav(
         >>> len(glav)
         1
     """
-    nested = nested_tgds_from(dependencies)
+    nested, source_egds = nested_mapping(dependencies, source_egds)
     verdict = decide_bounded_fblock_size(nested, source_egds=source_egds)
     return _glav_for(nested, verdict, source_egds, max_pattern_nodes)
 
@@ -142,7 +142,8 @@ def glav_distance_report(dependencies, source_egds: Sequence[Egd] = ()) -> dict:
     sequence when unbounded, and (when bounded and small enough) the
     constructed equivalent GLAV mapping.
     """
-    verdict = decide_bounded_fblock_size(dependencies, source_egds=source_egds)
+    nested, source_egds = nested_mapping(dependencies, source_egds)
+    verdict = decide_bounded_fblock_size(nested, source_egds=source_egds)
     report: dict = {
         "bounded_fblock_size": verdict.bounded,
         "fblock_bound": verdict.bound,
@@ -153,7 +154,7 @@ def glav_distance_report(dependencies, source_egds: Sequence[Egd] = ()) -> dict:
     if verdict.bounded:
         try:
             report["equivalent_glav"] = _glav_for(
-                nested_tgds_from(dependencies), verdict, source_egds, max_pattern_nodes=8
+                nested, verdict, source_egds, max_pattern_nodes=8
             )
         except UndecidedError:
             report["equivalent_glav"] = None

@@ -39,15 +39,23 @@ from repro.logic.sotgd import SOClause, SOTgd
 from repro.logic.terms import FuncTerm
 from repro.logic.tgds import STTgd
 from repro.logic.values import Variable
-from repro.engine.builder import InstanceBuilder
 from repro.engine.matching import find_matches
 
 
 def _freeze(facts: list[Atom]) -> Instance:
-    builder = InstanceBuilder()
-    builder.add_all(facts)
-    perf.incr("chase.facts", len(builder))
-    return builder.freeze()
+    """The chase result: *facts* deduplicated, indexed on its first lookup.
+
+    The facts go through a ``set`` first, not straight into the
+    ``frozenset``: a set built by inserting the emitted facts one by one has
+    the same hash table, and so the same iteration order, as the fact set
+    an incremental builder would have frozen.  The core engines pick which
+    of several isomorphic blocks survive, and in what order they search,
+    from that order, so the cores (and their ``hom.*`` counts) stay what
+    they were; building from the list directly changes them.
+    """
+    instance = Instance(set(facts))
+    perf.incr("chase.facts", len(instance))
+    return instance
 
 
 def chase_st_tgds(instance: Instance, tgds: Sequence[STTgd]) -> Instance:
@@ -268,8 +276,9 @@ def run_clause_program(clauses, source) -> list[Atom]:
 
     *source* may be an :class:`Instance` or an
     :class:`~repro.engine.builder.InstanceBuilder` (the matching engine is
-    duck-typed over both).  Returns the emitted facts, possibly with
-    duplicates -- callers deduplicate through a builder or set.
+    duck-typed over both).  Returns the emitted facts in emission order,
+    possibly with duplicates, which callers drop by building an
+    :class:`Instance` from them.
     """
     out: list[Atom] = []
     skolems: dict = {}

@@ -33,12 +33,17 @@ Perf counters: ``backend.columnar.joins`` (per-atom index joins performed),
 crossing the object/array boundary).
 
 The store also supports **tombstone deletion** (:meth:`ColumnarInstance.
-discard_row`): a discarded row is
-removed from the dedup map and the inverted index and recorded in the
-group's ``dead`` set, so full-scan fallbacks skip it while the columns keep
-their dense layout.  The chase engines never delete; the columnar core
-engine (:mod:`repro.engine.core_instance`) retracts eliminated facts this
-way, and every read path filters dead rows only behind an ``if group.dead``
+discard_row`): a discarded row is removed from the dedup map and recorded
+in the group's ``dead`` set, while the columns keep their dense layout and
+the inverted index keeps the row in its buckets.  Dropping it from a bucket
+would be an O(bucket) ``list.remove`` per discard; instead every reader of
+a store that discards filters ``dead`` itself.  The columnar core engine
+(:mod:`repro.engine.core_instance`) is the only one that discards, and its
+kernel seeder (:func:`~repro.engine.hom_kernel.solve_encoded`) drops dead
+rows from the bucket or scan it picks, in the pass that drops forbidden
+rows.  The clause plans below read the index unfiltered: they run over
+chase stores only, which never discard.  Iteration and
+:meth:`_RelGroup.live_rows` skip dead rows only behind an ``if group.dead``
 guard, keeping the append-only hot paths unchanged.
 """
 
@@ -99,7 +104,8 @@ class _RelGroup:
         self.row_of: dict[tuple[int, ...], int] = {}
         self.index: list[dict[int, list[int]]] = [{} for _ in range(arity)]
         self.atoms: list[Atom | None] = []
-        #: Tombstoned row indexes (usually empty; see module docstring).
+        #: Tombstoned row indexes, still listed in ``index`` (see module
+        #: docstring); empty on every store but the core engine's.
         self.dead: set[int] = set()
 
     def __len__(self) -> int:
@@ -129,7 +135,10 @@ class _RelGroup:
         return row
 
     def discard(self, row: int) -> bool:
-        """Tombstone a live row: drop it from the dedup map and the index."""
+        """Tombstone a live row: drop it from the dedup map, mark it dead.
+
+        The index keeps the row (see the module docstring).
+        """
         if row in self.dead or row >= len(self.atoms):
             return False
         ids = tuple(column[row] for column in self.columns)
@@ -138,15 +147,6 @@ class _RelGroup:
         del self.row_of[ids]
         self.dead.add(row)
         self.atoms[row] = None
-        for position, vid in enumerate(ids):
-            bucket = self.index[position].get(vid)
-            if bucket is not None:
-                try:
-                    bucket.remove(row)
-                except ValueError:
-                    pass
-                if not bucket:
-                    del self.index[position][vid]
         return True
 
 

@@ -70,16 +70,19 @@ unindexed search, restart per elimination -- is preserved as
 above, :class:`_ColumnarCore` runs the same worklist in *id-space* over a
 :class:`~repro.engine.columnar.ColumnarInstance` -- f-blocks are connected
 components of a union-find over integer value ids, canonical labelings
-permute null *ids* and compare memoized repr strings, eliminating
+permute null *ids* and compare rows as ``(relation, ids)`` integer keys
+(:meth:`_ColumnarCore.block_fingerprint`), eliminating
 homomorphisms go through :func:`~repro.engine.hom_kernel.solve_encoded`
 (the value-id seeder of the one homomorphism kernel, whose Atom seeder
 :func:`~repro.engine.hom_kernel.block_homomorphism` serves the tuple
 engine) with per-group forbidden row sets, and eliminations are
 tombstone row discards.  All engines record the same ``core.*`` counters.
-Canonical-block fingerprints are computed from the id tuples via
+The winning key list is hashed through
 :func:`~repro.cache.fingerprint.encode_atom_parts` /
-:func:`~repro.cache.fingerprint.fingerprint_encoded_sequence` -- byte-equal
-to the tuple path's ``fingerprint_fact_sequence``.  ``backend="sql"``
+:func:`~repro.cache.fingerprint.fingerprint_encoded_sequence`.  It is a
+complete invariant within one store, like the tuple engine's repr-ordered
+canonical form, so both engines fold the same blocks; the two fingerprints
+are not comparable with each other, and nothing compares them.  ``backend="sql"``
 pushes each candidate elimination down to one SELECT join
 (:func:`repro.engine.sql_backend.sql_core`); ``backend="auto"`` runs the
 id-space engine at every size (:func:`repro.engine.dispatch.
@@ -517,15 +520,15 @@ class _ColumnarCore:
     """One id-space core computation: per-call caches over a shared ValueTable.
 
     Every method works on ``(_RelGroup, row)`` pairs; interned value objects
-    are touched only through the null-flag list and the two memoized per-id
-    accessors (repr, fingerprint encoding) -- no :class:`Atom` is
+    are touched only through the null-flag list, the memoized per-id repr
+    and the memoized encodings of canonical rows -- no :class:`Atom` is
     materialized on the worklist path.  The core interns no value of its
     own, so ``null_flags[vid]`` (is value id *vid* a null?) and
     ``masked[vid]`` (-1 for a null, else *vid*) are filled once from the
     whole table.
     """
 
-    __slots__ = ("values", "null_flags", "masked", "_reprs", "_encodings")
+    __slots__ = ("values", "null_flags", "masked", "_reprs", "_row_encodings")
 
     def __init__(self, values) -> None:
         self.values = values
@@ -535,7 +538,9 @@ class _ColumnarCore:
             -1 if flag else vid for vid, flag in enumerate(self.null_flags)
         ]
         self._reprs: dict[int, str] = {}
-        self._encodings: dict[int, bytes] = {}
+        #: ``encode_atom_parts`` bytes of each canonical row key of
+        #: :meth:`block_fingerprint`.
+        self._row_encodings: dict[tuple[str, tuple[int, ...]], bytes] = {}
 
     # ------------------------------------------------------ per-id accessors
 
@@ -544,12 +549,6 @@ class _ColumnarCore:
         if text is None:
             text = self._reprs[vid] = repr(self.values.value(vid))
         return text
-
-    def vid_encoding(self, vid: int) -> bytes:
-        encoding = self._encodings.get(vid)
-        if encoding is None:
-            encoding = self._encodings[vid] = encode_value(self.values.value(vid))
-        return encoding
 
     # ------------------------------------------------------------- structure
 
@@ -618,21 +617,31 @@ class _ColumnarCore:
     def block_fingerprint(self, block: Sequence[_Row]) -> str | None:
         """Fingerprint of the block's canonical labeling, or None if too symmetric.
 
-        Mirrors :func:`_canonical_block` id-for-object: nulls group by degree
-        profile, ties try every within-group permutation, and the winning
-        ordering is the lexicographically least repr-string tuple (rendering
-        ``Null(("#", i))`` reprs from the canonical index directly).  The
-        fingerprint is computed from id tuples and is byte-equal to
-        ``fingerprint_fact_sequence`` of the tuple engine's canonical atoms.
+        The labeling rule is :func:`_canonical_block`'s, in id space: nulls
+        group by degree profile, groups are ordered by profile, and more than
+        ``_CANON_PERMUTATION_LIMIT`` within-group permutations give None.
+        Each permutation labels the nulls 0, 1, ... in order, and keys every
+        row as ``(relation, ids)``, a null being ``-1 - label`` and a
+        constant its value id; the winner is the least sorted key list.
+        Every permutation that respects the profile order is tried, so
+        isomorphic blocks of one store get equal key lists, and the key list
+        determines the block up to renaming its nulls: equal fingerprints
+        mean isomorphic blocks.  Value ids are per store, so fingerprints
+        are comparable within one core computation only.  The winner's rows
+        are encoded through :attr:`_row_encodings`, so a canonical row met
+        in many blocks is encoded once.
         """
         null_flags = self.null_flags
+        rows = [
+            (group.relation, [column[row] for column in group.columns])
+            for group, row in block
+        ]
         profiles: dict[int, dict[tuple[str, int], int]] = {}
-        for group, row in block:
-            for pos, column in enumerate(group.columns):
-                vid = column[row]
+        for relation, ids in rows:
+            for pos, vid in enumerate(ids):
                 if null_flags[vid]:
                     profile = profiles.setdefault(vid, {})
-                    key = (group.relation, pos)
+                    key = (relation, pos)
                     profile[key] = profile.get(key, 0) + 1
         groups: dict[tuple, list[int]] = {}
         for vid, profile in profiles.items():
@@ -643,50 +652,34 @@ class _ColumnarCore:
                 total *= i
                 if total > _CANON_PERMUTATION_LIMIT:
                     return None
-        vid_repr = self.vid_repr
-        ordered_groups = [
-            sorted(members, key=vid_repr) for __, members in sorted(groups.items())
-        ]
-        best_key: tuple[str, ...] | None = None
-        best_rows: list[_Row] = []
-        best_labeling: dict[int, int] = {}
+        ordered_groups = [sorted(members) for __, members in sorted(groups.items())]
+        best: list[tuple[str, tuple[int, ...]]] | None = None
         for orderings in itertools.product(
             *(itertools.permutations(members) for members in ordered_groups)
         ):
             labeling: dict[int, int] = {}
             for members in orderings:
                 for vid in members:
-                    labeling[vid] = len(labeling)
-            entries: list[tuple[str, _Row]] = []
-            for group, row in block:
-                parts: list[str] = []
-                for column in group.columns:
-                    vid = column[row]
-                    canonical = labeling.get(vid)
-                    parts.append(
-                        f"_{('#', canonical)}" if canonical is not None
-                        else vid_repr(vid)
-                    )
-                entries.append((f"{group.relation}({', '.join(parts)})", (group, row)))
-            entries.sort(key=lambda entry: entry[0])
-            key = tuple(entry[0] for entry in entries)
-            if best_key is None or key < best_key:
-                best_key = key
-                best_rows = [entry[1] for entry in entries]
-                best_labeling = labeling
-        assert best_key is not None
-        vid_encoding = self.vid_encoding
+                    labeling[vid] = -1 - len(labeling)
+            label = labeling.get
+            keys = sorted([
+                (relation, tuple([label(vid, vid) for vid in ids])) for relation, ids in rows
+            ])
+            if best is None or keys < best:
+                best = keys
+        assert best is not None
+        row_encodings = self._row_encodings
+        value = self.values.value
         encodings: list[bytes] = []
-        for group, row in best_rows:
-            arg_encodings: list[bytes] = []
-            for column in group.columns:
-                vid = column[row]
-                canonical = best_labeling.get(vid)
-                arg_encodings.append(
-                    encode_canonical_null(canonical) if canonical is not None
-                    else vid_encoding(vid)
-                )
-            encodings.append(encode_atom_parts(group.relation, arg_encodings))
+        for key in best:
+            encoding = row_encodings.get(key)
+            if encoding is None:
+                relation, ids = key
+                encoding = row_encodings[key] = encode_atom_parts(relation, [
+                    encode_canonical_null(-1 - vid) if vid < 0 else encode_value(value(vid))
+                    for vid in ids
+                ])
+            encodings.append(encoding)
         return fingerprint_encoded_sequence(encodings)
 
     # ------------------------------------------------------------ elimination

@@ -444,7 +444,14 @@ def _seed_rows(
     fact: EncodedFact, forbidden: dict[_RelGroup, set[int]] | None
 ) -> tuple[_Fact, list[int]]:
     """Candidate rows for *fact*: the bucket of its most selective constant
-    position, narrowed by every other constant position."""
+    position, narrowed by every other constant position.
+
+    Index buckets still list tombstoned rows (see :mod:`repro.engine.
+    columnar`), so dead rows leave the chosen bucket, or the full scan, in
+    the pass that drops forbidden rows.  A bucket is in ascending row order and every other
+    constant position narrows it, so the candidates do not depend on which
+    bucket is chosen.
+    """
     group = fact.group
     best: list[int] | None = None
     best_pos = -1
@@ -458,11 +465,14 @@ def _seed_rows(
         constants.append((pos, key))
         if best is None or len(bucket) < len(best):
             best, best_pos = bucket, pos
-    rows: Iterable[int] = group.live_rows() if best is None else best
-    if forbidden:
-        blocked = forbidden.get(group)
-        if blocked:
-            rows = [row for row in rows if row not in blocked]
+    rows: Iterable[int] = range(len(group.atoms)) if best is None else best
+    blocked = forbidden.get(group) if forbidden else None
+    dead = group.dead
+    if dead and blocked:
+        rows = [row for row in rows if row not in dead and row not in blocked]
+    elif dead or blocked:
+        skipped = dead or blocked
+        rows = [row for row in rows if row not in skipped]
     columns = group.columns
     for pos, key in constants:
         if pos != best_pos:

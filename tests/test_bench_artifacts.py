@@ -15,3 +15,12 @@ def test_pattern_sweep_keeps_warm_restart_axis(tmp_path):
     report = json.loads(path.read_text())
     assert report["warm_restart"] == warm_restart
     assert [row["workload"] for row in report["rows"]] == ["ex310", "wide", "wide4"]
+
+
+def test_core_digest_flags_sizes_off_the_closed_form():
+    from benchmarks.core_digest import wrong_sizes
+
+    row = {"shape": "intro-star", "n": 5, "solution_facts": 25, "core_facts": 5}
+    assert wrong_sizes([row]) == []
+    [line] = wrong_sizes([row, {**row, "core_facts": 10}])
+    assert line == "intro-star n=5: (solution, core) facts (25, 10), expected (25, 5)"

@@ -1,9 +1,12 @@
 """Tests for the oblivious chase (s-t tgds and SO tgds)."""
 
+import pytest
+
+from repro import perf
 from repro.engine.chase import chase, chase_so_tgd, chase_st_tgds
 from repro.engine.homomorphism import has_homomorphism
 from repro.engine.model_check import satisfies
-from repro.logic.parser import parse_instance, parse_so_tgd, parse_tgd
+from repro.logic.parser import parse_instance, parse_nested_tgd, parse_so_tgd, parse_tgd
 
 
 class TestSTTgdChase:
@@ -112,3 +115,28 @@ class TestDispatch:
         r_nulls = {n for f in J.facts_of("R") for n in f.nulls()}
         t_nulls = {n for f in J.facts_of("T") for n in f.nulls()}
         assert not r_nulls & t_nulls
+
+
+class TestResult:
+    """``chase`` hands back its facts without building an index."""
+
+    @pytest.mark.parametrize("source, deps", [
+        ("S(a,b), S(a,c), S(b,c)",
+         [parse_tgd("S(x,y) -> P(x)"), parse_tgd("S(x,y) -> R(x,z) & R(z,y)")]),
+        ("star",
+         [parse_nested_tgd("S(x1,x2) -> exists y . (R(y,x2) & (S(x1,x3) -> R(y,x3)))")]),
+    ], ids=["st-tgds", "intro-star"])
+    def test_unindexed_and_ordered_like_a_frozen_builder(self, source, deps):
+        from repro.engine.builder import InstanceBuilder
+        from repro.engine.chase import compile_clause_program, run_clause_program
+        from repro.workloads.families import star_instance
+
+        instance = star_instance(12) if source == "star" else parse_instance(source)
+        emitted = run_clause_program(compile_clause_program(deps), instance)
+        assert len(emitted) > len(set(emitted))  # duplicates are dropped
+        expected = InstanceBuilder(emitted).freeze()
+        with perf.measuring() as stats:
+            result = chase(instance, deps)
+        assert result._by_relation is None and result._by_value is None
+        assert list(result) == list(expected)
+        assert stats.get("chase.facts") == len(expected)

@@ -9,9 +9,11 @@ isomorphism** (the core is unique up to isomorphism; sizes agree exactly).
 
 Also covered here: the kernel's two seeders against each other and against
 the naive search on every retraction attempt the core engine makes, the
-pinned ``hom.*`` counts of Ex 4.8 cores, the single search per
-canonicalizable block, the ``choose_core_backend`` dispatch policy, the SQL
-core's 64-fact block limit, and the ``repro core`` CLI.
+pinned ``hom.*`` counts of Ex 4.8 cores, a store with tombstoned rows
+against a fresh store of its live facts, canonical fingerprints against
+isomorphism, the single search per canonicalizable block, the
+``choose_core_backend`` dispatch policy, the SQL core's 64-fact block limit,
+and the ``repro core`` CLI.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from repro.engine import core_instance
 from repro.engine.columnar import ColumnarInstance
 from repro.engine.core_instance import _ColumnarCore, core, is_core
 from repro.engine.dispatch import CORE_AUTO_REASON, choose_core_backend
-from repro.engine.hom_kernel import block_homomorphism, solve_encoded
+from repro.engine.hom_kernel import _seed_rows, block_homomorphism, solve_encoded
 from repro.engine.naive import find_homomorphism_naive
 from repro.engine.sql_backend import sql_core_supported
 from repro.errors import ChaseError
@@ -230,6 +232,79 @@ class TestCoreDifferential:
         assert stats.get("core.eliminations") == 1
 
 
+@st.composite
+def _block_copies(draw):
+    """Disjoint blocks, most of them renamed copies of one another.
+
+    Each of one to three templates (one to three facts over null slots 0-2
+    and the constants a, b) is copied one to three times, with its null
+    slots permuted, fresh nulls and its facts in a drawn order, so that
+    isomorphic blocks get different value ids; distinct templates often
+    share a masked-row invariant without being isomorphic.
+    """
+    slots = [0, 1, 2, Constant("a"), Constant("b")]
+    facts: list[Atom] = []
+    for template in range(draw(st.integers(1, 3))):
+        shape = draw(st.lists(
+            st.sampled_from(sorted(_ARITY)).flatmap(
+                lambda relation: st.tuples(
+                    st.just(relation), st.lists(st.sampled_from(slots),
+                                                min_size=_ARITY[relation],
+                                                max_size=_ARITY[relation]))),
+            min_size=1, max_size=3))
+        for copy in range(draw(st.integers(1, 3))):
+            order = draw(st.permutations([0, 1, 2]))
+            nulls = [Null(f"t{template}c{copy}s{slot}") for slot in order]
+            renamed = [
+                _fact(relation, [nulls[arg] if isinstance(arg, int) else arg for arg in args])
+                for relation, args in shape
+            ]
+            facts.extend(draw(st.permutations(renamed)))
+    return Instance(facts)
+
+
+class TestTombstones:
+    """A store with discarded rows reads like a fresh store of its live facts."""
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(instance=instances(max_facts=10, max_constants=2, max_nulls=3), data=st.data())
+    def test_discards_match_a_fresh_store(self, instance, data):
+        store = ColumnarInstance(instance)
+        rows = [(group, row) for groups in store._groups.values()
+                for group in groups for row in group.live_rows()]
+        dropped = data.draw(st.sets(st.sampled_from(range(len(rows))))) if rows else set()
+        for index in dropped:
+            assert store.discard_row(*rows[index])
+        live = [store.decode_row(*row) for index, row in enumerate(rows)
+                if index not in dropped]
+        fresh = ColumnarInstance(live, values=store.values)
+        assert len(store) == len(fresh) == len(live)
+        for relation, groups in store._groups.items():
+            for group in groups:
+                twin = fresh.group(relation, group.arity)
+                assert len(group) == len(twin)
+                assert [store.decode_row(group, row) for row in group.live_rows()] == [
+                    fresh.decode_row(twin, row) for row in twin.live_rows()]
+        engine = _ColumnarCore(store.values)
+        fresh_row = {fresh.decode_row(group, row): (group, row)
+                     for groups in fresh._groups.values()
+                     for group in groups for row in group.live_rows()}
+        for block in engine.null_blocks(store):
+            twin_block = [fresh_row[store.decode_row(*row)] for row in block]
+            encoded, twin_encoded = engine.encode_block(block), engine.encode_block(twin_block)
+            assert solve_encoded(encoded) == solve_encoded(twin_encoded)
+            twin_nulls = engine.block_nulls(twin_block)
+            for vid, forbidden in engine.block_nulls(block).items():
+                for fact, twin_fact in zip(encoded, twin_encoded):
+                    __, rows_seeded = _seed_rows(fact, forbidden)
+                    __, twin_seeded = _seed_rows(twin_fact, twin_nulls[vid])
+                    assert [store.decode_row(fact.group, row) for row in rows_seeded] == [
+                        fresh.decode_row(twin_fact.group, row) for row in twin_seeded]
+                assert solve_encoded(encoded, forbidden) == solve_encoded(
+                    twin_encoded, twin_nulls[vid])
+
+
 class TestSinglePass:
     """Each kept block is searched once, against the whole store."""
 
@@ -247,20 +322,25 @@ class TestSinglePass:
         assert stats.get("core.orbit_skips") == 2
         assert stats.get("core.rigid_blocks") == 1
 
-    def test_canonical_fingerprints_match_across_engines(self):
-        from repro.cache.fingerprint import fingerprint_fact_sequence
-        from repro.engine.core_instance import _canonical_block
-
-        instance = parse_instance("R(a,_x), R(_x,_y), S(_y,b), S(_y,_z)")
-        store = ColumnarInstance(instance)
-        engine = _ColumnarCore(store.values)
-        [block] = engine.null_blocks(store)
-        expected = fingerprint_fact_sequence(_canonical_block(sorted(instance, key=repr)))
-        assert engine.block_fingerprint(block) == expected
-
 
 class TestInvariantGate:
     """Only blocks sharing an invariant hash are fingerprinted; folds are unchanged."""
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(instance=_block_copies())
+    def test_equal_fingerprints_exactly_for_isomorphic_blocks(self, instance):
+        store = ColumnarInstance(instance)
+        engine = _ColumnarCore(store.values)
+        blocks = []
+        for rows in engine.null_blocks(store):
+            fingerprint = engine.block_fingerprint(rows)
+            if fingerprint is not None:
+                blocks.append((fingerprint, Instance(store.decode_row(*row) for row in rows)))
+        for index, (first_print, first) in enumerate(blocks):
+            for second_print, second in blocks[index + 1:]:
+                assert (first_print == second_print) == first.isomorphic(second), (
+                    first, second)
 
     @pytest.mark.parametrize("shape, n", [
         *[(f"{scenario}-{mapping}", n)

@@ -190,3 +190,31 @@ class TestEdgeCases:
 
     def test_anchor_witness_is_at_least_one(self):
         assert bounded_anchor_witness([parse_tgd("S(x,y) -> R(x,y)")]) >= 1
+
+
+class TestCloneLimit:
+    """A clone limit below 1 is rejected before the store is touched."""
+
+    @pytest.mark.parametrize("clone_limit", [0, -1])
+    @pytest.mark.parametrize("store", [False, True])
+    def test_rejected_with_the_store_off_and_on(self, intro_nested, tmp_path, monkeypatch,
+                                                clone_limit, store):
+        from repro import cache
+        from repro.core import fblock_analysis
+
+        def no_key(*args):
+            raise AssertionError("a store key was rendered")
+
+        monkeypatch.setattr(fblock_analysis, "_verdict_key", no_key)
+        if store:
+            cache.configure(tmp_path)
+        try:
+            with pytest.raises(ValueError, match="clone_limit"):
+                decide_bounded_fblock_size([intro_nested], clone_limit=clone_limit)
+            if store:
+                assert cache.get_store().entry_counts() == {}
+        finally:
+            cache.configure(None)
+
+    def test_one_clone_is_accepted(self, intro_nested):
+        assert decide_bounded_fblock_size([intro_nested], clone_limit=1).bounded is False

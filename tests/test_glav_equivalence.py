@@ -13,6 +13,7 @@ from repro.core.patterns import Pattern
 from repro.errors import UndecidedError
 from repro.logic.parser import parse_egd, parse_nested_tgd, parse_tgd
 from repro.logic.tgds import STTgd
+from repro.mappings.mapping import SchemaMapping
 
 
 class TestDecision:
@@ -125,3 +126,23 @@ class TestReport:
         report = glav_distance_report([tgd])
         assert len(calls) == 1
         assert report["equivalent_glav"] == to_glav([tgd])
+
+
+class TestSchemaMappingInput:
+    """Every GLAV entry point takes a SchemaMapping, with its source egds."""
+
+    def test_bounded_mapping(self):
+        tgd = parse_nested_tgd("S1(x1) -> (S2(x2) -> T(x1, x2))")
+        mapping = SchemaMapping([tgd])
+        assert is_equivalent_to_glav(mapping)
+        assert to_glav(mapping) == to_glav([tgd])
+        assert glav_distance_report(mapping) == glav_distance_report([tgd])
+
+    def test_the_mappings_source_egds_apply(self):
+        tgd = parse_nested_tgd("Q(z) -> exists y . (P(z,x) -> R(y,x))")
+        egd = parse_egd("P(z,x) & P(z,xp) -> x = xp")
+        mapping = SchemaMapping([tgd], source_egds=[egd])
+        glav = to_glav(mapping)
+        assert glav == to_glav([tgd], source_egds=[egd])
+        assert glav_distance_report(mapping)["equivalent_glav"] == glav
+        assert not glav_distance_report([tgd])["bounded_fblock_size"]
