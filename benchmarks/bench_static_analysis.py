@@ -26,8 +26,7 @@ The ``frontier`` axis times the decidability-frontier passes
 (:func:`repro.analysis.frontier.frontier_report`: triangular guardedness +
 tier stratification) over the same families, and the ``ladder_chase`` axis
 *measures* the polynomial chase the PTIME tier promises: facts and seconds
-for the ladder program over growing instances, next to the refined
-per-relation bound and the (astronomically larger) coarse CC002 bound.
+for the ladder program over growing instances.
 
 The ``containment`` axis times the mapping-containment analyzer
 (:mod:`repro.analysis.containment`) over the redundant-ladder and
@@ -100,22 +99,18 @@ def _ladder_chase_axis() -> list[dict]:
     from repro.engine.fixpoint_chase import fixpoint_chase
 
     deps = ladder_tgds(3)
-    report = frontier_report(deps)
     rows = []
     for n in (50, 100, 200, 400):
         instance = ladder_instance(n)
         start = time.perf_counter()
         result = fixpoint_chase(instance, deps)
         elapsed = time.perf_counter() - start
-        domain = {value for fact in instance for value in fact.args}
         rows.append(
             {
                 "n": n,
                 "input_facts": len(instance),
                 "chase_facts": len(result.instance),
                 "chase_s": elapsed,
-                "refined_bound": report.tier.fact_bound(len(domain)),
-                "coarse_bound": report.cost.fact_bound(len(domain)),
             }
         )
     return rows
@@ -244,12 +239,9 @@ def main(argv: list[str] | None = None) -> int:
             f"{row['frontier_ms']:8.2f}m"
         )
     print()
-    print(f"{'n':>5s} {'facts':>7s} {'chase_s':>8s} {'refined':>9s} {'coarse':>22s}")
+    print(f"{'n':>5s} {'facts':>7s} {'chase_s':>8s}")
     for row in summary["ladder_chase"]:
-        print(
-            f"{row['n']:5d} {row['chase_facts']:7d} {row['chase_s']:8.3f} "
-            f"{row['refined_bound']:9d} {row['coarse_bound']:22d}"
-        )
+        print(f"{row['n']:5d} {row['chase_facts']:7d} {row['chase_s']:8.3f}")
     print()
     header = f"{'containment family':22s} {'lhs':>3s} {'rhs':>3s} {'status':>16s} {'hits':>4s} {'ms':>8s}"
     print(header)

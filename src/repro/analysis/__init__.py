@@ -57,7 +57,6 @@ from repro.analysis.acyclicity import (
 from repro.analysis.cost import (
     ChaseCostEstimate,
     SweepCostEstimate,
-    chase_budget,
     chase_cost,
     sweep_cost,
 )
@@ -116,7 +115,6 @@ __all__ = [
     "classify_termination",
     "ChaseCostEstimate",
     "SweepCostEstimate",
-    "chase_budget",
     "chase_cost",
     "sweep_cost",
     "ComplexityTier",

@@ -19,9 +19,10 @@ What this module adds over raw :func:`repro.core.implication.implies_tgd`:
 - **admissibility gating** through the decidability-frontier certificates of
   :mod:`repro.analysis.frontier`: a containment query over an uncertified
   dependency set (no termination rung) is *refused* rather than run, unless
-  the caller supplies an explicit ``budget=``; certified-but-astronomical
-  sets (the static chase bound of :func:`repro.analysis.cost.chase_budget`
-  saturates) are refused the same way;
+  the caller supplies an explicit ``budget=``.  Every certified query runs:
+  IMPLIES is decidable on every s-t and nested left-hand side, and no static
+  fact count is consulted.  The same rule gates :func:`redundancy_report`
+  and :func:`eliminate_redundant`;
 - a structured :class:`ContainmentReport` carrying either a per-dependency
   *proof map* (every ``sigma'`` implied, with its clone bound and sweep
   size) or a machine-checkable :class:`ContainmentWitness` (a counterexample
@@ -69,7 +70,7 @@ from repro.logic.nested import NestedTgd
 from repro.logic.printer import dependency_label
 from repro.logic.sotgd import SOTgd
 from repro.logic.tgds import STTgd
-from repro.analysis.cost import SATURATION_CAP, chase_budget, sweep_cost
+from repro.analysis.cost import sweep_cost
 from repro.analysis.frontier import frontier_report
 
 #: Default guard on the total k-pattern sweep of one containment query
@@ -173,17 +174,13 @@ class ContainmentReport:
     (some dependency refuted: a refutation is sound even when other
     dependencies were refused), or ``None`` (no refutation, at least one
     refusal -- the query is undecided at the current gate).  ``certified``
-    and ``tier`` record the frontier certificate of the combined set;
-    ``chase_fact_bound`` the static per-chase fact budget that admitted the
-    query (:func:`repro.analysis.cost.chase_budget`, ``None`` when
-    uncertified).
+    and ``tier`` record the frontier certificate of the combined set.
     """
 
     holds: bool | None
     status: str
     certified: bool
     tier: str
-    chase_fact_bound: int | None
     budget: int | None
     lhs: tuple[str, ...]
     verdicts: tuple[DependencyVerdict, ...]
@@ -219,7 +216,6 @@ class ContainmentReport:
             "status": self.status,
             "certified": self.certified,
             "tier": self.tier,
-            "chase_fact_bound": self.chase_fact_bound,
             "budget": self.budget,
             "lhs": list(self.lhs),
             "verdicts": [v.to_dict() for v in self.verdicts],
@@ -301,7 +297,7 @@ def _report_key(
     concatenated reprs cannot alias across the lhs/rhs/egd boundaries.
     """
     return fingerprint_texts((
-        f"contain-v1:budget={budget}:max={max_patterns}:"
+        f"contain-v2:budget={budget}:max={max_patterns}:"
         f"lhs={len(lhs)}:rhs={len(rhs)}",
         *[repr(dep) for dep in lhs],
         *[repr(dep) for dep in rhs],
@@ -331,16 +327,15 @@ def _witness_from_payload(payload: Any) -> ContainmentWitness | None:
 
 def _disk_report_get(key: str) -> ContainmentReport | None:
     payload = disk_get(SPACE_CONTAIN, key)
-    if not isinstance(payload, tuple) or len(payload) != 8:
+    if not isinstance(payload, tuple) or len(payload) != 7:
         return None
     try:
-        holds, status, certified, tier, bound, budget, lhs, verdicts = payload
+        holds, status, certified, tier, budget, lhs, verdicts = payload
         report = ContainmentReport(
             holds=holds,
             status=status,
             certified=certified,
             tier=tier,
-            chase_fact_bound=bound,
             budget=budget,
             lhs=tuple(lhs),
             verdicts=tuple(
@@ -369,7 +364,6 @@ def _disk_report_put(key: str, report: ContainmentReport) -> None:
             report.status,
             report.certified,
             report.tier,
-            report.chase_fact_bound,
             report.budget,
             tuple(report.lhs),
             tuple(
@@ -443,12 +437,12 @@ def check_containment(
     Each right-hand dependency is checked by the cached IMPLIES sweep after
     an admissibility gate: the combined set's frontier certificate
     (:func:`repro.analysis.frontier.frontier_report`) must certify chase
-    termination with a non-saturated static fact budget
-    (:func:`repro.analysis.cost.chase_budget`), or the caller must supply an
-    explicit ``budget=`` -- an uncertified, unbudgeted query is *refused*
-    (``status == "undecided"``), never run.  Budgeted queries that exceed
-    the budget's sweep-cost preflight are refused per dependency, not
-    raised.
+    termination, or the caller must supply an explicit ``budget=`` -- an
+    uncertified, unbudgeted query is *refused* (``status == "undecided"``),
+    never run.  The IMPLIES calls get the caller's ``budget`` (``None``:
+    no sweep-cost preflight, only the ``max_patterns`` guard); budgeted
+    queries that exceed the budget's sweep-cost preflight are refused per
+    dependency, not raised.
 
         >>> from repro.logic.parser import parse_tgd
         >>> copy = parse_tgd("S(x,y) -> R(x,y)")
@@ -474,23 +468,11 @@ def check_containment(
     certified = frontier.certified
     tier = frontier.tier.tier.value
 
-    estimates = [_sweep_estimate(lhs, dep) for dep in rhs]
-    # The canonical source of one k-pattern check has at most
-    # ~k * atoms_per_check facts; chase_budget bounds the chase of such a
-    # source statically (None when no rung certifies termination).
-    n_hint = max(
-        (est.k * est.atoms_per_check for est in estimates if est is not None),
-        default=1,
-    )
-    fact_bound = chase_budget(lhs + rhs + egds, max(n_hint, 1))
-
-    admitted = certified and (
-        fact_bound is not None and fact_bound < SATURATION_CAP
-    )
+    admitted = certified or budget is not None
     verdicts: list[DependencyVerdict] = []
     for index, dep in enumerate(rhs):
         label = dependency_label(dep, index)
-        if estimates[index] is None:
+        if _sweep_estimate(lhs, dep) is None:
             perf.incr("containment.refused")
             verdicts.append(DependencyVerdict(
                 dependency=label, text=str(dep), status="refused",
@@ -499,19 +481,13 @@ def check_containment(
                 "SO tgds is undecidable)",
             ))
             continue
-        if not admitted and budget is None:
+        if not admitted:
             perf.incr("containment.refused")
-            why = (
-                f"the combined set has no termination certificate "
-                f"(tier {tier})"
-                if not certified
-                else "the static chase budget saturates "
-                f"(chase_fact_bound >= {SATURATION_CAP})"
-            )
             verdicts.append(DependencyVerdict(
                 dependency=label, text=str(dep), status="refused",
-                reason=f"outside the certified frontier: {why}; pass "
-                "budget= to bound the sweep explicitly",
+                reason="outside the certified frontier: the combined set has "
+                f"no termination certificate (tier {tier}); pass budget= to "
+                "bound the sweep explicitly",
             ))
             continue
         verdicts.append(_implies_verdict(
@@ -534,7 +510,6 @@ def check_containment(
         status=status,
         certified=certified,
         tier=tier,
-        chase_fact_bound=fact_bound,
         budget=budget,
         lhs=tuple(str(dep) for dep in lhs),
         verdicts=tuple(verdicts),

@@ -23,16 +23,17 @@ All arithmetic here saturates at :data:`SATURATION_CAP`: the exact pattern
 count of a deep nesting is a number with ``10^10`` digits, and merely
 *printing* it would be the blowup the analysis exists to prevent.
 
-:func:`chase_budget` is the budget derivation the engines consult: it
-prefers the per-relation degree witnesses of the complexity tier
-(:mod:`repro.analysis.frontier`) over the saturating worst case above, so a
-PTIME-certified program gets a polynomially tight budget instead of the
-astronomical ``A * w^D`` bound.
+The degree classifies; it is not a budget.  A fact count read off it is
+astronomically loose: on a three-step ``T_i -> T_{i+1}`` ladder over 51
+values ``R * d_D^A`` already saturates, and even the per-relation degrees
+of :mod:`repro.analysis.frontier` give ``4.6e13`` where the chase makes 200
+facts.  So no engine sizes, admits or skips work by such a count; the
+degrees feed the ``CC002``-``CC004`` lints and ``repro analyze`` only.
 
     >>> from repro.logic.parser import parse_tgd
     >>> est = chase_cost([parse_tgd("S(x,y) -> exists z . R(x,z)")])
-    >>> est.degree, est.fact_bound(10)   # f_z(x,y) has arity 2, rank depth 1
-    (4, 24200)
+    >>> est.degree, est.exponential   # f_z(x,y) has arity 2, rank depth 1
+    (4, False)
 """
 
 from __future__ import annotations
@@ -120,36 +121,6 @@ class ChaseCostEstimate:
         """True when the predicted chase-size degree exceeds the CC002 limit."""
         return self.degree is None or self.degree > CC002_DEGREE_LIMIT
 
-    def value_bound(self, n: int) -> int | None:
-        """Bound the number of distinct values after chasing an n-value instance."""
-        if self.depth_bound is None:
-            return None
-        values = max(n, 1)
-        arity = max(self.max_skolem_arity, 1) if self.skolem_function_count else 0
-        for _ in range(self.depth_bound):
-            if self.skolem_function_count == 0:
-                break
-            created = saturating_mul(
-                self.skolem_function_count, saturating_pow(values, arity)
-            )
-            values = saturating_add(values, created)
-            if values >= SATURATION_CAP:
-                return SATURATION_CAP
-        return values
-
-    def fact_bound(self, n: int) -> int | None:
-        """Bound the number of facts after chasing an n-value instance.
-
-        ``None`` when no rung certified termination (no finite bound exists
-        that the static analysis can vouch for).
-        """
-        values = self.value_bound(n)
-        if values is None:
-            return None
-        return saturating_mul(
-            max(self.relation_count, 1), saturating_pow(values, self.max_arity)
-        )
-
     def to_dict(self) -> dict[str, Any]:
         """A JSON-serializable summary of the estimate."""
         return {
@@ -208,30 +179,6 @@ def chase_cost(dependencies: object) -> ChaseCostEstimate:
         degree=degree,
         saturated=saturated,
     )
-
-
-def chase_budget(dependencies: object, n: int) -> int | None:
-    """The tightest static fact budget for chasing an ``n``-value instance.
-
-    Derives from the complexity tier of
-    :func:`repro.analysis.frontier.frontier_report` when refined per-relation
-    degree witnesses exist (the ``min`` of the refined and coarse bounds),
-    falling back to the saturating worst case of :func:`chase_cost`
-    otherwise; ``None`` when no hierarchy rung certifies termination.
-    ``fixpoint_chase`` uses this to decide whether an explicit ``budget=``
-    can be statically elided.
-
-        >>> from repro.logic.parser import parse_tgd
-        >>> deps = [parse_tgd(f"T{i}(x,y) -> exists z . T{i + 1}(y,z)")
-        ...         for i in range(3)]
-        >>> coarse = chase_cost(deps).fact_bound(4)
-        >>> refined = chase_budget(deps, 4)
-        >>> refined < coarse
-        True
-    """
-    from repro.analysis.frontier import frontier_report
-
-    return frontier_report(dependencies).fact_bound(n)
 
 
 # ------------------------------------------------------------ sweep cost model
@@ -354,7 +301,6 @@ __all__ = [
     "SATURATION_CAP",
     "ChaseCostEstimate",
     "SweepCostEstimate",
-    "chase_budget",
     "chase_cost",
     "count_k_patterns_saturating",
     "saturating_add",

@@ -23,8 +23,8 @@ by the follow-up literature:
   result can grow.  The single coarse degree of
   :func:`repro.analysis.cost.chase_cost` (``A * w^D``) over-approximates
   wildly; on sets whose joint-acyclicity function graph is *acyclic* a
-  per-relation degree program (below) certifies much tighter polynomial
-  bounds, and a maximum relation degree within
+  per-relation degree program (below) certifies much lower polynomial
+  degrees, and a maximum relation degree within
   :data:`~repro.analysis.cost.CC002_DEGREE_LIMIT` places the set in the
   ``PTIME`` tier with explicit per-relation witnesses (lint ``CC003``).
 
@@ -85,7 +85,6 @@ from repro.analysis.cost import (
     ChaseCostEstimate,
     chase_cost,
     saturating_add,
-    saturating_pow,
 )
 from repro.analysis.termination import (
     DependencyGraphIR,
@@ -257,21 +256,6 @@ class TierReport:
     function_degrees: tuple[tuple[str, int], ...] | None = None
     max_degree: int | None = None
 
-    def fact_bound(self, n: int) -> int | None:
-        """Refined fact bound ``sum_R n^degree(R)``; None without witnesses."""
-        if not self.refined or self.relation_degrees is None:
-            return None
-        values = max(n, 1)
-        total = 0
-        for _relation, degree in self.relation_degrees:
-            # The degree program counts value combinations; a small constant
-            # factor (the Skolem functions targeting the relation) is folded
-            # into the +1 headroom of the saturating sum.
-            total = saturating_add(
-                total, saturating_add(saturating_pow(values, degree), 1)
-            )
-        return total
-
     def to_dict(self) -> dict[str, Any]:
         """A JSON-serializable summary of the tier."""
         return {
@@ -436,16 +420,6 @@ class FrontierReport:
     def decidable_reasoning(self) -> bool:
         """True when BCQ reasoning is decidable (terminating *or* guarded)."""
         return self.certified or self.triangular.guarded
-
-    def fact_bound(self, n: int) -> int | None:
-        """The tightest static fact bound available (refined, else coarse)."""
-        refined = self.tier.fact_bound(n)
-        coarse = self.cost.fact_bound(n)
-        if refined is None:
-            return coarse
-        if coarse is None:
-            return refined
-        return min(refined, coarse)
 
     def to_dict(self) -> dict[str, Any]:
         """A JSON-serializable summary of the whole report."""

@@ -666,8 +666,8 @@ def analyze(dependencies: object, source_egds: Sequence[Egd] = ()) -> AnalysisRe
                 f"the coarse chase-size bound ~n^{cost.degree} is demoted "
                 "to PTIME by per-relation degree witnesses "
                 f"({degrees}; maximum degree {tier.max_degree})",
-                hint="budgets derived from the tier's fact bound are "
-                "polynomial; the coarse CC002 estimate is safely ignored",
+                hint="the chase grows polynomially in the instance size; "
+                "the coarse CC002 estimate is safely ignored",
             ))
         else:
             rendered_degree = (

@@ -577,8 +577,9 @@ def build_parser() -> argparse.ArgumentParser:
     contain_parser.add_argument("--egd", action="append", default=[])
     contain_parser.add_argument(
         "--budget", type=int, default=None, metavar="N",
-        help="explicit sweep budget admitting queries outside the certified "
-        "frontier",
+        help="explicit sweep budget: admits queries over sets no termination "
+        "rung certifies, and refuses any dependency whose predicted IMPLIES "
+        "sweep exceeds N (certified queries run without one)",
     )
     contain_parser.add_argument(
         "--witnesses", action="store_true",

@@ -240,9 +240,14 @@ def decide_bounded_fblock_size(
     the pattern, the subtree is cloned ``1, 2, ..., C`` times (``C`` defaults
     to the tgd's pigeonhole bound ``v * w + 2``) and the maximal f-block size
     of ``core(chase(I_p, M))`` is measured on the (legal) canonical source
-    instance of the cloned pattern.  Strictly monotone growth through the
-    whole range witnesses unboundedness (the extension argument of Theorem
-    4.4); otherwise the maximum observed size is an effective bound.
+    instance of the cloned pattern.  A clone step *stalls* when its size is
+    no larger than the previous one.  The mapping is declared unbounded as
+    soon as one subtree runs all ``C`` clone steps without two consecutive
+    stalls and its last step still grows: growth at the end of the
+    pigeonhole range persists forever by the extension argument of Theorem
+    4.4.  A single stall inside the range does not stop the run; two
+    consecutive stalls end that subtree's run early.  When no subtree is
+    declared unbounded, the maximum observed size is an effective bound.
 
     With the persistent store on, the verdict is read from and written to
     its ``glav`` space; a stored payload that is malformed or does not fit

@@ -23,13 +23,12 @@ Before chasing, the engine consults the static termination analyses:
   With ``max_rounds`` it runs at most that many rounds and reports whether
   a fixpoint was actually reached.
 
-A ``budget=`` caps the total number of facts: when the static bounds
-(the coarse :func:`repro.analysis.cost.chase_cost` estimate or the refined
-per-relation tier bound of :func:`repro.analysis.frontier.frontier_report`,
-whichever is tighter) already prove the chase fits, the cap costs nothing
-at runtime; otherwise every derived fact counts against it and crossing it
-raises :class:`~repro.errors.BudgetExceeded` immediately instead of
-grinding on a blowup (lint finding ``CC002`` predicts this).
+A ``budget=`` caps the total number of facts at runtime: an input larger
+than the cap is rejected up front, and every derived fact counts against it,
+so crossing it raises :class:`~repro.errors.BudgetExceeded` immediately
+instead of grinding on a blowup (lint finding ``CC002`` warns of one).  No
+static bound is consulted: the degree bounds of :mod:`repro.analysis.cost`
+are far too loose to prove that a real budget fits.
 
 The loop is semi-naive: after the first round, a clause fires only on
 matches that use at least one fact derived in the previous round.  It is
@@ -81,7 +80,9 @@ class FixpointChaseResult:
     ``reached_fixpoint`` is False only when ``max_rounds`` cut the run short.
     ``termination`` is the static weak-acyclicity verdict the engine
     consulted, and ``termination_class`` the hierarchy rung that certified
-    the run (``None`` for a bounded run of an uncertified set).
+    the run.  It is ``None`` for any run given ``max_rounds`` on a set that
+    is not weakly acyclic: such a run climbs no rung (the MFA test itself
+    runs that way), so no certificate is known.
     """
 
     instance: Instance
@@ -116,7 +117,7 @@ def fixpoint_chase(
 
     *budget* caps the total number of facts (input plus derived); the chase
     raises :class:`~repro.errors.BudgetExceeded` the moment it would cross
-    the cap, unless the static cost model already proves it cannot.
+    the cap.
     *fact_hook* is called with every newly derived fact (the MFA test of the
     acyclicity analysis watches the critical-instance chase through it);
     exceptions it raises propagate to the caller.
@@ -146,23 +147,12 @@ def fixpoint_chase(
                 "cycle with repro.analysis.static.analyze / `repro lint`."
             )
 
-    enforce_budget = budget is not None
-    predicted: int | None = None
     total_facts = len(instance)
-    if budget is not None:
-        # The frontier certificate gives the tightest static fact bound.
-        from repro.analysis.cost import chase_budget
-
-        hierarchy = classify_termination(deps)
-        domain = {value for fact in instance for value in fact.args}
-        predicted = chase_budget(deps, len(domain))
-        if predicted is not None and predicted <= budget:
-            enforce_budget = False  # statically certified to fit the budget
-        if enforce_budget and total_facts > budget:
-            raise BudgetExceeded(
-                "fixpoint chase", budget, predicted=predicted,
-                hint="The input instance alone is larger than the budget.",
-            )
+    if budget is not None and total_facts > budget:
+        raise BudgetExceeded(
+            "fixpoint chase", budget,
+            hint="The input instance alone is larger than the budget.",
+        )
 
     clauses = compile_clause_program(deps)
     skolems: dict = {}  # the run's Skolem terms, shared by every round
@@ -195,9 +185,9 @@ def fixpoint_chase(
                     new_delta.append(fact)
                     perf.incr("chase.facts")
                     total_facts += 1
-                    if enforce_budget and budget is not None and total_facts > budget:
+                    if budget is not None and total_facts > budget:
                         raise BudgetExceeded(
-                            "fixpoint chase", budget, predicted=predicted,
+                            "fixpoint chase", budget,
                             hint="Lint finding CC002 predicts the chase-size "
                             "bound; raise budget= or bound the run with "
                             "max_rounds=.",

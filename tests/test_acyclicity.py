@@ -127,7 +127,6 @@ class TestClassification:
         assert verdict.depth_bound == 1
 
     def test_super_weakly_acyclic_set_is_model_faithful(self):
-        from repro.analysis.cost import chase_budget, chase_cost
         from repro.analysis.frontier import ComplexityTier, tier_report
 
         verdict = classify_termination(SWA_NOT_JA_SET)
@@ -138,7 +137,6 @@ class TestClassification:
         tier = tier_report(SWA_NOT_JA_SET)
         assert tier.tier is ComplexityTier.TWO_EXPTIME
         assert not tier.refined
-        assert chase_budget(SWA_NOT_JA_SET, 10) == chase_cost(SWA_NOT_JA_SET).fact_bound(10)
 
     def test_model_faithful_not_super_weak(self):
         verdict = classify_termination(MFA_NOT_SWA_SET)

@@ -67,33 +67,17 @@ class TestChaseCost:
         est = chase_cost([COPY])
         assert est.degree == 2  # no skolems: degree = max arity
         assert not est.exponential
-        assert est.fact_bound(10) is not None
 
     def test_diverging_has_no_bound(self):
         est = chase_cost([DIVERGING])
         assert est.degree is None
         assert est.exponential
-        assert est.fact_bound(10) is None
-        assert est.value_bound(10) is None
 
     def test_skolem_arity_drives_degree(self):
         # f_z(x,y): w = 2, depth 1 -> degree = A * w^D = 2 * 2 = 4
         est = chase_cost([parse_tgd("S(x,y) -> exists z . R(x,z)")])
         assert est.max_skolem_arity == 2
         assert est.degree == 4
-
-    def test_fact_bound_is_monotone_in_n(self):
-        est = chase_cost([parse_tgd("S(x,y) -> exists z . R(x,z)")])
-        bounds = [est.fact_bound(n) for n in (1, 5, 10, 100)]
-        assert bounds == sorted(bounds)
-
-    def test_fact_bound_covers_actual_chase(self):
-        tgds = [parse_tgd("S(x) -> exists y . R(x,y)")]
-        est = chase_cost(tgds)
-        instance = Instance([Atom("S", (Constant(f"a{i}"),)) for i in range(3)])
-        result = fixpoint_chase(instance, tgds)
-        n = len({arg for fact in instance for arg in fact.args})
-        assert len(result.instance) <= est.fact_bound(n)
 
     def test_reuses_memoized_verdict(self):
         verdict = classify_termination([COPY])
@@ -185,6 +169,7 @@ class TestChaseBudget:
         assert "CC002" in str(excinfo.value)
 
     def test_static_elision_for_certified_set_within_budget(self):
+        # a runtime cap the chase never reaches changes nothing
         instance = Instance([Atom("S", (Constant("a"), Constant("b")))])
         result = fixpoint_chase(instance, [COPY], budget=10**12)
         assert result.reached_fixpoint
@@ -198,7 +183,7 @@ class TestChaseBudget:
 
 
 class TestCostHierarchyDifferential:
-    """Certified sets must reach fixpoint within the predicted fact bound."""
+    """Certified sets must reach a fixpoint: the chase never diverges."""
 
     @settings(max_examples=60, deadline=None)
     @given(tgds=same_schema_tgds())
@@ -206,7 +191,6 @@ class TestCostHierarchyDifferential:
         verdict = classify_termination(tgds, mfa_max_rounds=6, mfa_max_facts=2_000)
         if not verdict.guarantees_termination:
             return
-        est = chase_cost(tgds)
         instance = Instance(
             [
                 Atom("R", (Constant("a"), Constant("b"))),
@@ -214,16 +198,12 @@ class TestCostHierarchyDifferential:
                 Atom("U", (Constant("a"), Constant("b"), Constant("c"))),
             ]
         )
-        n = len({arg for fact in instance for arg in fact.args})
-        bound = est.fact_bound(n)
-        assert bound is not None
-        # every non-fixpoint round adds at least one fact, so the fixpoint
-        # arrives within fact_bound + 2 rounds if the certification is sound
-        result = fixpoint_chase(instance, tgds, max_rounds=bound + 2)
+        # the round cap only keeps an unsound certificate from hanging the
+        # test: the certified sets drawn here settle within 6 rounds
+        result = fixpoint_chase(instance, tgds, max_rounds=50)
         assert result.reached_fixpoint, (
             f"certified {verdict.cls.name} set did not reach fixpoint: {tgds}"
         )
-        assert len(result.instance) <= bound
 
     @settings(max_examples=60, deadline=None)
     @given(tgds=same_schema_tgds())

@@ -158,34 +158,6 @@ class TestComplexityTiers:
         assert report.tier is ComplexityTier.TWO_EXPTIME
         assert report.basis is TerminationClass.MODEL_FAITHFUL
 
-    def test_refined_fact_bound_beats_coarse_on_ladder(self):
-        report = frontier_report(ladder_tgds(3))
-        refined = report.tier.fact_bound(10)
-        coarse = report.cost.fact_bound(10)
-        assert refined is not None and coarse is not None
-        assert refined < coarse
-        assert report.fact_bound(10) == refined
-
-    def test_chase_budget_derives_from_the_tier(self):
-        from repro.analysis.cost import chase_budget, chase_cost
-
-        deps = ladder_tgds(3)
-        assert chase_budget(deps, 10) == frontier_report(deps).fact_bound(10)
-        assert chase_budget(deps, 10) < chase_cost(deps).fact_bound(10)
-        assert chase_budget(tgds(DIVERGING), 10) is None
-        # without refined witnesses the coarse bound is all there is
-        swa = tgds(*SWA_SET)
-        assert chase_budget(swa, 10) == chase_cost(swa).fact_bound(10)
-
-    def test_refined_bound_actually_bounds_the_chase(self):
-        deps = ladder_tgds(3)
-        for n in (2, 5, 9):
-            instance = ladder_instance(n)
-            domain = {value for fact in instance for value in fact.args}
-            result = fixpoint_chase(instance, deps)
-            bound = frontier_report(deps).tier.fact_bound(len(domain))
-            assert len(result.instance) <= bound
-
 
 class TestStratifiedMfa:
     def test_long_chain_defeats_monolithic_mfa_but_not_strata(self):
@@ -327,17 +299,20 @@ class TestAnalyzeCli:
 
 
 class TestTierAwareDispatch:
-    """The fixpoint chase consults the frontier certificate only for ``budget=``."""
+    """The fixpoint chase never consults the frontier certificate."""
 
     def test_non_auto_chase_skips_tier_computation(self, monkeypatch):
         import repro.analysis.frontier as frontier
 
         def refuse(*args, **kwargs):
-            raise AssertionError("frontier_report consulted without budget=")
+            raise AssertionError("frontier_report consulted by the chase")
 
         monkeypatch.setattr(frontier, "frontier_report", refuse)
         result = fixpoint_chase(ladder_instance(5), ladder_tgds(3))
         assert result.reached_fixpoint
+        # budget= is a runtime cap only: no static bound is derived for it
+        budgeted = fixpoint_chase(ladder_instance(5), ladder_tgds(3), budget=10**6)
+        assert budgeted.instance == result.instance
 
     def test_explicit_budget_overrides_the_forced_one(self):
         # A bounded run of a diverging set stops at max_rounds, inside budget.

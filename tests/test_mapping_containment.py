@@ -26,17 +26,20 @@ from repro.analysis.containment import (
     verify_witness,
 )
 from repro.cli import main
-from repro.core.implication import equivalent, implies_semantic_bounded
+from repro.core.implication import equivalent, implies, implies_semantic_bounded
 from repro.core.normalization import optimize, optimize_report
-from repro.errors import UndecidedError
+from repro.errors import ResourceLimitExceeded, UndecidedError
 from repro.logic.parser import parse_egd, parse_nested_tgd, parse_tgd
 from repro.workloads.families import containment_pair, redundant_ladder_tgds
 
-from .strategies import schema_mappings
+from .strategies import nested_tgds, schema_mappings
 
 COPY = "S(x,y) -> R(x,y)"
 WEAK = "S(x,y) -> exists z . R(x,z)"
 DIVERGING = "E(x,y) -> exists z . E(y,z)"
+# A certified pair in the EXPTIME tier: coarse chase-size degree 6 * 3 = 18.
+WIDE = "S(x1,x2,x3) -> exists y . R(y,y,y,y,y,x1)"
+WIDE_WEAKER = "S(x1,x2,x3) -> exists y,z . R(y,z,y,y,y,x1)"
 
 
 class TestCheckContainment:
@@ -114,9 +117,21 @@ class TestAdmissibilityGate:
         assert report.holds is None
         assert report.status == "undecided"
         assert not report.certified
-        assert report.chase_fact_bound is None
         assert report.refusals
         assert "frontier" in report.refusals[0].reason
+
+    def test_wide_certified_pair_decided_without_budget(self):
+        report = check_containment([parse_tgd(WIDE)], [parse_tgd(WIDE_WEAKER)])
+        assert report.certified
+        assert report.status == "contained"
+        assert not report.refusals
+
+    @pytest.mark.parametrize("depth", [4, 5, 6])
+    def test_deep_contained_pairs_decided_without_budget(self, depth):
+        sigma, sigma_prime = containment_pair(depth, contained=True)
+        report = check_containment(sigma, sigma_prime)
+        assert report.status == "contained"
+        assert report.holds is True
 
     def test_contains_raises_on_undecided(self):
         with pytest.raises(UndecidedError):
@@ -228,6 +243,27 @@ class TestDifferentialAgainstEquivalent:
         assert (forward.holds and backward.holds) == equivalent(
             sigma, sigma_prime
         )
+
+
+class TestCertifiedPairsAreDecided:
+    """An s-t or nested pair is always certified, so the gate never refuses it."""
+
+    @settings(
+        max_examples=25, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(lhs=nested_tgds(max_depth=2, max_children=1),
+           rhs=nested_tgds(max_depth=2, max_children=1))
+    def test_verdict_matches_implies(self, lhs, rhs):
+        report = check_containment([lhs], [rhs], max_patterns=20_000)
+        assert report.certified
+        assert not any("frontier" in v.reason for v in report.refusals)
+        try:
+            expected = implies([lhs], [rhs], max_patterns=20_000)
+        except ResourceLimitExceeded:
+            assert report.holds is None
+            return
+        assert report.holds is expected
 
 
 class TestDifferentialAgainstSemanticOracle:
@@ -376,6 +412,41 @@ class TestDiskVerdictStore:
                 report = check_containment(lhs, rhs, budget=10**9)
             assert stats.get("containment.verdict_disk_hits") == 0
             assert report.holds is True
+        finally:
+            configure(None)
+
+    def test_v1_shaped_payload_is_recomputed(self, tmp_path):
+        # An 8-slot payload (the v1 shape, with its fact-bound slot) under
+        # the current key is a miss: the query recomputes and overwrites it.
+        from repro.analysis.containment import (
+            CONTAINMENT_PATTERN_LIMIT,
+            _report_key,
+        )
+        from repro.cache import SPACE_CONTAIN, clear_all_caches, configure, disk_get, disk_put
+
+        lhs, rhs = [parse_tgd(WIDE)], [parse_tgd(WIDE_WEAKER)]
+        cold = check_containment(lhs, rhs)
+        configure(tmp_path)
+        try:
+            clear_all_caches()
+            key = _report_key(lhs, rhs, [], None, CONTAINMENT_PATTERN_LIMIT)
+            stale = (
+                None, "undecided", True, "exptime", 10**18, None,
+                (str(lhs[0]),),
+                (("#1", str(rhs[0]), "refused", "outside the certified "
+                  "frontier", None, 0, None),),
+            )
+            disk_put(SPACE_CONTAIN, key, stale)
+            with perf.measuring() as stats:
+                report = check_containment(lhs, rhs)
+            assert stats.get("containment.verdict_disk_hits") == 0
+            assert report.to_json() == cold.to_json()
+            assert len(disk_get(SPACE_CONTAIN, key)) == 7
+            clear_all_caches(disk=False)
+            with perf.measuring() as stats:
+                warm = check_containment(lhs, rhs)
+            assert stats.get("containment.verdict_disk_hits") == 1
+            assert warm.to_json() == cold.to_json()
         finally:
             configure(None)
 
